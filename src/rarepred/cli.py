@@ -541,3 +541,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> int:
     return main()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

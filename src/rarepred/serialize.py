@@ -148,7 +148,14 @@ def _emit_tree_fields(out: list[str], tree: DecisionTree) -> None:
 
 
 def _read_tree_fields(sec: _Section, names: tuple[str, ...]) -> DecisionTree:
-    return DecisionTree(
+    """Read one tree and reject it if it would misroute rows or never stop.
+
+    Prediction walks each row to strictly higher child indices until it
+    reaches a leaf, then reads ``prob`` there. So the node arrays must be
+    non-empty and aligned, a split's feature must name a column, its
+    children must lie after it inside the arena, and a leaf has none.
+    """
+    tree = DecisionTree(
         feature_names=names,
         feature=_parse_ints(sec.fields["feature"], np.int32),
         threshold=_parse_floats(sec.fields["threshold"]),
@@ -161,6 +168,35 @@ def _read_tree_fields(sec: _Section, names: tuple[str, ...]) -> DecisionTree:
         cp=float(sec.fields["cp"]),
         min_split_obs=int(sec.fields["min_split_obs"]),
     )
+    where = sec.title or "cart tree"
+    n = tree.n_nodes
+    if n == 0:
+        raise DatasetError(f"{where}: field 'feature' lists no nodes")
+    for field in _TREE_ARRAYS:
+        if len(getattr(tree, field)) != n:
+            raise DatasetError(
+                f"{where}: field {field!r} has {len(getattr(tree, field))} entries,"
+                f" 'feature' has {n}"
+            )
+    k = len(names)
+    split = tree.feature != -1
+    index = np.arange(n)
+    wrong = {
+        "feature": split & ((tree.feature < 0) | (tree.feature >= k)),
+        "left": np.where(split, (tree.left <= index) | (tree.left >= n), tree.left != -1),
+        "right": np.where(split, (tree.right <= index) | (tree.right >= n), tree.right != -1),
+    }
+    for field, bad in wrong.items():
+        if bad.any():
+            i = int(np.argmax(bad))
+            if field == "feature":
+                expected = f"-1 or a column below {k}"
+            else:
+                expected = f"in ({i}, {n})" if split[i] else "-1 at a leaf"
+            raise DatasetError(
+                f"{where}: node {i} has {field} = {getattr(tree, field)[i]}, expected {expected}"
+            )
+    return tree
 
 
 # --- per-kind emit/read -----------------------------------------------------

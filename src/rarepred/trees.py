@@ -60,9 +60,9 @@ class DecisionTree:
     """Arena-encoded binary classification tree.
 
     Node arrays are aligned by index; ``feature[i] == -1`` marks a leaf.
-    ``prob`` is the positive share of training rows at the node. Children
-    always carry a higher index than their parent, so one in-order pass
-    routes predictions.
+    ``prob`` is the positive share of training rows at the node. Every
+    child index is greater than its parent's; the router relies on it to
+    terminate and the model loader rejects files that break it.
     """
 
     feature_names: tuple[str, ...]
@@ -316,18 +316,18 @@ def fit_cart(
 
 
 def _route(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    assign = np.zeros(X.shape[0], dtype=np.int64)
-    for node in range(tree.n_nodes):
-        feat = int(tree.feature[node])
-        if feat == -1:
-            continue
-        at_node = np.flatnonzero(assign == node)
-        if at_node.size == 0:
-            continue
-        go_left = X[at_node, feat] <= tree.threshold[node]
-        assign[at_node[go_left]] = tree.left[node]
-        assign[at_node[~go_left]] = tree.right[node]
-    return assign
+    """Leaf of every row, one tree level per step; ties go left, NaN right."""
+    children = np.stack((tree.right, tree.left), axis=1).ravel()  # [2 * node + went_left]
+    leaf = np.zeros(X.shape[0], dtype=np.int64)
+    rows, node = np.arange(X.shape[0]), leaf
+    while rows.size:  # ends within the depth: children exceed their parent
+        feat = tree.feature[node]
+        inner = feat != -1
+        rows, node, feat = rows[inner], node[inner], feat[inner]
+        go_left = X[rows, feat] <= tree.threshold[node]
+        node = children[2 * node + go_left]
+        leaf[rows] = node
+    return leaf
 
 
 def predict_tree(tree: DecisionTree, ds: Dataset) -> np.ndarray:

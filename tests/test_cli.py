@@ -2,10 +2,13 @@
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rarepred
 from rarepred.benchmarks import benchmark_spec
 from rarepred.cli import main
 from rarepred.config import (
@@ -329,6 +332,19 @@ class TestPipeline:
     def test_usage_error_exit_code(self, tmp_path):
         assert run_cli(["all"]) == 1
         assert run_cli(["frobnicate", "--config", write_cfg(tmp_path)]) == 1
+
+    def test_module_entry_point_runs_main(self):
+        src = os.path.dirname(os.path.dirname(rarepred.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "rarepred.cli"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "usage error" in proc.stderr
 
     def test_detect_band_calibrated_on_train_scores(self, tmp_path):
         out = str(tmp_path / "out")

@@ -108,3 +108,65 @@ class TestRoundTrip:
         model.feature_names = ("a\tb", "c", "d")
         with pytest.raises(DatasetError, match="tab"):
             model_to_text(model)
+
+
+def with_fields(text, **fields):
+    """Model file text with the named ``key = value`` lines replaced."""
+    lines = text.splitlines()
+    for key, value in fields.items():
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+def small_tree_text(**fields):
+    """A 3-node CART file splitting x0 at 2.5, with some arrays replaced."""
+    ds = Dataset(
+        features=(Feature("x0", "continuous"),),
+        values=np.array([[1.0], [2.0], [3.0], [4.0]]),
+        labels={"y": np.array([0, 0, 1, 1])},
+    )
+    return with_fields(model_to_text(fit_cart(ds, "y", min_split_obs=1)), **fields)
+
+
+class TestMalformedTrees:
+    def test_reference_tree_loads(self, tmp_path):
+        path = tmp_path / "cart.model"
+        path.write_text(small_tree_text())
+        tree = load_model(str(path))
+        np.testing.assert_array_equal(tree.left, [1, -1, -1])
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"prob": "0.5 0.0"}, "field 'prob' has 2 entries"),
+            ({name: "" for name in ("feature", "threshold", "left", "right",
+                                    "n_rows", "prob", "gain")}, "field 'feature' lists no nodes"),
+            ({"feature": "1 -1 -1"}, "node 0 has feature = 1"),
+            ({"feature": "-2 -1 -1"}, "node 0 has feature = -2"),
+            ({"left": "-1 -1 -1"}, r"node 0 has left = -1, expected in \(0, 3\)"),
+            ({"left": "0 -1 -1"}, "node 0 has left = 0"),
+            ({"feature": "0 0 -1", "left": "1 0 -1", "right": "2 2 -1"}, "node 1 has left = 0"),
+            ({"right": "3 -1 -1"}, "node 0 has right = 3"),
+            ({"left": "1 2 -1"}, "node 1 has left = 2, expected -1 at a leaf"),
+        ],
+        ids=[
+            "unequal_lengths", "no_nodes", "feature_past_names", "feature_negative",
+            "split_without_child", "self_child", "backward_child", "child_past_end",
+            "leaf_with_child",
+        ],
+    )
+    def test_rejected_on_load(self, tmp_path, fields, match):
+        path = tmp_path / "cart.model"
+        path.write_text(small_tree_text(**fields))
+        with pytest.raises(DatasetError, match=f"cart tree: {match}"):
+            load_model(str(path))
+
+    def test_forest_error_names_the_tree(self, tmp_path):
+        forest = fit_forest(sample(5), "y", ForestHyper(n_trees=2, min_node=30, seed=1))
+        head, tree1 = model_to_text(forest).split("[tree 1]\n")
+        n = forest.trees[1].n_nodes
+        tree1 = with_fields(tree1, right=" ".join(["0"] + ["-1"] * (n - 1)))
+        path = tmp_path / "forest.model"
+        path.write_text(head + "[tree 1]\n" + tree1)
+        with pytest.raises(DatasetError, match="tree 1: node 0 has right = 0"):
+            load_model(str(path))

@@ -9,6 +9,7 @@ from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.evaluate import auc
 from rarepred.rng import generator
 from rarepred.trees import (
+    DecisionTree,
     Forest,
     ForestHyper,
     fit_cart,
@@ -19,6 +20,7 @@ from rarepred.trees import (
     render_tree,
     variable_importance,
 )
+from rarepred.trees import _route
 
 
 def array_dataset(X, y, names=None):
@@ -46,6 +48,64 @@ def blob_dataset(seed, n=400, informative=1.5):
     eta = informative * X[:, 0]
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(np.int64)
     return array_dataset(X, y)
+
+
+def route_per_node(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
+    """The per-node router the depth-wise one replaced; the oracle for it."""
+    assign = np.zeros(X.shape[0], dtype=np.int64)
+    for node in range(tree.n_nodes):
+        feat = int(tree.feature[node])
+        if feat == -1:
+            continue
+        at_node = np.flatnonzero(assign == node)
+        if at_node.size == 0:
+            continue
+        go_left = X[at_node, feat] <= tree.threshold[node]
+        assign[at_node[go_left]] = tree.left[node]
+        assign[at_node[~go_left]] = tree.right[node]
+    return assign
+
+
+def assert_routes_like_oracle(model, X):
+    """Leaves, and scores on finite rows, equal the oracle's bit for bit."""
+    forest = isinstance(model, Forest)
+    votes = np.zeros(X.shape[0])
+    for tree in model.trees if forest else [model]:
+        leaves = route_per_node(tree, X)
+        assert _route(tree, X).tobytes() == leaves.tobytes()
+        votes += (tree.prob[leaves] > 0.5).astype(np.float64)
+    if np.isfinite(X).all():
+        ds = array_dataset(X, np.zeros(X.shape[0]), model.feature_names)
+        if forest:
+            want = votes / len(model.trees)
+            assert predict_forest(model, ds).tobytes() == want.tobytes()
+        else:
+            assert predict_tree(model, ds).tobytes() == model.prob[leaves].tobytes()
+
+
+def edge_rows(model, X, rng):
+    """Copies of X: cells snapped to the nearest split threshold on their
+    column (rows landing exactly on a threshold), and cells set to NaN."""
+    trees = model.trees if isinstance(model, Forest) else [model]
+    on_threshold = X.copy()
+    for j in range(X.shape[1]):
+        cuts = np.concatenate([t.threshold[t.feature == j] for t in trees])
+        if cuts.size:
+            nearest = np.abs(X[:, j, None] - cuts[None, :]).argmin(axis=1)
+            on_threshold[:, j] = cuts[nearest]
+    for t, tree in enumerate(trees[: X.shape[0]]):  # certain ties at every root
+        if tree.feature[0] != -1:
+            on_threshold[t, tree.feature[0]] = tree.threshold[0]
+    with_nan = X.copy()
+    with_nan[rng.random(X.shape) < 0.2] = np.nan
+    return on_threshold, with_nan
+
+
+def check_against_oracle(model, ds, seed=0):
+    X = ds.values[:, [ds.feature_index(n) for n in model.feature_names]]
+    on_threshold, with_nan = edge_rows(model, X, generator(seed))
+    for rows in (X, on_threshold, with_nan):
+        assert_routes_like_oracle(model, rows)
 
 
 class TestGini:
@@ -256,3 +316,61 @@ class TestImportance:
         weights = variable_importance(tree)
         assert abs(sum(weights.values()) - 1.0) < 1e-9
         assert all(w >= 0 for w in weights.values())
+
+
+class TestRouterOracle:
+    """The depth-wise router against the per-node router it replaced."""
+
+    def test_cart(self):
+        ds = blob_dataset(20, n=500)
+        check_against_oracle(fit_cart(ds, "y", cp=0.0, min_split_obs=3), ds)
+
+    def test_forest_default_mtry(self):
+        ds = blob_dataset(21, n=500)
+        check_against_oracle(fit_forest(ds, "y", ForestHyper(n_trees=5, min_node=5, seed=1)), ds)
+
+    def test_forest_mtry_all_features(self):
+        ds = blob_dataset(22, n=500)
+        hyper = ForestHyper(n_trees=5, mtry=3, min_node=5, seed=2)
+        check_against_oracle(fit_forest(ds, "y", hyper), ds)
+
+    def test_forest_extratrees(self):
+        ds = blob_dataset(23, n=500)
+        hyper = ForestHyper(n_trees=5, min_node=5, split_rule="extratrees", seed=3)
+        check_against_oracle(fit_forest(ds, "y", hyper), ds)
+
+    def test_ties_go_left_and_nan_goes_right(self):
+        tree = fit_cart(array_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1]), "y", min_split_obs=1)
+        X = np.array([[2.5], [np.nan], [np.nextafter(2.5, 3.0)]])
+        np.testing.assert_array_equal(_route(tree, X), [tree.left[0], tree.right[0], tree.right[0]])
+        assert_routes_like_oracle(tree, X)
+
+    def test_zero_rows(self):
+        ds = blob_dataset(24, n=300)
+        empty = ds.subset_rows(np.arange(0))
+        check_against_oracle(fit_cart(ds, "y", cp=0.0), empty)
+        forest = fit_forest(ds, "y", ForestHyper(n_trees=3, min_node=10, seed=4))
+        check_against_oracle(forest, empty)
+        assert predict_forest(forest, empty).shape == (0,)
+
+    def test_stump(self):
+        ds = array_dataset([1.0, 1.0, 1.0, 1.0], [0, 1, 0, 1])
+        stump = fit_cart(ds, "y")
+        assert stump.n_nodes == 1
+        check_against_oracle(stump, ds)
+        np.testing.assert_array_equal(_route(stump, np.full((2, 1), np.nan)), [0, 0])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_oracle_property(self, seed):
+        rng = generator(seed)
+        ds = blob_dataset(seed % 1000, n=200)
+        hyper = ForestHyper(
+            n_trees=3,
+            mtry=int(rng.integers(1, 4)),
+            min_node=int(rng.integers(1, 30)),
+            split_rule=("gini", "extratrees")[int(rng.integers(2))],
+            seed=seed,
+        )
+        check_against_oracle(fit_forest(ds, "y", hyper), ds, seed)
+        check_against_oracle(fit_cart(ds, "y", cp=float(rng.uniform(0, 0.01))), ds, seed)
