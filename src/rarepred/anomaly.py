@@ -217,6 +217,10 @@ def calibrate_band(
         raise DatasetError("n_candidates must be >= 2")
     qs = np.linspace(0.0, 1.0, n_candidates)
     candidates = np.unique(np.quantile(s, qs))
+    if candidates[0] > hi:
+        raise DatasetError(
+            f"hi = {hi!r} lies below the lowest band candidate {float(candidates[0])!r}"
+        )
     best_lo = None
     best_value = -math.inf
     for lo in candidates:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -90,12 +89,6 @@ class PipelineError(Exception):
 
 class _UsageError(Exception):
     pass
-
-
-def _num(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
 
 
 class Workspace:
@@ -186,7 +179,7 @@ def _record_scaler_stats(ws: Workspace, prefix: str, params) -> None:
     for name in params.names:
         stats = params.stats_for(name)
         for stat in ("mean", "sd", "min", "max"):
-            ws.set(f"{prefix}.{name}.{stat}", _num(stats[stat]))
+            ws.set(f"{prefix}.{name}.{stat}", repr(float(stats[stat])))
         ws.set(f"{prefix}.{name}.constant", int(stats["constant"]))
 
 
@@ -409,12 +402,12 @@ def cmd_detect(cfg: RunConfig, ws: Workspace) -> None:
             train_scores, y_train, objective=ae_cfg.objective, hi=ae_cfg.band_hi
         )
         objective_line = f"objective = {ae_cfg.objective}"
-        value_line = f"value = {_num(value)}"
+        value_line = f"value = {float(value)!r}"
     write_scores(ws.path("detect/train_scores.csv"), train_scores, y_train)
     write_scores(ws.path("detect/test_scores.csv"), test_scores, y_test)
     with open(ws.path("detect/band.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"lo = {_num(band.lo)}\n")
-        fh.write(f"hi = {_num(band.hi)}\n")
+        fh.write(f"lo = {float(band.lo)!r}\n")
+        fh.write(f"hi = {float(band.hi)!r}\n")
         fh.write(objective_line + "\n")
         if value_line is not None:
             fh.write(value_line + "\n")
@@ -423,11 +416,11 @@ def cmd_detect(cfg: RunConfig, ws: Workspace) -> None:
     auc_value = auc(y_test, test_scores)
     with open(ws.path("detect/detect_metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write("metric,value\n")
-        fh.write(f"accuracy,{_num(m.accuracy)}\n")
-        fh.write(f"kappa,{_num(m.kappa)}\n")
-        fh.write(f"sensitivity,{_num(m.sensitivity)}\n")
-        fh.write(f"specificity,{_num(m.specificity)}\n")
-        fh.write(f"auc,{_num(auc_value)}\n")
+        fh.write(f"accuracy,{float(m.accuracy)!r}\n")
+        fh.write(f"kappa,{float(m.kappa)!r}\n")
+        fh.write(f"sensitivity,{float(m.sensitivity)!r}\n")
+        fh.write(f"specificity,{float(m.specificity)!r}\n")
+        fh.write(f"auc,{float(auc_value)!r}\n")
     train_inputs = ["train.csv", "schema.txt", "ae_scaler.txt", "models/autoencoder.model"]
     test_inputs = ["test.csv", "schema.txt", "ae_scaler.txt", "models/autoencoder.model"]
     ws.record_artifact("detect/train_scores.csv", "detect", train_inputs)
@@ -437,7 +430,7 @@ def cmd_detect(cfg: RunConfig, ws: Workspace) -> None:
         "detect/detect_metrics.csv", "detect", test_inputs + ["detect/band.txt"]
     )
     print(
-        f"detect: band [{_num(band.lo)}, {_num(band.hi)}],"
+        f"detect: band [{float(band.lo)!r}, {float(band.hi)!r}],"
         f" test auc={auc_value:.4f}, sensitivity={m.sensitivity:.4f}"
     )
 

@@ -24,7 +24,7 @@ from .anomaly import DEFAULT_ACTIVATIONS, DEFAULT_AUTOENCODER_FEATURES, DEFAULT_
 from .benchmarks import BENCHMARKS, benchmark_spec
 from .dataset import load_schema
 from .preprocess import SCALER_METHODS
-from .tune import METRICS
+from .tune import METRICS, _REGISTRY
 
 __all__ = [
     "ConfigError",
@@ -37,17 +37,6 @@ __all__ = [
     "format_value",
     "load_config",
 ]
-
-MODEL_KINDS = ("logit", "elastic_net", "cart", "forest", "ffn")
-
-# per-kind tunable names, mirroring the fit signatures
-MODEL_PARAMS = {
-    "logit": ("tol", "max_iter"),
-    "elastic_net": ("lam", "alpha", "tol", "max_sweeps"),
-    "cart": ("cp", "min_split_obs"),
-    "forest": ("n_trees", "mtry", "min_node", "split_rule", "bootstrap"),
-    "ffn": ("hidden", "dropout", "epochs", "batch_size", "lr"),
-}
 
 _SECTION_KEYS = {
     "run": ("seed", "out_dir", "label"),
@@ -327,19 +316,20 @@ def load_config(
     for section in parser.sections():
         if section.startswith("model:"):
             kind = section.split(":", 1)[1]
-            if kind not in MODEL_KINDS:
+            if kind not in _REGISTRY:
                 raise ConfigError(
                     f"[{section}] unknown model kind {kind!r}"
-                    f" (have {', '.join(MODEL_KINDS)})"
+                    f" (have {', '.join(_REGISTRY)})"
                 )
             if any(m.kind == kind for m in models):
                 raise ConfigError(f"[{section}] duplicate model section")
+            params = _REGISTRY[kind].params
             grid: dict[str, list] = {}
             for key in parser.options(section):
-                if key not in MODEL_PARAMS[kind]:
+                if key not in params:
                     raise ConfigError(
                         f"[{section}] unknown hyperparameter {key!r}"
-                        f" (have {', '.join(MODEL_PARAMS[kind])})"
+                        f" (have {', '.join(params)})"
                     )
                 grid[key] = parse_values(parser.get(section, key))
             models.append(ModelGrid(kind=kind, grid=grid))

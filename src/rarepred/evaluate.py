@@ -226,12 +226,6 @@ def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
-
-
 METRIC_ROWS = ("Accuracy", "Kappa", "Sensitivity", "Specificity", "AUC")
 
 
@@ -265,7 +259,7 @@ def write_report(out_dir: str, evaluations: list[ModelEvaluation]) -> list[str]:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("metric," + ",".join(names) + "\n")
         for metric in METRIC_ROWS:
-            fh.write(metric + "," + ",".join(_fmt(v) for v in rows[metric]) + "\n")
+            fh.write(metric + "," + ",".join(repr(float(v)) for v in rows[metric]) + "\n")
     written.append("metrics.csv")
 
     for ev, slug in zip(evaluations, names):
@@ -273,7 +267,7 @@ def write_report(out_dir: str, evaluations: list[ModelEvaluation]) -> list[str]:
         with open(os.path.join(out_dir, roc_name), "w", encoding="utf-8", newline="") as fh:
             fh.write("threshold,fpr,tpr\n")
             for t, fpr, tpr in ev.roc_points:
-                fh.write(f"{_fmt(t)},{_fmt(fpr)},{_fmt(tpr)}\n")
+                fh.write(f"{float(t)!r},{float(fpr)!r},{float(tpr)!r}\n")
         written.append(roc_name)
 
         cm_name = f"confusion_{slug}.csv"
@@ -289,6 +283,6 @@ def write_report(out_dir: str, evaluations: list[ModelEvaluation]) -> list[str]:
             with open(os.path.join(out_dir, imp_name), "w", encoding="utf-8", newline="") as fh:
                 fh.write("feature,weight\n")
                 for feat, weight in ordered:
-                    fh.write(f"{feat},{_fmt(weight)}\n")
+                    fh.write(f"{feat},{float(weight)!r}\n")
             written.append(imp_name)
     return written

@@ -9,9 +9,6 @@ determinism checks lean on.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .anomaly import Autoencoder
@@ -25,16 +22,8 @@ __all__ = ["save_model", "load_model", "model_to_text", "model_from_text"]
 MAGIC = "rarepred-model v1"
 
 
-def _f(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return repr(float(x))
-
-
 def _floats(arr) -> str:
-    return " ".join(_f(v) for v in np.asarray(arr, dtype=np.float64).ravel())
+    return " ".join(map(repr, np.asarray(arr, dtype=np.float64).ravel().tolist()))
 
 
 def _ints(arr) -> str:
@@ -60,94 +49,100 @@ def _parse_ints(text: str, dtype=np.int64) -> np.ndarray:
     return np.array([int(tok) for tok in text.split(" ")], dtype=dtype)
 
 
-def _parse_names(text: str) -> tuple[str, ...]:
-    return tuple(text.split("\t")) if text else ()
+# --- field codecs: (format the attribute, parse the text back) ---------------
+
+_FLOAT = (lambda x: repr(float(x)), float)
+_INT = (str, int)
+_TEXT = (str, str)
+_BOOL = (lambda b: str(b).lower(), lambda t: {"true": True, "false": False}[t])
+_FLOATS = (_floats, _parse_floats)
+_FLOAT_LIST = (_floats, lambda t: _parse_floats(t).tolist())
+_INT32S = (_ints, lambda t: _parse_ints(t, np.int32))
+_INT64S = (_ints, _parse_ints)
+_FLOAT_TUPLE = (_floats, lambda t: tuple(_parse_floats(t).tolist()))
+_MTRY = (lambda m: "none" if m is None else str(m), lambda t: None if t == "none" else int(t))
+
+# --- field tables: (key, codec) in file order --------------------------------
+
+_NAMES = (("feature_names", (_names, lambda t: tuple(t.split("\t")) if t else ())),)
+_LINEAR = (("intercept", _FLOAT), ("coef", _FLOATS), ("feature_scales", _FLOATS))
+_RECIPE = (("seed", _INT), ("epochs", _INT), ("batch_size", _INT), ("lr", _FLOAT))
+_TREE = (
+    ("root_gini", _FLOAT), ("cp", _FLOAT), ("min_split_obs", _INT),
+    ("feature", _INT32S), ("threshold", _FLOATS), ("left", _INT32S), ("right", _INT32S),
+    ("n_rows", _INT64S), ("prob", _FLOATS), ("gain", _FLOATS),
+)
+_FOREST = (
+    ("n_trees", _INT), ("mtry", _MTRY), ("min_node", _INT),
+    ("split_rule", _TEXT), ("seed", _INT), ("bootstrap", _BOOL),
+)
+_NETWORK = (("n_layers", _INT), ("dropout", _FLOAT_TUPLE))
+_LAYER = (
+    ("activation", _TEXT), ("n_in", _INT), ("n_out", _INT),
+    ("weights", _FLOATS), ("bias", _FLOATS),
+)
+
+_KINDS = {
+    "logit": (LogitModel, _LINEAR + (
+        ("converged", _BOOL), ("n_iter", _INT), ("loglik", _FLOAT), ("quasi_separated", _BOOL),
+    )),
+    "elastic_net": (ElasticNetModel, _LINEAR + (
+        ("lam", _FLOAT), ("alpha", _FLOAT), ("converged", _BOOL), ("n_sweeps", _INT),
+        ("objective_path", _FLOAT_LIST),
+    )),
+    "cart": (DecisionTree, _TREE),
+    "forest": (Forest, _FOREST),
+    "ffn": (FFNModel, _RECIPE + (("loss_path", _FLOAT_LIST),)),
+    "autoencoder": (Autoencoder, (("loss", _TEXT), ("activity_l2", _FLOAT)) + _RECIPE + (
+        ("n_train_rows", _INT), ("loss_path", _FLOAT_LIST),
+    )),
+}
 
 
-def _bool(text: str) -> bool:
-    return {"true": True, "false": False}[text]
+def _emit(out: list[str], obj, fields) -> None:
+    out.extend(f"{key} = {fmt(getattr(obj, key))}" for key, (fmt, _) in fields)
 
 
-@dataclass
-class _Section:
-    title: str
-    fields: dict[str, str]
+def _read(section: dict[str, str], fields, where: str) -> dict:
+    """Parse ``fields`` from one section; any bad field is a ``DatasetError``."""
+    values = {}
+    for key, (_, parse) in fields:
+        if key not in section:
+            raise DatasetError(f"{where}: missing field {key!r}")
+        try:
+            values[key] = parse(section[key])
+        except (KeyError, ValueError, OverflowError) as exc:
+            raise DatasetError(f"{where}: bad value for field {key!r}: {exc}") from None
+    return values
 
 
-def _split_sections(text: str) -> list[_Section]:
+def _split_sections(text: str) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
+    """The header's fields, and each ``[title]`` block's fields by title."""
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC:
         raise DatasetError("not a model file (bad or missing header)")
-    sections = [_Section("", {})]
+    head = fields = {}
+    blocks: dict[str, dict[str, str]] = {}
     for raw in lines[1:]:
         if not raw.strip():
             continue
         if raw.startswith("[") and raw.endswith("]"):
-            sections.append(_Section(raw[1:-1], {}))
+            fields = blocks[raw[1:-1]] = {}
             continue
         if " = " not in raw:
             raise DatasetError(f"malformed model line: {raw!r}")
         key, value = raw.split(" = ", 1)
-        sections[-1].fields[key] = value
-    return sections
+        fields[key] = value
+    return head, blocks
 
 
-# --- network blocks --------------------------------------------------------
+def _block(blocks: dict[str, dict[str, str]], title: str) -> dict[str, str]:
+    if title not in blocks:
+        raise DatasetError(f"model file missing {title}")
+    return blocks[title]
 
 
-def _emit_network(out: list[str], net: Network) -> None:
-    out.append(f"n_layers = {len(net.layers)}")
-    out.append(f"dropout = {_floats(net.dropout)}")
-    for i, layer in enumerate(net.layers):
-        out.append(f"[layer {i}]")
-        out.append(f"activation = {layer.activation}")
-        out.append(f"n_in = {layer.n_in}")
-        out.append(f"n_out = {layer.n_out}")
-        out.append(f"weights = {_floats(layer.weights)}")
-        out.append(f"bias = {_floats(layer.bias)}")
-
-
-def _read_network(head: _Section, parts: list[_Section]) -> Network:
-    n_layers = int(head.fields["n_layers"])
-    dropout = tuple(float(v) for v in _parse_floats(head.fields["dropout"]))
-    layers = []
-    by_title = {s.title: s for s in parts}
-    for i in range(n_layers):
-        sec = by_title.get(f"layer {i}")
-        if sec is None:
-            raise DatasetError(f"model file missing layer {i}")
-        n_in = int(sec.fields["n_in"])
-        n_out = int(sec.fields["n_out"])
-        weights = _parse_floats(sec.fields["weights"]).reshape(n_out, n_in)
-        layers.append(
-            DenseLayer(
-                weights=weights,
-                bias=_parse_floats(sec.fields["bias"]),
-                activation=sec.fields["activation"],
-            )
-        )
-    return Network(layers=layers, dropout=dropout)
-
-
-# --- tree blocks ------------------------------------------------------------
-
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "n_rows", "prob", "gain")
-
-
-def _emit_tree_fields(out: list[str], tree: DecisionTree) -> None:
-    out.append(f"root_gini = {_f(tree.root_gini)}")
-    out.append(f"cp = {_f(tree.cp)}")
-    out.append(f"min_split_obs = {tree.min_split_obs}")
-    out.append(f"feature = {_ints(tree.feature)}")
-    out.append(f"threshold = {_floats(tree.threshold)}")
-    out.append(f"left = {_ints(tree.left)}")
-    out.append(f"right = {_ints(tree.right)}")
-    out.append(f"n_rows = {_ints(tree.n_rows)}")
-    out.append(f"prob = {_floats(tree.prob)}")
-    out.append(f"gain = {_floats(tree.gain)}")
-
-
-def _read_tree_fields(sec: _Section, names: tuple[str, ...]) -> DecisionTree:
+def _read_tree(section: dict[str, str], names: tuple[str, ...], where: str) -> DecisionTree:
     """Read one tree and reject it if it would misroute rows or never stop.
 
     Prediction walks each row to strictly higher child indices until it
@@ -155,24 +150,11 @@ def _read_tree_fields(sec: _Section, names: tuple[str, ...]) -> DecisionTree:
     non-empty and aligned, a split's feature must name a column, its
     children must lie after it inside the arena, and a leaf has none.
     """
-    tree = DecisionTree(
-        feature_names=names,
-        feature=_parse_ints(sec.fields["feature"], np.int32),
-        threshold=_parse_floats(sec.fields["threshold"]),
-        left=_parse_ints(sec.fields["left"], np.int32),
-        right=_parse_ints(sec.fields["right"], np.int32),
-        n_rows=_parse_ints(sec.fields["n_rows"]),
-        prob=_parse_floats(sec.fields["prob"]),
-        gain=_parse_floats(sec.fields["gain"]),
-        root_gini=float(sec.fields["root_gini"]),
-        cp=float(sec.fields["cp"]),
-        min_split_obs=int(sec.fields["min_split_obs"]),
-    )
-    where = sec.title or "cart tree"
+    tree = DecisionTree(feature_names=names, **_read(section, _TREE, where))
     n = tree.n_nodes
     if n == 0:
         raise DatasetError(f"{where}: field 'feature' lists no nodes")
-    for field in _TREE_ARRAYS:
+    for field, _ in _TREE[3:]:  # the seven node arrays
         if len(getattr(tree, field)) != n:
             raise DatasetError(
                 f"{where}: field {field!r} has {len(getattr(tree, field))} entries,"
@@ -199,147 +181,58 @@ def _read_tree_fields(sec: _Section, names: tuple[str, ...]) -> DecisionTree:
     return tree
 
 
-# --- per-kind emit/read -----------------------------------------------------
+# --- whole models ------------------------------------------------------------
 
 
 def model_to_text(model) -> str:
-    out = [MAGIC]
-    if isinstance(model, LogitModel):
-        out.append("kind = logit")
-        out.append(f"feature_names = {_names(model.feature_names)}")
-        out.append(f"intercept = {_f(model.intercept)}")
-        out.append(f"coef = {_floats(model.coef)}")
-        out.append(f"feature_scales = {_floats(model.feature_scales)}")
-        out.append(f"converged = {str(model.converged).lower()}")
-        out.append(f"n_iter = {model.n_iter}")
-        out.append(f"loglik = {_f(model.loglik)}")
-        out.append(f"quasi_separated = {str(model.quasi_separated).lower()}")
-    elif isinstance(model, ElasticNetModel):
-        out.append("kind = elastic_net")
-        out.append(f"feature_names = {_names(model.feature_names)}")
-        out.append(f"intercept = {_f(model.intercept)}")
-        out.append(f"coef = {_floats(model.coef)}")
-        out.append(f"feature_scales = {_floats(model.feature_scales)}")
-        out.append(f"lam = {_f(model.lam)}")
-        out.append(f"alpha = {_f(model.alpha)}")
-        out.append(f"converged = {str(model.converged).lower()}")
-        out.append(f"n_sweeps = {model.n_sweeps}")
-        out.append(f"objective_path = {_floats(model.objective_path)}")
-    elif isinstance(model, DecisionTree):
-        out.append("kind = cart")
-        out.append(f"feature_names = {_names(model.feature_names)}")
-        _emit_tree_fields(out, model)
-    elif isinstance(model, Forest):
-        out.append("kind = forest")
-        out.append(f"feature_names = {_names(model.feature_names)}")
-        h = model.hyper
-        out.append(f"n_trees = {h.n_trees}")
-        out.append(f"mtry = {'none' if h.mtry is None else h.mtry}")
-        out.append(f"min_node = {h.min_node}")
-        out.append(f"split_rule = {h.split_rule}")
-        out.append(f"seed = {h.seed}")
-        out.append(f"bootstrap = {str(h.bootstrap).lower()}")
-        for i, tree in enumerate(model.trees):
-            out.append(f"[tree {i}]")
-            _emit_tree_fields(out, tree)
-    elif isinstance(model, FFNModel):
-        out.append("kind = ffn")
-        out.append(f"feature_names = {_names(model.feature_names)}")
-        out.append(f"seed = {model.seed}")
-        out.append(f"epochs = {model.epochs}")
-        out.append(f"batch_size = {model.batch_size}")
-        out.append(f"lr = {_f(model.lr)}")
-        out.append(f"loss_path = {_floats(model.loss_path)}")
-        _emit_network(out, model.net)
-    elif isinstance(model, Autoencoder):
-        out.append("kind = autoencoder")
-        out.append(f"feature_names = {_names(model.feature_names)}")
-        out.append(f"loss = {model.loss}")
-        out.append(f"activity_l2 = {_f(model.activity_l2)}")
-        out.append(f"seed = {model.seed}")
-        out.append(f"epochs = {model.epochs}")
-        out.append(f"batch_size = {model.batch_size}")
-        out.append(f"lr = {_f(model.lr)}")
-        out.append(f"n_train_rows = {model.n_train_rows}")
-        out.append(f"loss_path = {_floats(model.loss_path)}")
-        _emit_network(out, model.net)
-    else:
+    kind = next((k for k, (cls, _) in _KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise DatasetError(f"cannot serialize {type(model).__name__}")
+    out = [MAGIC, f"kind = {kind}"]
+    _emit(out, model, _NAMES)
+    _emit(out, model.hyper if kind == "forest" else model, _KINDS[kind][1])
+    for i, tree in enumerate(model.trees if kind == "forest" else ()):
+        out.append(f"[tree {i}]")
+        _emit(out, tree, _TREE)
+    if kind in ("ffn", "autoencoder"):
+        out.append(f"n_layers = {len(model.net.layers)}")
+        _emit(out, model.net, _NETWORK[1:])
+        for i, layer in enumerate(model.net.layers):
+            out.append(f"[layer {i}]")
+            _emit(out, layer, _LAYER)
     return "\n".join(out) + "\n"
 
 
 def model_from_text(text: str):
-    sections = _split_sections(text)
-    head, parts = sections[0], sections[1:]
-    kind = head.fields.get("kind")
-    names = _parse_names(head.fields.get("feature_names", ""))
-    if kind == "logit":
-        return LogitModel(
-            feature_names=names,
-            intercept=float(head.fields["intercept"]),
-            coef=_parse_floats(head.fields["coef"]),
-            feature_scales=_parse_floats(head.fields["feature_scales"]),
-            converged=_bool(head.fields["converged"]),
-            n_iter=int(head.fields["n_iter"]),
-            loglik=float(head.fields["loglik"]),
-            quasi_separated=_bool(head.fields["quasi_separated"]),
-        )
-    if kind == "elastic_net":
-        return ElasticNetModel(
-            feature_names=names,
-            intercept=float(head.fields["intercept"]),
-            coef=_parse_floats(head.fields["coef"]),
-            feature_scales=_parse_floats(head.fields["feature_scales"]),
-            lam=float(head.fields["lam"]),
-            alpha=float(head.fields["alpha"]),
-            converged=_bool(head.fields["converged"]),
-            n_sweeps=int(head.fields["n_sweeps"]),
-            objective_path=[float(v) for v in _parse_floats(head.fields["objective_path"])],
-        )
+    head, blocks = _split_sections(text)
+    kind = head.get("kind")
+    if kind not in _KINDS:
+        raise DatasetError(f"unknown model kind {kind!r}")
+    cls, fields = _KINDS[kind]
+    where = f"{kind} model"
+    names = _read(head, _NAMES, where)["feature_names"]
     if kind == "cart":
-        return _read_tree_fields(head, names)
+        return _read_tree(head, names, "cart tree")
+    values = _read(head, fields, where)
     if kind == "forest":
-        mtry_text = head.fields["mtry"]
-        hyper = ForestHyper(
-            n_trees=int(head.fields["n_trees"]),
-            mtry=None if mtry_text == "none" else int(mtry_text),
-            min_node=int(head.fields["min_node"]),
-            split_rule=head.fields["split_rule"],
-            seed=int(head.fields["seed"]),
-            bootstrap=_bool(head.fields["bootstrap"]),
-        )
-        trees = []
-        by_title = {s.title: s for s in parts}
-        for i in range(hyper.n_trees):
-            sec = by_title.get(f"tree {i}")
-            if sec is None:
-                raise DatasetError(f"model file missing tree {i}")
-            trees.append(_read_tree_fields(sec, names))
+        hyper = ForestHyper(**values)
+        trees = [
+            _read_tree(_block(blocks, f"tree {i}"), names, f"tree {i}")
+            for i in range(hyper.n_trees)
+        ]
         return Forest(feature_names=names, trees=trees, hyper=hyper)
-    if kind == "ffn":
-        return FFNModel(
-            feature_names=names,
-            net=_read_network(head, parts),
-            seed=int(head.fields["seed"]),
-            epochs=int(head.fields["epochs"]),
-            batch_size=int(head.fields["batch_size"]),
-            lr=float(head.fields["lr"]),
-            loss_path=[float(v) for v in _parse_floats(head.fields["loss_path"])],
-        )
-    if kind == "autoencoder":
-        return Autoencoder(
-            feature_names=names,
-            net=_read_network(head, parts),
-            loss=head.fields["loss"],
-            activity_l2=float(head.fields["activity_l2"]),
-            seed=int(head.fields["seed"]),
-            epochs=int(head.fields["epochs"]),
-            batch_size=int(head.fields["batch_size"]),
-            lr=float(head.fields["lr"]),
-            n_train_rows=int(head.fields["n_train_rows"]),
-            loss_path=[float(v) for v in _parse_floats(head.fields["loss_path"])],
-        )
-    raise DatasetError(f"unknown model kind {kind!r}")
+    if kind in ("ffn", "autoencoder"):
+        net = _read(head, _NETWORK, where)
+        layers = []
+        for i in range(net["n_layers"]):
+            v = _read(_block(blocks, f"layer {i}"), _LAYER, f"layer {i}")
+            try:
+                weights = v["weights"].reshape(v["n_out"], v["n_in"])
+            except ValueError as exc:
+                raise DatasetError(f"layer {i}: weights are not n_out x n_in: {exc}") from None
+            layers.append(DenseLayer(weights, v["bias"], v["activation"]))
+        values["net"] = Network(layers=layers, dropout=net["dropout"])
+    return cls(feature_names=names, **values)
 
 
 def save_model(path: str, model) -> None:

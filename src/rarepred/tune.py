@@ -113,11 +113,15 @@ def grid_expand(grid: dict[str, list]) -> list[dict]:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Uniform fit/predict adapter for one model family."""
+    """Uniform fit/predict adapter for one model family.
+
+    ``params`` names the hyperparameters a config grid may set for it.
+    """
 
     kind: str
     fit: Callable[[Dataset, str, tuple[str, ...] | None, dict, int], object]
     predict: Callable[[object, Dataset], np.ndarray]
+    params: tuple[str, ...]
 
 
 def _fit_logit(ds, label, features, params, seed):
@@ -141,11 +145,18 @@ def _fit_ffn(ds, label, features, params, seed):
 
 
 _REGISTRY: dict[str, ModelSpec] = {
-    "logit": ModelSpec("logit", _fit_logit, predict_proba),
-    "elastic_net": ModelSpec("elastic_net", _fit_enet, predict_proba),
-    "cart": ModelSpec("cart", _fit_cart, predict_tree),
-    "forest": ModelSpec("forest", _fit_forest, predict_forest),
-    "ffn": ModelSpec("ffn", _fit_ffn, predict_ffn),
+    "logit": ModelSpec("logit", _fit_logit, predict_proba, ("tol", "max_iter")),
+    "elastic_net": ModelSpec(
+        "elastic_net", _fit_enet, predict_proba, ("lam", "alpha", "tol", "max_sweeps")
+    ),
+    "cart": ModelSpec("cart", _fit_cart, predict_tree, ("cp", "min_split_obs")),
+    "forest": ModelSpec(
+        "forest", _fit_forest, predict_forest,
+        ("n_trees", "mtry", "min_node", "split_rule", "bootstrap"),
+    ),
+    "ffn": ModelSpec(
+        "ffn", _fit_ffn, predict_ffn, ("hidden", "dropout", "epochs", "batch_size", "lr")
+    ),
 }
 
 
@@ -166,6 +177,23 @@ def _metric_value(name: str, y: np.ndarray, scores: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # cross-validation
+
+
+def _scale_on(
+    train: Dataset, scaler: str | None, names: tuple[str, ...], *others: Dataset
+) -> list[Dataset]:
+    """``train`` and ``others`` scaled with statistics fit on ``train`` alone.
+
+    Only the continuous features among ``names`` are scaled; with no
+    ``scaler`` or no such feature every dataset passes through unchanged.
+    """
+    scale_names = [] if scaler is None else [
+        n for n in names if train.features[train.feature_index(n)].kind == "continuous"
+    ]
+    if not scale_names:
+        return [train, *others]
+    sp = fit_scaler(train, scaler, feature_names=scale_names)
+    return [apply_scaler(d, sp) for d in (train, *others)]
 
 
 @dataclass
@@ -218,15 +246,7 @@ def cross_validate(
     for fold in range(k):
         train = ds.subset_rows(plan.train_rows(fold))
         test = ds.subset_rows(plan.test_rows(fold))
-        if scaler is not None:
-            scale_names = [
-                n for n in names
-                if train.features[train.feature_index(n)].kind == "continuous"
-            ]
-            if scale_names:
-                sp = fit_scaler(train, scaler, feature_names=scale_names)
-                train = apply_scaler(train, sp)
-                test = apply_scaler(test, sp)
+        train, test = _scale_on(train, scaler, names, test)
         started = time.perf_counter()
         model = spec.fit(train, label, names, params, child_seed(seed, "fit", fold))
         times.append(time.perf_counter() - started)
@@ -320,16 +340,8 @@ def grid_search(
     model = None
     if refit:
         spec = get_model_spec(kind)
-        fit_ds = ds
         names = tuple(features) if features is not None else ds.feature_names
-        if scaler is not None:
-            scale_names = [
-                n for n in names
-                if ds.features[ds.feature_index(n)].kind == "continuous"
-            ]
-            if scale_names:
-                sp = fit_scaler(ds, scaler, feature_names=scale_names)
-                fit_ds = apply_scaler(ds, sp)
+        (fit_ds,) = _scale_on(ds, scaler, names)
         model = spec.fit(
             fit_ds, label, names, points[best_index], child_seed(seed, "refit")
         )

@@ -206,6 +206,11 @@ class TestBands:
         with pytest.raises(DatasetError, match="both classes"):
             calibrate_band(np.array([1.0, 2.0]), np.array([1, 1]))
 
+    def test_hi_below_every_candidate_rejected(self):
+        scores = np.array([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(DatasetError, match=r"hi = 0\.5 .* lowest band candidate 1\.0"):
+            calibrate_band(scores, np.array([0, 1, 0, 1]), hi=0.5)
+
 
 class TestScoreFile:
     def test_layout_and_determinism(self, tmp_path):

@@ -127,12 +127,14 @@ class TestLoadConfig:
             load_config(write_cfg(tmp_path, text))
 
     def test_unknown_model_kind(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown model kind"):
+        have = r"\(have logit, elastic_net, cart, forest, ffn\)"
+        with pytest.raises(ConfigError, match=f"unknown model kind 'svm' {have}"):
             load_config(write_cfg(tmp_path, BASE + "\n[model:svm]\n"))
 
     def test_unknown_hyperparameter(self, tmp_path):
         text = BASE.replace("cp = 0.005, 0.05", "depth = 3")
-        with pytest.raises(ConfigError, match="unknown hyperparameter"):
+        have = r"\(have cp, min_split_obs\)"
+        with pytest.raises(ConfigError, match=f"unknown hyperparameter 'depth' {have}"):
             load_config(write_cfg(tmp_path, text))
 
     def test_unknown_label_names_field(self, tmp_path):

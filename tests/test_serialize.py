@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from rarepred.anomaly import train_autoencoder
+from rarepred.anomaly import Autoencoder, train_autoencoder
 from rarepred.dataset import Dataset, DatasetError, Feature
-from rarepred.linear import fit_elastic_net, fit_logit, predict_proba
-from rarepred.neural import predict_ffn, train_ffn
+from rarepred.linear import (
+    ElasticNetModel,
+    LogitModel,
+    fit_elastic_net,
+    fit_logit,
+    predict_proba,
+)
+from rarepred.neural import DenseLayer, FFNModel, Network, predict_ffn, train_ffn
 from rarepred.rng import generator
 from rarepred.serialize import load_model, model_from_text, model_to_text, save_model
 from rarepred.trees import (
+    DecisionTree,
+    Forest,
     ForestHyper,
     fit_cart,
     fit_forest,
@@ -111,10 +119,17 @@ class TestRoundTrip:
 
 
 def with_fields(text, **fields):
-    """Model file text with the named ``key = value`` lines replaced."""
+    """Model file text with the named ``key = value`` lines replaced.
+
+    A value of None drops the key's lines.
+    """
     lines = text.splitlines()
     for key, value in fields.items():
-        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+        lines = [
+            f"{key} = {value}" if line.startswith(f"{key} = ") else line
+            for line in lines
+            if value is not None or not line.startswith(f"{key} = ")
+        ]
     return "\n".join(lines) + "\n"
 
 
@@ -148,11 +163,12 @@ class TestMalformedTrees:
             ({"feature": "0 0 -1", "left": "1 0 -1", "right": "2 2 -1"}, "node 1 has left = 0"),
             ({"right": "3 -1 -1"}, "node 0 has right = 3"),
             ({"left": "1 2 -1"}, "node 1 has left = 2, expected -1 at a leaf"),
+            ({"left": "3000000000 -1 -1"}, "bad value for field 'left'"),
         ],
         ids=[
             "unequal_lengths", "no_nodes", "feature_past_names", "feature_negative",
             "split_without_child", "self_child", "backward_child", "child_past_end",
-            "leaf_with_child",
+            "leaf_with_child", "child_past_int32",
         ],
     )
     def test_rejected_on_load(self, tmp_path, fields, match):
@@ -169,4 +185,260 @@ class TestMalformedTrees:
         path = tmp_path / "forest.model"
         path.write_text(head + "[tree 1]\n" + tree1)
         with pytest.raises(DatasetError, match="tree 1: node 0 has right = 0"):
+            load_model(str(path))
+
+
+inf, nan = float("inf"), float("nan")
+
+
+def literal_tree(names, threshold, prob):
+    """A 5-node tree: split on names[1], then on names[0] in the right child."""
+    return DecisionTree(
+        feature_names=names,
+        feature=np.array([1, -1, 0, -1, -1], dtype=np.int32),
+        threshold=np.array(threshold),
+        left=np.array([1, -1, 3, -1, -1], dtype=np.int32),
+        right=np.array([2, -1, 4, -1, -1], dtype=np.int32),
+        n_rows=np.array([40, 15, 25, 10, 15]),
+        prob=np.array(prob),
+        gain=np.array([0.125, 0.0, 1e-300, 0.0, 0.0]),
+        root_gini=0.48,
+        cp=0.01,
+        min_split_obs=20,
+    )
+
+
+def literal_net(widths, activations, dropout=()):
+    layers = [
+        DenseLayer(
+            np.arange(n_out * n_in, dtype=np.float64).reshape(n_out, n_in) / 7.0 - 0.5,
+            np.linspace(-1.0, 1.0, n_out),
+            act,
+        )
+        for n_in, n_out, act in zip(widths, widths[1:], activations)
+    ]
+    return Network(layers=layers, dropout=dropout)
+
+
+def golden_models():
+    """One model of every kind from literal arrays (no fitting, no BLAS)."""
+    names = ("age", "bmi")
+    return [
+        LogitModel(names, -2.5, np.array([0.1, -inf]), np.array([1.0, nan]),
+                   True, 7, -123.456789, False),
+        ElasticNetModel(names, nan, np.array([0.0, -0.0]), np.array([2.0, 3.5]),
+                        0.01, 1.0 / 3.0, False, 12, [5.0, 4.0, inf]),
+        literal_tree(names, [21.5, nan, 0.5, nan, nan], [0.3, 0.1, 0.4, 0.0, 1.0]),
+        Forest(names,
+               [literal_tree(names, [inf, nan, -inf, nan, nan], [0.5, 0.2, 0.6, 0.0, 1.0]),
+                literal_tree(names, [1e-5, nan, 3.0, nan, nan], [0.25, 0.0, 0.5, 0.5, 0.5])],
+               ForestHyper(n_trees=2, mtry=None, min_node=5, split_rule="gini", seed=11)),
+        Forest(names, [literal_tree(names, [2.0, nan, 1.0, nan, nan], [0.5, 0.5, 0.5, 0.5, 0.5])],
+               ForestHyper(n_trees=1, mtry=1, min_node=3, split_rule="extratrees",
+                           seed=4, bootstrap=False)),
+        FFNModel(names, literal_net((2, 3, 1), ("relu", "sigmoid"), (0.25, 0.0)),
+                 seed=5, epochs=0, batch_size=32, lr=0.001, loss_path=[]),
+        Autoencoder(names, literal_net((2, 1, 2), ("tanh", "linear")), loss="mse",
+                    activity_l2=1e-4, seed=6, epochs=2, batch_size=16, lr=inf,
+                    n_train_rows=100, loss_path=[0.75, nan]),
+    ]
+
+
+# Model files as the serializer must keep writing them, byte for byte: the
+# manifest hashes every saved model.
+GOLDEN_TEXTS = (
+    """\
+rarepred-model v1
+kind = logit
+feature_names = age\tbmi
+intercept = -2.5
+coef = 0.1 -inf
+feature_scales = 1.0 nan
+converged = true
+n_iter = 7
+loglik = -123.456789
+quasi_separated = false
+""",
+    """\
+rarepred-model v1
+kind = elastic_net
+feature_names = age\tbmi
+intercept = nan
+coef = 0.0 -0.0
+feature_scales = 2.0 3.5
+lam = 0.01
+alpha = 0.3333333333333333
+converged = false
+n_sweeps = 12
+objective_path = 5.0 4.0 inf
+""",
+    """\
+rarepred-model v1
+kind = cart
+feature_names = age\tbmi
+root_gini = 0.48
+cp = 0.01
+min_split_obs = 20
+feature = 1 -1 0 -1 -1
+threshold = 21.5 nan 0.5 nan nan
+left = 1 -1 3 -1 -1
+right = 2 -1 4 -1 -1
+n_rows = 40 15 25 10 15
+prob = 0.3 0.1 0.4 0.0 1.0
+gain = 0.125 0.0 1e-300 0.0 0.0
+""",
+    """\
+rarepred-model v1
+kind = forest
+feature_names = age\tbmi
+n_trees = 2
+mtry = none
+min_node = 5
+split_rule = gini
+seed = 11
+bootstrap = true
+[tree 0]
+root_gini = 0.48
+cp = 0.01
+min_split_obs = 20
+feature = 1 -1 0 -1 -1
+threshold = inf nan -inf nan nan
+left = 1 -1 3 -1 -1
+right = 2 -1 4 -1 -1
+n_rows = 40 15 25 10 15
+prob = 0.5 0.2 0.6 0.0 1.0
+gain = 0.125 0.0 1e-300 0.0 0.0
+[tree 1]
+root_gini = 0.48
+cp = 0.01
+min_split_obs = 20
+feature = 1 -1 0 -1 -1
+threshold = 1e-05 nan 3.0 nan nan
+left = 1 -1 3 -1 -1
+right = 2 -1 4 -1 -1
+n_rows = 40 15 25 10 15
+prob = 0.25 0.0 0.5 0.5 0.5
+gain = 0.125 0.0 1e-300 0.0 0.0
+""",
+    """\
+rarepred-model v1
+kind = forest
+feature_names = age\tbmi
+n_trees = 1
+mtry = 1
+min_node = 3
+split_rule = extratrees
+seed = 4
+bootstrap = false
+[tree 0]
+root_gini = 0.48
+cp = 0.01
+min_split_obs = 20
+feature = 1 -1 0 -1 -1
+threshold = 2.0 nan 1.0 nan nan
+left = 1 -1 3 -1 -1
+right = 2 -1 4 -1 -1
+n_rows = 40 15 25 10 15
+prob = 0.5 0.5 0.5 0.5 0.5
+gain = 0.125 0.0 1e-300 0.0 0.0
+""",
+    """\
+rarepred-model v1
+kind = ffn
+feature_names = age\tbmi
+seed = 5
+epochs = 0
+batch_size = 32
+lr = 0.001
+loss_path = 
+n_layers = 2
+dropout = 0.25 0.0
+[layer 0]
+activation = relu
+n_in = 2
+n_out = 3
+weights = -0.5 -0.35714285714285715 -0.2142857142857143 -0.07142857142857145 0.0714285714285714 0.2142857142857143
+bias = -1.0 0.0 1.0
+[layer 1]
+activation = sigmoid
+n_in = 3
+n_out = 1
+weights = -0.5 -0.35714285714285715 -0.2142857142857143
+bias = -1.0
+""",
+    """\
+rarepred-model v1
+kind = autoencoder
+feature_names = age\tbmi
+loss = mse
+activity_l2 = 0.0001
+seed = 6
+epochs = 2
+batch_size = 16
+lr = inf
+n_train_rows = 100
+loss_path = 0.75 nan
+n_layers = 2
+dropout = 0.0 0.0
+[layer 0]
+activation = tanh
+n_in = 2
+n_out = 1
+weights = -0.5 -0.35714285714285715
+bias = -1.0
+[layer 1]
+activation = linear
+n_in = 1
+n_out = 2
+weights = -0.5 -0.35714285714285715
+bias = -1.0 1.0
+""",
+)
+
+
+class TestGoldenText:
+    def test_bytes_match_the_recorded_format(self):
+        for model, text in zip(golden_models(), GOLDEN_TEXTS, strict=True):
+            assert model_to_text(model) == text
+
+    def test_golden_text_reserializes_to_itself(self):
+        for text in GOLDEN_TEXTS:
+            assert model_to_text(model_from_text(text)) == text
+
+
+def edit_section(text, title, **fields):
+    """``with_fields`` applied to the ``[title]`` block only."""
+    head, rest = text.split(f"[{title}]\n")
+    block, sep, tail = rest.partition("\n[")
+    return head + f"[{title}]\n" + with_fields(block, **fields) + sep + tail
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize(
+        "index, section, fields, match",
+        [
+            (0, "", {"converged": "yes"}, "logit model: bad value for field 'converged'"),
+            (1, "", {"lam": "0.1x"}, "elastic_net model: bad value for field 'lam'"),
+            (2, "", {"cp": None}, "cart tree: missing field 'cp'"),
+            (3, "", {"mtry": None}, "forest model: missing field 'mtry'"),
+            (4, "", {"mtry": "two"}, "forest model: bad value for field 'mtry'"),
+            (3, "tree 1", {"left": "1 -1 3000000000 -1 -1"}, "tree 1: bad value for field 'left'"),
+            (5, "", {"n_layers": "x"}, "ffn model: bad value for field 'n_layers'"),
+            (6, "layer 1", {"n_in": "1.5"}, "layer 1: bad value for field 'n_in'"),
+            (6, "layer 1", {"weights": None}, "layer 1: missing field 'weights'"),
+            (6, "layer 0", {"n_out": "2"}, "layer 0: weights are not n_out x n_in"),
+        ],
+        ids=[
+            "bool_not_true_false", "unparsable_float", "missing_tree_field",
+            "missing_forest_field", "unparsable_mtry", "forest_child_past_int32",
+            "unparsable_n_layers", "unparsable_layer_width", "missing_layer_field",
+            "weights_not_layer_shape",
+        ],
+    )
+    def test_rejected_on_load(self, tmp_path, index, section, fields, match):
+        text = GOLDEN_TEXTS[index]
+        text = edit_section(text, section, **fields) if section else with_fields(text, **fields)
+        path = tmp_path / "bad.model"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=match):
             load_model(str(path))

@@ -1,5 +1,8 @@
 """Fold construction, grid expansion, CV mechanics, search composition."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +10,13 @@ from hypothesis import strategies as st
 
 from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.evaluate import auc
-from rarepred.linear import fit_logit, predict_proba
+from rarepred.linear import fit_elastic_net, fit_logit, predict_proba
+from rarepred.neural import train_ffn
 from rarepred.rng import child_seed, generator
 from rarepred.serialize import model_to_text
+from rarepred.trees import ForestHyper, fit_cart
 from rarepred.tune import (
+    _REGISTRY,
     cross_validate,
     get_model_spec,
     grid_expand,
@@ -29,6 +35,19 @@ def sample(seed=0, n=200, k_features=3, rate_signal=1.5):
         values=X,
         labels={"y": y},
     )
+
+
+class TestRegistry:
+    def test_params_are_the_fit_keywords(self):
+        fits = {"logit": fit_logit, "elastic_net": fit_elastic_net, "cart": fit_cart,
+                "ffn": train_ffn}
+        fixed = {"ds", "label", "features", "seed"}
+        for kind, spec in _REGISTRY.items():
+            if kind == "forest":
+                accepted = {f.name for f in dataclasses.fields(ForestHyper)}
+            else:
+                accepted = set(inspect.signature(fits[kind]).parameters)
+            assert set(spec.params) == accepted - fixed, kind
 
 
 class TestKfold:
