@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, DatasetError
+from .evaluate import _as_binary, _band_counts
 from .neural import Network, fit_network, forward, glorot_init
 from .rng import child_seed, generator
 
@@ -23,7 +24,6 @@ __all__ = [
     "ThresholdBand",
     "DEFAULT_AUTOENCODER_FEATURES",
     "train_autoencoder",
-    "reconstruction_error",
     "score_dataset",
     "classify_band",
     "calibrate_band",
@@ -49,6 +49,7 @@ DEFAULT_AUTOENCODER_FEATURES = (
 DEFAULT_HIDDEN = (9, 4, 4)
 DEFAULT_ACTIVATIONS = ("tanh", "relu", "tanh", "relu")
 ERROR_KINDS = ("l2", "squared_l2")
+OBJECTIVES = ("youden", "f1")
 
 
 @dataclass
@@ -150,13 +151,10 @@ def train_autoencoder(
     )
 
 
-def reconstruction_error(
-    ae: Autoencoder, ds: Dataset, kind: str = "l2"
-) -> np.ndarray:
-    """Per-row distance between input and reconstruction, in row order.
-
-    ``l2`` is the Euclidean distance, ``squared_l2`` its square.
-    """
+def score_dataset(ae: Autoencoder, ds: Dataset, kind: str = "l2") -> np.ndarray:
+    """Per-row distance between input and reconstruction, in row order, so
+    higher means harder to reconstruct. ``l2`` is the Euclidean distance,
+    ``squared_l2`` its square."""
     if kind not in ERROR_KINDS:
         raise DatasetError(f"unknown error kind {kind!r}")
     cols = [ds.feature_index(n) for n in ae.feature_names]
@@ -166,26 +164,10 @@ def reconstruction_error(
     return np.sqrt(sq) if kind == "l2" else sq
 
 
-def score_dataset(ae: Autoencoder, ds: Dataset, kind: str = "l2") -> np.ndarray:
-    """Anomaly score per row; higher means harder to reconstruct."""
-    return reconstruction_error(ae, ds, kind=kind)
-
-
 def classify_band(scores: np.ndarray, band: ThresholdBand) -> np.ndarray:
     """1 where the score lies inside the closed band, else 0."""
     s = np.asarray(scores, dtype=np.float64)
     return ((s >= band.lo) & (s <= band.hi)).astype(np.int64)
-
-
-def _objective(name: str, y: np.ndarray, preds: np.ndarray) -> float:
-    tp = float(np.sum((y == 1) & (preds == 1)))
-    fn = float(np.sum((y == 1) & (preds == 0)))
-    fp = float(np.sum((y == 0) & (preds == 1)))
-    tn = float(np.sum((y == 0) & (preds == 0)))
-    if name == "youden":
-        return tp / (tp + fn) + tn / (tn + fp) - 1.0
-    denom = 2.0 * tp + fp + fn
-    return 2.0 * tp / denom if denom > 0 else 0.0
 
 
 def calibrate_band(
@@ -203,34 +185,35 @@ def calibrate_band(
     specificity - 1, or ``f1``) together with the achieved value. Ties go
     to the lowest candidate, so calibration is deterministic.
     """
-    if objective not in ("youden", "f1"):
+    if objective not in OBJECTIVES:
         raise DatasetError(f"unknown objective {objective!r}")
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if s.shape != y.shape or s.ndim != 1:
+    y = _as_binary(labels, "labels")
+    if s.shape != y.shape:
         raise DatasetError("scores and labels must be 1-d and aligned")
-    if not np.isin(y, (0, 1)).all():
-        raise DatasetError("labels must be 0/1")
-    if y.sum() == 0 or y.sum() == y.size:
+    if not np.all(np.isfinite(s)):
+        raise DatasetError("scores must be finite")
+    pos = int(y.sum())
+    if pos in (0, y.size):
         raise DatasetError("calibration needs both classes")
     if n_candidates < 2:
         raise DatasetError("n_candidates must be >= 2")
+    ThresholdBand(-math.inf, hi)  # rejects a nan hi
     qs = np.linspace(0.0, 1.0, n_candidates)
     candidates = np.unique(np.quantile(s, qs))
     if candidates[0] > hi:
         raise DatasetError(
             f"hi = {hi!r} lies below the lowest band candidate {float(candidates[0])!r}"
         )
-    best_lo = None
-    best_value = -math.inf
-    for lo in candidates:
-        if lo > hi:
-            break
-        value = _objective(objective, y, classify_band(s, ThresholdBand(float(lo), hi)))
-        if value > best_value:
-            best_value = value
-            best_lo = float(lo)
-    return ThresholdBand(best_lo, hi), float(best_value)
+    candidates = candidates[candidates <= hi]
+    tp, fp = (c.astype(np.float64) for c in _band_counts(y, s, candidates, hi))
+    fn, tn = pos - tp, y.size - pos - fp
+    if objective == "youden":
+        values = tp / (tp + fn) + tn / (tn + fp) - 1.0
+    else:
+        values = 2.0 * tp / (2.0 * tp + fp + fn)
+    best = int(np.argmax(values))  # first maximum: ties go to the lowest candidate
+    return ThresholdBand(float(candidates[best]), hi), float(values[best])
 
 
 def write_scores(

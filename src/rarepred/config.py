@@ -20,9 +20,12 @@ import configparser
 import os
 from dataclasses import dataclass, field
 
-from .anomaly import DEFAULT_ACTIVATIONS, DEFAULT_AUTOENCODER_FEATURES, DEFAULT_HIDDEN
+from .anomaly import (
+    DEFAULT_ACTIVATIONS, DEFAULT_AUTOENCODER_FEATURES, DEFAULT_HIDDEN, ERROR_KINDS, OBJECTIVES,
+)
 from .benchmarks import BENCHMARKS, benchmark_spec
 from .dataset import load_schema
+from .neural import LOSSES
 from .preprocess import SCALER_METHODS
 from .tune import METRICS, _REGISTRY
 
@@ -244,7 +247,7 @@ def _parse_autoencoder(parser) -> AutoencoderConfig:
     objective: str | None = defaults.objective
     if _get(parser, section, "objective"):
         objective = parser.get(section, "objective").strip()
-        if objective not in ("youden", "f1"):
+        if objective not in OBJECTIVES:
             raise ConfigError(f"[autoencoder] objective: unknown objective {objective!r}")
     band_lo = None
     if _get(parser, section, "band_lo"):
@@ -262,10 +265,10 @@ def _parse_autoencoder(parser) -> AutoencoderConfig:
     if scaler not in SCALER_METHODS:
         raise ConfigError(f"[autoencoder] scaler: unknown method {scaler!r}")
     error = _get(parser, section, "error", defaults.error)
-    if error not in ("l2", "squared_l2"):
+    if error not in ERROR_KINDS:
         raise ConfigError(f"[autoencoder] error: unknown error kind {error!r}")
     loss = _get(parser, section, "loss", defaults.loss)
-    if loss not in ("mse", "bce", "cosine_proximity"):
+    if loss not in LOSSES:
         raise ConfigError(f"[autoencoder] loss: unknown loss {loss!r}")
     return AutoencoderConfig(
         features=features,

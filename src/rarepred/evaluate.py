@@ -61,17 +61,25 @@ def _as_binary(y: np.ndarray, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _band_counts(y: np.ndarray, s: np.ndarray, lo, hi: float = math.inf):
+    """True and false positives of the closed band ``lo <= s <= hi``, for a
+    scalar or an array ``lo``: the one place rarepred counts them, by one sort
+    of each class's scores and two ``searchsorted`` positions per band."""
+    pos = np.sort(s[y == 1])
+    neg = np.sort(s[y == 0])
+    tp = np.searchsorted(pos, hi, "right") - np.searchsorted(pos, lo, "left")
+    fp = np.searchsorted(neg, hi, "right") - np.searchsorted(neg, lo, "left")
+    return tp, fp
+
+
 def confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
     yt = _as_binary(y_true, "labels")
     yp = _as_binary(y_pred, "predictions")
     if yt.shape != yp.shape:
         raise DatasetError("labels and predictions differ in length")
-    return ConfusionMatrix(
-        tp=int(((yt == 1) & (yp == 1)).sum()),
-        fn=int(((yt == 1) & (yp == 0)).sum()),
-        fp=int(((yt == 0) & (yp == 1)).sum()),
-        tn=int(((yt == 0) & (yp == 0)).sum()),
-    )
+    tp, fp = (int(c) for c in _band_counts(yt, yp, 1))
+    pos = int(yt.sum())
+    return ConfusionMatrix(tp=tp, fn=pos - tp, fp=fp, tn=yt.size - pos - fp)
 
 
 def metrics(cm: ConfusionMatrix) -> Metrics:
@@ -135,18 +143,9 @@ def roc(y_true: np.ndarray, scores: np.ndarray) -> np.ndarray:
     neg = yt.size - pos
     if pos == 0 or neg == 0:
         raise DatasetError("ROC needs both classes present")
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = yt[order]
-    # group boundaries where the sorted score changes
-    boundary = np.flatnonzero(np.diff(s_sorted) != 0)
-    last = np.concatenate([boundary, [s.size - 1]])
-    cum_tp = np.cumsum(y_sorted)[last]
-    cum_fp = np.cumsum(1 - y_sorted)[last]
-    rows = np.column_stack(
-        [s_sorted[last], cum_fp / neg, cum_tp / pos]
-    )
-    return np.vstack([[math.inf, 0.0, 0.0], rows])
+    thresholds = np.unique(s)[::-1]
+    tp, fp = _band_counts(yt, s, thresholds)
+    return np.vstack([[math.inf, 0.0, 0.0], np.column_stack([thresholds, fp / neg, tp / pos])])
 
 
 def auc(y_true: np.ndarray, scores: np.ndarray) -> float:
@@ -209,8 +208,7 @@ def evaluate_scores(
     """Score a model's probability outputs: positive iff score >= threshold."""
     yt = _as_binary(y_true, "labels")
     s = np.asarray(scores, dtype=np.float64)
-    preds = (s >= threshold).astype(np.int64)
-    cm = confusion(yt, preds)
+    cm = confusion(yt, s >= threshold)
     return ModelEvaluation(
         name=name,
         cm=cm,

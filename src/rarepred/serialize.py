@@ -104,9 +104,13 @@ def _emit(out: list[str], obj, fields) -> None:
 
 
 def _read(section: dict[str, str], fields, where: str) -> dict:
-    """Parse ``fields`` from one section; any bad field is a ``DatasetError``."""
+    """Parse a section holding exactly ``fields``; any bad field is a ``DatasetError``."""
+    known = dict(fields)
+    for key in section:
+        if key not in known:
+            raise DatasetError(f"{where}: unknown field {key!r}")
     values = {}
-    for key, (_, parse) in fields:
+    for key, (_, parse) in known.items():
         if key not in section:
             raise DatasetError(f"{where}: missing field {key!r}")
         try:
@@ -117,40 +121,47 @@ def _read(section: dict[str, str], fields, where: str) -> dict:
 
 
 def _split_sections(text: str) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
-    """The header's fields, and each ``[title]`` block's fields by title."""
+    """The header's fields, and each ``[title]`` block's fields by title, none repeated."""
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC:
         raise DatasetError("not a model file (bad or missing header)")
     head = fields = {}
+    where = "header"
     blocks: dict[str, dict[str, str]] = {}
     for raw in lines[1:]:
         if not raw.strip():
             continue
         if raw.startswith("[") and raw.endswith("]"):
-            fields = blocks[raw[1:-1]] = {}
+            where = raw[1:-1]
+            if where in blocks:
+                raise DatasetError(f"repeated block [{where}]")
+            fields = blocks[where] = {}
             continue
         if " = " not in raw:
             raise DatasetError(f"malformed model line: {raw!r}")
         key, value = raw.split(" = ", 1)
+        if key in fields:
+            raise DatasetError(f"{where}: repeated field {key!r}")
         fields[key] = value
     return head, blocks
 
 
-def _block(blocks: dict[str, dict[str, str]], title: str) -> dict[str, str]:
+def _block(blocks: dict[str, dict[str, str]], title: str, fields) -> dict:
+    """Take the ``[title]`` block out of ``blocks`` and parse it."""
     if title not in blocks:
         raise DatasetError(f"model file missing {title}")
-    return blocks[title]
+    return _read(blocks.pop(title), fields, title)
 
 
-def _read_tree(section: dict[str, str], names: tuple[str, ...], where: str) -> DecisionTree:
-    """Read one tree and reject it if it would misroute rows or never stop.
+def _tree(values: dict, names: tuple[str, ...], where: str) -> DecisionTree:
+    """Build one tree and reject it if it would misroute rows or never stop.
 
     Prediction walks each row to strictly higher child indices until it
     reaches a leaf, then reads ``prob`` there. So the node arrays must be
     non-empty and aligned, a split's feature must name a column, its
     children must lie after it inside the arena, and a leaf has none.
     """
-    tree = DecisionTree(feature_names=names, **_read(section, _TREE, where))
+    tree = DecisionTree(feature_names=names, **values)
     n = tree.n_nodes
     if n == 0:
         raise DatasetError(f"{where}: field 'feature' lists no nodes")
@@ -205,34 +216,38 @@ def model_to_text(model) -> str:
 
 def model_from_text(text: str):
     head, blocks = _split_sections(text)
-    kind = head.get("kind")
+    kind = head.pop("kind", None)
     if kind not in _KINDS:
         raise DatasetError(f"unknown model kind {kind!r}")
     cls, fields = _KINDS[kind]
-    where = f"{kind} model"
-    names = _read(head, _NAMES, where)["feature_names"]
-    if kind == "cart":
-        return _read_tree(head, names, "cart tree")
-    values = _read(head, fields, where)
-    if kind == "forest":
-        hyper = ForestHyper(**values)
-        trees = [
-            _read_tree(_block(blocks, f"tree {i}"), names, f"tree {i}")
-            for i in range(hyper.n_trees)
-        ]
-        return Forest(feature_names=names, trees=trees, hyper=hyper)
-    if kind in ("ffn", "autoencoder"):
-        net = _read(head, _NETWORK, where)
+    net = kind in ("ffn", "autoencoder")
+    where = "cart tree" if kind == "cart" else f"{kind} model"
+    values = _read(head, _NAMES + fields + (_NETWORK if net else ()), where)
+    names = values.pop("feature_names")
+    if net:
         layers = []
-        for i in range(net["n_layers"]):
-            v = _read(_block(blocks, f"layer {i}"), _LAYER, f"layer {i}")
+        for i in range(values.pop("n_layers")):
+            v = _block(blocks, f"layer {i}", _LAYER)
             try:
                 weights = v["weights"].reshape(v["n_out"], v["n_in"])
             except ValueError as exc:
                 raise DatasetError(f"layer {i}: weights are not n_out x n_in: {exc}") from None
             layers.append(DenseLayer(weights, v["bias"], v["activation"]))
-        values["net"] = Network(layers=layers, dropout=net["dropout"])
-    return cls(feature_names=names, **values)
+        values["net"] = Network(layers=layers, dropout=values.pop("dropout"))
+    if kind == "cart":
+        model = _tree(values, names, where)
+    elif kind == "forest":
+        hyper = ForestHyper(**values)
+        trees = [
+            _tree(_block(blocks, f"tree {i}", _TREE), names, f"tree {i}")
+            for i in range(hyper.n_trees)
+        ]
+        model = Forest(feature_names=names, trees=trees, hyper=hyper)
+    else:
+        model = cls(feature_names=names, **values)
+    if blocks:
+        raise DatasetError(f"{where}: unexpected block [{next(iter(blocks))}]")
+    return model
 
 
 def save_model(path: str, model) -> None:

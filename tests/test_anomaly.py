@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rarepred.anomaly import (
     DEFAULT_AUTOENCODER_FEATURES,
+    OBJECTIVES,
     Autoencoder,
     ThresholdBand,
     calibrate_band,
     classify_band,
-    reconstruction_error,
     score_dataset,
     train_autoencoder,
     write_scores,
@@ -115,12 +117,12 @@ class TestScoring:
         # reconstruction off by 1 in each coordinate: sq errors 2, distance sqrt(2)
         ae = identity_autoencoder(shift=[1.0, 1.0])
         ds = make_ds([[0.0, 0.0]])
-        assert reconstruction_error(ae, ds, "squared_l2")[0] == 2.0
-        assert abs(reconstruction_error(ae, ds, "l2")[0] - math.sqrt(2.0)) < 1e-15
+        assert score_dataset(ae, ds, "squared_l2")[0] == 2.0
+        assert abs(score_dataset(ae, ds, "l2")[0] - math.sqrt(2.0)) < 1e-15
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DatasetError, match="kind"):
-            reconstruction_error(identity_autoencoder(), make_ds([[0.0, 0.0]]), "l1")
+            score_dataset(identity_autoencoder(), make_ds([[0.0, 0.0]]), "l1")
 
     def test_row_order_preserved(self):
         ae = identity_autoencoder(shift=[1.0, 0.0])
@@ -210,6 +212,88 @@ class TestBands:
         scores = np.array([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(DatasetError, match=r"hi = 0\.5 .* lowest band candidate 1\.0"):
             calibrate_band(scores, np.array([0, 1, 0, 1]), hi=0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = np.array([1.0, 2.0, bad, 4.0])
+        with pytest.raises(DatasetError, match="scores must be finite"):
+            calibrate_band(scores, np.array([0, 1, 0, 1]))
+
+    def test_nan_hi_rejected(self):
+        with pytest.raises(DatasetError, match="must not be nan"):
+            calibrate_band(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 1, 0, 1]), hi=math.nan)
+
+
+def _objective(name: str, y: np.ndarray, preds: np.ndarray) -> float:
+    tp = float(np.sum((y == 1) & (preds == 1)))
+    fn = float(np.sum((y == 1) & (preds == 0)))
+    fp = float(np.sum((y == 0) & (preds == 1)))
+    tn = float(np.sum((y == 0) & (preds == 0)))
+    if name == "youden":
+        return tp / (tp + fn) + tn / (tn + fp) - 1.0
+    denom = 2.0 * tp + fp + fn
+    return 2.0 * tp / denom if denom > 0 else 0.0
+
+
+def calibrate_band_loop(scores, labels, objective="youden", hi=math.inf, n_candidates=512):
+    """The band calibration that counted every candidate in its own pass over
+    the scores, kept verbatim as the oracle for the shared counter."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    qs = np.linspace(0.0, 1.0, n_candidates)
+    candidates = np.unique(np.quantile(s, qs))
+    best_lo = None
+    best_value = -math.inf
+    for lo in candidates:
+        if lo > hi:
+            break
+        value = _objective(objective, y, classify_band(s, ThresholdBand(float(lo), hi)))
+        if value > best_value:
+            best_value = value
+            best_lo = float(lo)
+    return ThresholdBand(best_lo, hi), float(best_value)
+
+
+def assert_same_calibration(scores, labels, objective, hi):
+    band, value = calibrate_band(scores, labels, objective=objective, hi=hi)
+    want_band, want_value = calibrate_band_loop(scores, labels, objective=objective, hi=hi)
+    got = np.array([band.lo, band.hi, value]).tobytes()
+    assert got == np.array([want_band.lo, want_band.hi, want_value]).tobytes()
+
+
+class TestCalibrationOracle:
+    """calibrate_band against the per-candidate loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_single_positive_hi_on_a_score(self, objective):
+        scores = np.array([0.5, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0])
+        labels = np.array([0, 0, 0, 0, 1, 0, 0, 0])
+        for hi in (math.inf, 2.0, 3.0):  # hi equal to a (tied) score
+            assert_same_calibration(scores, labels, objective, hi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.integers(2, 600),
+        rate=st.sampled_from([0.005, 0.02, 0.1, 0.5]),
+        decimals=st.integers(0, 2),
+        objective=st.sampled_from(OBJECTIVES),
+        hi_from=st.sampled_from(["inf", "score", "quantile"]),
+    )
+    def test_matches_per_candidate_loop(self, seed, n, rate, decimals, objective, hi_from):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        y = (rng.random(n) < rate).astype(np.int64)
+        if y.sum() == 0:
+            y[rng.integers(n)] = 1
+        if y.sum() == n:
+            y[0] = 0
+        scores = np.round(rng.gamma(2.0, size=n) + y, decimals)  # rounding forces ties
+        hi = {
+            "inf": math.inf,
+            "score": float(scores[rng.integers(n)]),
+            "quantile": float(np.quantile(scores, 0.9)),
+        }[hi_from]
+        assert_same_calibration(scores, y, objective, hi)
 
 
 class TestScoreFile:

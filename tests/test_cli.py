@@ -159,6 +159,12 @@ class TestLoadConfig:
         assert cfg.autoencoder.band_lo == 0.5
         assert cfg.autoencoder.band_hi == 2.0
 
+    @pytest.mark.parametrize("key", ["objective", "error", "loss"])
+    def test_unknown_autoencoder_choice(self, tmp_path, key):
+        text = BASE.replace("epochs = 1", f"epochs = 1\n{key} = bogus")
+        with pytest.raises(ConfigError, match=rf"\[autoencoder\] {key}: unknown .* 'bogus'"):
+            load_config(write_cfg(tmp_path, text))
+
     def test_fraction_bounds(self, tmp_path):
         with pytest.raises(ConfigError, match="fraction"):
             load_config(write_cfg(tmp_path, BASE.replace("fraction = 0.8", "fraction = 1.0")))

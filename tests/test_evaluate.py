@@ -62,6 +62,20 @@ class TestConfusionAndMetrics:
         with pytest.raises(DatasetError):
             confusion(np.array([0, 2]), np.array([0, 1]))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 300), st.floats(0.0, 1.0))
+    def test_confusion_matches_mask_counts(self, seed, n, rate):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        y = (rng.random(n) < rate).astype(np.int64)
+        p = rng.integers(0, 2, size=n)
+        cm = confusion(y, p)
+        assert (cm.tp, cm.fn, cm.fp, cm.tn) == (
+            int(((y == 1) & (p == 1)).sum()),
+            int(((y == 1) & (p == 0)).sum()),
+            int(((y == 0) & (p == 1)).sum()),
+            int(((y == 0) & (p == 0)).sum()),
+        )
+
 
 class TestRoc:
     def test_anchors_and_monotone(self):
@@ -119,6 +133,51 @@ class TestRoc:
         if quantize:
             s = np.round(s, 1)  # force heavy ties
         assert abs(auc(y, s) - auc_pair_count(y, s)) < 1e-10
+
+
+def roc_cumsum(y_true, scores):
+    """The ROC curve as a cumsum over groups of tied scores, kept verbatim
+    as the oracle for the shared true/false-positive counter."""
+    yt = np.asarray(y_true, dtype=np.int64)
+    s = np.asarray(scores, dtype=np.float64)
+    pos = int(yt.sum())
+    neg = yt.size - pos
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    y_sorted = yt[order]
+    # group boundaries where the sorted score changes
+    boundary = np.flatnonzero(np.diff(s_sorted) != 0)
+    last = np.concatenate([boundary, [s.size - 1]])
+    cum_tp = np.cumsum(y_sorted)[last]
+    cum_fp = np.cumsum(1 - y_sorted)[last]
+    rows = np.column_stack(
+        [s_sorted[last], cum_fp / neg, cum_tp / pos]
+    )
+    return np.vstack([[math.inf, 0.0, 0.0], rows])
+
+
+class TestRocOracle:
+    def test_single_positive(self):
+        y = np.array([0, 0, 1, 0, 0])
+        s = np.array([0.2, 0.7, 0.7, 0.1, 0.7])
+        assert roc(y, s).tobytes() == roc_cumsum(y, s).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2 ** 32 - 1),
+        st.integers(2, 600),
+        st.sampled_from([0.005, 0.02, 0.1, 0.5]),
+        st.integers(1, 200),
+    )
+    def test_matches_tie_group_cumsum(self, seed, n, rate, levels):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        y = (rng.random(n) < rate).astype(np.int64)
+        if y.sum() == 0:
+            y[rng.integers(n)] = 1
+        if y.sum() == n:
+            y[0] = 0
+        s = rng.integers(-levels, levels + 1, size=n) / 8.0 + 0.25 * y  # heavy ties
+        assert roc(y, s).tobytes() == roc_cumsum(y, s).tobytes()
 
 
 class TestReport:

@@ -442,3 +442,45 @@ class TestMalformedFields:
         path.write_text(text)
         with pytest.raises(DatasetError, match=match):
             load_model(str(path))
+
+
+def after_line(text, line, extra):
+    """``text`` with ``extra`` inserted after its first line equal to ``line``."""
+    head, sep, tail = text.partition(line + "\n")
+    assert sep, line
+    return head + sep + extra + tail
+
+
+TREE_0 = GOLDEN_TEXTS[4][GOLDEN_TEXTS[4].index("[tree 0]\n"):]
+
+
+class TestSurplusContent:
+    @pytest.mark.parametrize(
+        "index, edit, match",
+        [
+            (0, lambda t: after_line(t, "n_iter = 7", "n_iter = 9\n"),
+             "header: repeated field 'n_iter'"),
+            (3, lambda t: t + "prob = 0.25 0.0 0.5 0.5 0.5\n", "tree 1: repeated field 'prob'"),
+            (3, lambda t: t + "[tree 1]\n", r"repeated block \[tree 1\]"),
+            (0, lambda t: t + "bogus = 1\n", "logit model: unknown field 'bogus'"),
+            (0, lambda t: t + "mtry = 3\n", "logit model: unknown field 'mtry'"),
+            (2, lambda t: after_line(t, "cp = 0.01", "bogus = 1\n"),
+             "cart tree: unknown field 'bogus'"),
+            (6, lambda t: after_line(t, "activation = tanh", "bogus = 1\n"),
+             "layer 0: unknown field 'bogus'"),
+            (4, lambda t: t + TREE_0.replace("[tree 0]", "[tree 1]"),
+             r"unexpected block \[tree 1\]"),
+            (0, lambda t: t + TREE_0, r"logit model: unexpected block \[tree 0\]"),
+            (2, lambda t: t + TREE_0, r"cart tree: unexpected block \[tree 0\]"),
+        ],
+        ids=[
+            "repeated_header_key", "repeated_block_key", "repeated_block_title",
+            "unknown_header_key", "other_kinds_key", "unknown_cart_key", "unknown_layer_key",
+            "tree_past_n_trees", "block_in_logit", "block_in_cart",
+        ],
+    )
+    def test_rejected_on_load(self, tmp_path, index, edit, match):
+        path = tmp_path / "bad.model"
+        path.write_text(edit(GOLDEN_TEXTS[index]))
+        with pytest.raises(DatasetError, match=match):
+            load_model(str(path))
