@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset, DatasetError, _write_blocks
 from .evaluate import _as_binary, _band_counts
 from .neural import Network, fit_network, forward, glorot_init
 from .rng import child_seed, generator
@@ -221,8 +221,14 @@ def write_scores(
 ) -> None:
     """CSV of row_id,score,label in row order (label blank when unknown)."""
     s = np.asarray(scores, dtype=np.float64)
+    y = None if labels is None else np.asarray(labels)
+    if y is not None and len(y) != len(s):
+        raise DatasetError("labels and scores differ in length")
+
+    def block_cells(lo: int, hi: int) -> list:
+        tags = [""] * (hi - lo) if y is None else map(str, y[lo:hi].astype(np.int64).tolist())
+        return [map(str, range(lo, hi)), map(repr, s[lo:hi].tolist()), tags]
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("row_id,score,label\n")
-        for i, value in enumerate(s):
-            tag = "" if labels is None else str(int(labels[i]))
-            fh.write(f"{i},{repr(float(value))},{tag}\n")
+        _write_blocks(fh, len(s), block_cells)

@@ -17,6 +17,7 @@ points, manifests) round-trip losslessly.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -259,6 +260,9 @@ def _parse_autoencoder(parser) -> AutoencoderConfig:
     if _get(parser, section, "band_hi"):
         text = parser.get(section, "band_hi").strip()
         band_hi = float("inf") if text == "inf" else _typed(section, "band_hi", text, float)
+    for key, edge in (("band_lo", band_lo), ("band_hi", band_hi)):
+        if edge is not None and math.isnan(edge):
+            raise ConfigError(f"[autoencoder] {key}: band edges must not be nan")
     if band_lo is not None and band_lo > band_hi:
         raise ConfigError("[autoencoder] band_lo must not exceed band_hi")
     scaler = _get(parser, section, "scaler", defaults.scaler)

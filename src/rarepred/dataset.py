@@ -9,8 +9,10 @@ so CSV round-trips are lossless.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -174,26 +176,84 @@ def write_schema(path: str, ds: Dataset) -> None:
 # CSV I/O
 
 
-def _parse_number(cell: str, column: str, row: int) -> float:
+# Rows per block: load_csv parses, and the writers format, one block of rows
+# at a time, column by column, so only one block of cell strings is alive.
+_BLOCK_ROWS = 4096
+
+
+def _cell_error(kind: str, cell: str, impute: bool) -> str | None:
+    """Why one stripped cell is invalid, or None (a gap is valid under impute)."""
+    if cell == "":
+        if kind == "label":
+            return "missing label"
+        return None if impute else "missing value"
+    if kind == "categorical":
+        return None
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        raise DatasetError(
-            f"row {row}, column {column!r}: non-numeric cell {cell!r}"
-        ) from None
+        return f"non-numeric cell {cell!r}"
+    if kind == "continuous":
+        return None if math.isfinite(value) else f"non-finite cell {cell!r}"
+    if value in (0.0, 1.0):
+        return None
+    return "label must be 0 or 1" if kind == "label" else "binary cell must be 0 or 1"
+
+
+def _parse_column(cells, kind: str, levels: dict[str, int], impute: bool):
+    """One block of one column as ``(values, gap mask)``, or None when some
+    cell is invalid (then :func:`_cell_error` names it)."""
+    if kind == "categorical":
+        stripped = list(map(str.strip, cells))
+        for cell in dict.fromkeys(stripped):  # first-seen order
+            if cell and cell not in levels:
+                levels[cell] = len(levels)
+        values = np.fromiter(map(levels.get, stripped, repeat(-1)), np.float64, len(stripped))
+        gaps = values < 0
+        return None if gaps.any() and not impute else (values, gaps)
+    gaps = np.zeros(len(cells), bool)
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:  # a gap or a non-numeric cell
+        if kind == "label" or not impute:
+            return None
+        stripped = [cell.strip() for cell in cells]
+        gaps = np.array([cell == "" for cell in stripped])
+        try:
+            values = np.array([float(cell) if cell else 0.0 for cell in stripped])
+        except ValueError:
+            return None
+    good = np.isfinite(values) if kind == "continuous" else (values == 0) | (values == 1)
+    return (values, gaps) if good.all() else None
+
+
+def _block_error(rows, n: int, header: list[str], kinds: list[str], impute: bool) -> DatasetError:
+    """The first error of a bad block in row-major order: a row's cell count,
+    then its cells left to right."""
+    for i, row in enumerate(rows, start=n + 1):
+        if len(row) != len(header):
+            return DatasetError(f"row {i}: expected {len(header)} cells, got {len(row)}")
+        for name, kind, cell in zip(header, kinds, row):
+            error = _cell_error(kind, cell.strip(), impute)
+            if error is not None:
+                return DatasetError(f"row {i}, column {name!r}: {error}")
+    raise AssertionError("a block was rejected but no cell in it is invalid")
 
 
 def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -> Dataset:
     """Load a comma-separated UTF-8 file against a column-kind schema.
 
-    The header must contain exactly the schema's columns (file order is
-    preserved). Empty cells are missing; under ``impute`` continuous gaps
-    take the column mean and categorical/binary gaps the column mode (mode
-    ties break to the lowest level index). Missing label cells are always an
-    error. Data rows are 1-indexed in error messages.
+    The header must contain exactly the schema's columns, once each (file
+    order is preserved). Rows are read in blocks of ``_BLOCK_ROWS`` and each
+    block is parsed one column at a time. Empty cells are missing; under
+    ``impute`` continuous gaps take the column mean and categorical/binary
+    gaps the column mode (mode ties break to the lowest level index). Missing
+    label cells and non-finite numbers are always an error. Data rows are
+    1-indexed in error messages; the first bad cell in row order is named.
     """
     if missing_policy not in ("error", "impute"):
         raise DatasetError(f"unknown missing policy {missing_policy!r}")
+    impute = missing_policy == "impute"
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
@@ -212,99 +272,105 @@ def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -
                 f"{path}: header does not match schema"
                 f" (missing {missing or 'nothing'}, unexpected {extra or 'nothing'})"
             )
-        rows = [row for row in reader if row]
+        if len(header) != len(schema):
+            repeated = next(name for name in header if header.count(name) > 1)
+            raise DatasetError(f"{path}: column {repeated!r} appears twice in the header")
+        kinds = [schema[name] for name in header]
+        levels: list[dict[str, int]] = [{} for _ in header]
+        blocks: list[list] = [[] for _ in header]  # (values, gaps) per block and column
+        n = 0
+        body = filter(None, reader)  # blank lines are not rows
+        while rows := list(islice(body, _BLOCK_ROWS)):
+            parsed = [None]
+            if set(map(len, rows)) == {len(header)}:
+                parsed = list(map(_parse_column, zip(*rows), kinds, levels, repeat(impute)))
+            if None in parsed:
+                raise _block_error(rows, n, header, kinds, impute)
+            for column, block in zip(blocks, parsed):
+                column.append(block)
+            n += len(rows)
 
-    n = len(rows)
-    feature_cols = [name for name in header if schema[name] != "label"]
-    label_cols = [name for name in header if schema[name] == "label"]
-
-    values = np.zeros((n, len(feature_cols)), dtype=np.float64)
-    missing_mask = np.zeros((n, len(feature_cols)), dtype=bool)
-    level_maps: dict[str, dict[str, int]] = {name: {} for name in feature_cols}
-    col_of = {name: j for j, name in enumerate(feature_cols)}
-    labels = {name: np.zeros(n, dtype=np.int64) for name in label_cols}
-
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DatasetError(f"row {i + 1}: expected {len(header)} cells, got {len(row)}")
-        for name, cell in zip(header, row):
-            cell = cell.strip()
-            kind = schema[name]
-            if kind == "label":
-                if cell == "":
-                    raise DatasetError(f"row {i + 1}, column {name!r}: missing label")
-                value = _parse_number(cell, name, i + 1)
-                if value not in (0.0, 1.0):
-                    raise DatasetError(f"row {i + 1}, column {name!r}: label must be 0 or 1")
-                labels[name][i] = int(value)
-                continue
-            j = col_of[name]
-            if cell == "":
-                if missing_policy == "error":
-                    raise DatasetError(f"row {i + 1}, column {name!r}: missing value")
-                missing_mask[i, j] = True
-            elif kind == "categorical":
-                levels = level_maps[name]
-                if cell not in levels:
-                    levels[cell] = len(levels)
-                values[i, j] = levels[cell]
-            else:
-                value = _parse_number(cell, name, i + 1)
-                if kind == "binary" and value not in (0.0, 1.0):
-                    raise DatasetError(f"row {i + 1}, column {name!r}: binary cell must be 0 or 1")
-                values[i, j] = value
-
-    for name in feature_cols:
-        j = col_of[name]
-        gaps = missing_mask[:, j]
-        if not gaps.any():
-            continue
-        present = values[~gaps, j]
-        if present.size == 0:
-            raise DatasetError(f"column {name!r}: all values missing, nothing to impute from")
-        if schema[name] == "continuous":
-            fill = float(present.mean())
-        else:
-            # mode over observed cells; ties break to the lowest level index
-            idx, counts = np.unique(present.astype(np.int64), return_counts=True)
-            fill = float(idx[np.argmax(counts)])
-        values[gaps, j] = fill
-
+    values = np.empty((n, sum(kind != "label" for kind in kinds)), dtype=np.float64)
+    labels: dict[str, np.ndarray] = {}
     features = []
-    for name in feature_cols:
-        kind = schema[name]
+    for j, (name, kind) in enumerate(zip(header, kinds)):
+        col = np.concatenate([np.empty(0)] + [v for v, _ in blocks[j]])
+        gaps = np.concatenate([np.zeros(0, bool)] + [g for _, g in blocks[j]])
+        if kind == "label":
+            labels[name] = col.astype(np.int64)
+            continue
+        if gaps.any():
+            present = col[~gaps]
+            if present.size == 0:
+                raise DatasetError(f"column {name!r}: all values missing, nothing to impute from")
+            if kind == "continuous":
+                fill = float(present.mean())
+            else:
+                # mode over observed cells; ties break to the lowest level index
+                idx, counts = np.unique(present.astype(np.int64), return_counts=True)
+                fill = float(idx[np.argmax(counts)])
+            col[gaps] = fill
+        blocks[j] = None
+        values[:, len(features)] = col
         if kind == "categorical":
-            ordered = tuple(sorted(level_maps[name], key=level_maps[name].__getitem__))
-            if not ordered:
+            if not levels[j]:  # only possible with no rows, so no gap was imputed
                 raise DatasetError(f"column {name!r}: categorical column has no observed levels")
-            features.append(Feature(name, kind, ordered))
+            features.append(Feature(name, kind, tuple(levels[j])))  # first-seen order
         else:
             features.append(Feature(name, kind))
     return Dataset(features=tuple(features), values=values, labels=labels)
 
 
-def _format_cell(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
+def _float_cells(col: np.ndarray) -> list[str]:
+    """Cells of a float column: ``str(int(v))`` for integral ``|v| < 1e15``, else ``repr``."""
+    integral = (col == np.trunc(col)) & (np.abs(col) < 1e15)
+    if integral.all():
+        return list(map(str, col.astype(np.int64).tolist()))
+    cells = list(map(repr, col.tolist()))
+    where = np.flatnonzero(integral)
+    for k, text in zip(where.tolist(), map(str, col[where].astype(np.int64).tolist())):
+        cells[k] = text
+    return cells
+
+
+def _csv_field(text: str, alone: bool) -> str:
+    """``text`` as csv.writer writes it as the only field of a row, or as one of several."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text] if alone else [text, ""])
+    return buf.getvalue()[: -1 if alone else -2]
+
+
+def _write_blocks(fh, n: int, block_cells) -> None:
+    """Write rows ``[0, n)`` a block at a time; ``block_cells(lo, hi)`` gives
+    the block's cells as one iterable of strings per column."""
+    for lo in range(0, n, _BLOCK_ROWS):
+        columns = block_cells(lo, min(lo + _BLOCK_ROWS, n))
+        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def write_csv(path: str, ds: Dataset) -> None:
-    """Write a Dataset as UTF-8 CSV (categorical cells as level strings)."""
+    """Write a Dataset as UTF-8 CSV (categorical cells as level strings).
+
+    Integral values below 1e15 in magnitude are written as integers (so
+    ``-0.0`` as ``0``), every other value as its ``repr``.
+    """
+    header = list(ds.feature_names) + list(ds.labels)
+    alone = len(header) == 1
+    quoted = [tuple(_csv_field(level, alone) for level in feat.levels) for feat in ds.features]
+
+    def block_cells(lo: int, hi: int) -> list:
+        cells = []
+        for feat, levels, col in zip(ds.features, quoted, ds.values[lo:hi].T):
+            if feat.kind == "categorical":
+                cells.append(map(levels.__getitem__, col.astype(np.int64).tolist()))
+            else:
+                cells.append(_float_cells(col))
+        cells += [map(str, vec[lo:hi].tolist()) for vec in ds.labels.values()]
+        return cells or [[""] * (hi - lo)]  # a row of no fields is an empty line
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(ds.feature_names) + list(ds.labels))
-        label_arrays = list(ds.labels.values())
-        for i in range(ds.rows):
-            row = []
-            for j, feat in enumerate(ds.features):
-                cell = ds.values[i, j]
-                if feat.kind == "categorical":
-                    row.append(feat.levels[int(cell)])
-                else:
-                    row.append(_format_cell(float(cell)))
-            row.extend(str(int(vec[i])) for vec in label_arrays)
-            writer.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        _write_blocks(fh, ds.rows, block_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,11 @@ def auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     Equals the pair-counting statistic: the fraction of (positive,
     negative) pairs the score orders correctly, ties counting one half.
     """
-    curve = roc(y_true, scores)
+    return _area(roc(y_true, scores))
+
+
+def _area(curve: np.ndarray) -> float:
+    """Trapezoid area under a :func:`roc` curve."""
     fpr, tpr = curve[:, 1], curve[:, 2]
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) * 0.5))
 
@@ -209,12 +213,13 @@ def evaluate_scores(
     yt = _as_binary(y_true, "labels")
     s = np.asarray(scores, dtype=np.float64)
     cm = confusion(yt, s >= threshold)
+    curve = roc(yt, s)
     return ModelEvaluation(
         name=name,
         cm=cm,
         point_metrics=metrics(cm),
-        auc_value=auc(yt, s),
-        roc_points=roc(yt, s),
+        auc_value=_area(curve),
+        roc_points=curve,
         importance=dict(importance or {}),
         threshold=threshold,
     )

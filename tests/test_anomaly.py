@@ -18,7 +18,7 @@ from rarepred.anomaly import (
     train_autoencoder,
     write_scores,
 )
-from rarepred.dataset import Dataset, DatasetError, Feature
+from rarepred.dataset import _BLOCK_ROWS, Dataset, DatasetError, Feature
 from rarepred.evaluate import auc
 from rarepred.neural import DenseLayer, Network, param_count
 from rarepred.rng import generator
@@ -313,3 +313,46 @@ class TestScoreFile:
         path = tmp_path / "s.csv"
         write_scores(str(path), np.array([2.0]))
         assert path.read_text().splitlines()[1] == "0,2.0,"
+
+
+# The row-wise writer that write_scores replaced, kept verbatim (only renamed)
+# as the reference for the block-wise one.
+def write_scores_oracle(
+    path: str, scores: np.ndarray, labels: np.ndarray | None = None
+) -> None:
+    """CSV of row_id,score,label in row order (label blank when unknown)."""
+    s = np.asarray(scores, dtype=np.float64)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("row_id,score,label\n")
+        for i, value in enumerate(s):
+            tag = "" if labels is None else str(int(labels[i]))
+            fh.write(f"{i},{repr(float(value))},{tag}\n")
+
+
+class TestScoreFileOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        label_kind=st.sampled_from([None, "int", "float", "bool", "list"]),
+    )
+    def test_matches_row_wise_writer(self, tmp_path_factory, n, seed, label_kind):
+        tmp = tmp_path_factory.mktemp("scores")
+        rng = np.random.Generator(np.random.PCG64(seed))
+        scores = rng.normal(size=n) * 10.0 ** rng.integers(-5, 17, size=n)
+        special = np.array([-0.0, 0.0, 1e15, -1e15, 2.0, math.inf, -math.inf, math.nan, 5e-324])
+        pick = rng.random(n) < 0.2
+        scores[pick] = rng.choice(special, size=int(pick.sum()))
+        y = rng.integers(0, 2, size=n)
+        labels = {
+            None: None, "int": y, "float": y.astype(np.float64), "bool": y.astype(bool),
+            "list": y.tolist(),
+        }[label_kind]
+        new, old = tmp / "new.csv", tmp / "old.csv"
+        write_scores(str(new), scores, labels)
+        write_scores_oracle(str(old), scores, labels)
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_misaligned_labels_rejected(self, tmp_path):
+        with pytest.raises(DatasetError, match="differ in length"):
+            write_scores(str(tmp_path / "s.csv"), np.zeros(3), np.zeros(2))

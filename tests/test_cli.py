@@ -159,6 +159,13 @@ class TestLoadConfig:
         assert cfg.autoencoder.band_lo == 0.5
         assert cfg.autoencoder.band_hi == 2.0
 
+    @pytest.mark.parametrize("key", ["band_lo", "band_hi"])
+    def test_nan_band_edge_rejected(self, tmp_path, key):
+        text = BASE.replace("epochs = 1", f"epochs = 1\n{key} = nan")
+        want = rf"\[autoencoder\] {key}: band edges must not be nan"
+        with pytest.raises(ConfigError, match=want):
+            load_config(write_cfg(tmp_path, text))
+
     @pytest.mark.parametrize("key", ["objective", "error", "loss"])
     def test_unknown_autoencoder_choice(self, tmp_path, key):
         text = BASE.replace("epochs = 1", f"epochs = 1\n{key} = bogus")
