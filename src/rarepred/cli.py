@@ -46,6 +46,7 @@ from .dataset import (
     synth_generate,
     write_csv,
     write_schema,
+    write_table,
 )
 from .benchmarks import benchmark_spec
 from .evaluate import auc, confusion, evaluate_scores, metrics, write_report
@@ -414,13 +415,12 @@ def cmd_detect(cfg: RunConfig, ws: Workspace) -> None:
     preds = classify_band(test_scores, band)
     m = metrics(confusion(y_test, preds))
     auc_value = auc(y_test, test_scores)
-    with open(ws.path("detect/detect_metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write("metric,value\n")
-        fh.write(f"accuracy,{float(m.accuracy)!r}\n")
-        fh.write(f"kappa,{float(m.kappa)!r}\n")
-        fh.write(f"sensitivity,{float(m.sensitivity)!r}\n")
-        fh.write(f"specificity,{float(m.specificity)!r}\n")
-        fh.write(f"auc,{float(auc_value)!r}\n")
+    write_table(
+        ws.path("detect/detect_metrics.csv"),
+        ["metric", "value"],
+        [("accuracy", m.accuracy), ("kappa", m.kappa), ("sensitivity", m.sensitivity),
+         ("specificity", m.specificity), ("auc", auc_value)],
+    )
     train_inputs = ["train.csv", "schema.txt", "ae_scaler.txt", "models/autoencoder.model"]
     test_inputs = ["test.csv", "schema.txt", "ae_scaler.txt", "models/autoencoder.model"]
     ws.record_artifact("detect/train_scores.csv", "detect", train_inputs)

@@ -30,6 +30,7 @@ __all__ = [
     "write_schema",
     "load_csv",
     "write_csv",
+    "write_table",
     "synth_generate",
     "stratified_split",
 ]
@@ -240,6 +241,23 @@ def _block_error(rows, n: int, header: list[str], kinds: list[str], impute: bool
     raise AssertionError("a block was rejected but no cell in it is invalid")
 
 
+def _rows(path: str, fh):
+    """``csv.reader`` over ``fh``, whose tokenizer and decoder errors become a
+    :class:`DatasetError` naming the line of the file."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # text is decoded in chunks, so find the line in the bytes: the first
+        # one that does not survive a round trip through lenient decoding
+        with open(path, "rb") as raw:
+            lossless = (b.decode("utf-8", "ignore").encode() == b for b in raw)
+            line = next(i for i, ok in enumerate(lossless, 1) if not ok)
+        raise DatasetError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from None
+
+
 def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -> Dataset:
     """Load a comma-separated UTF-8 file against a column-kind schema.
 
@@ -259,7 +277,7 @@ def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = _rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -371,6 +389,15 @@ def write_csv(path: str, ds: Dataset) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         _write_blocks(fh, ds.rows, block_cells)
+
+
+def write_table(path: str, header: list[str], rows) -> None:
+    """Write a small table as CSV: floats as their ``repr``, other cells as ``str``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DatasetError
+from .dataset import DatasetError, write_table
 
 __all__ = [
     "ConfusionMatrix",
@@ -258,34 +258,29 @@ def write_report(out_dir: str, evaluations: list[ModelEvaluation]) -> list[str]:
         "Specificity": [ev.point_metrics.specificity for ev in evaluations],
         "AUC": [ev.auc_value for ev in evaluations],
     }
-    path = os.path.join(out_dir, "metrics.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("metric," + ",".join(names) + "\n")
-        for metric in METRIC_ROWS:
-            fh.write(metric + "," + ",".join(repr(float(v)) for v in rows[metric]) + "\n")
+    write_table(
+        os.path.join(out_dir, "metrics.csv"),
+        ["metric", *names],
+        ([metric, *rows[metric]] for metric in METRIC_ROWS),
+    )
     written.append("metrics.csv")
 
     for ev, slug in zip(evaluations, names):
         roc_name = f"roc_{slug}.csv"
-        with open(os.path.join(out_dir, roc_name), "w", encoding="utf-8", newline="") as fh:
-            fh.write("threshold,fpr,tpr\n")
-            for t, fpr, tpr in ev.roc_points:
-                fh.write(f"{float(t)!r},{float(fpr)!r},{float(tpr)!r}\n")
+        write_table(os.path.join(out_dir, roc_name), ["threshold", "fpr", "tpr"], ev.roc_points)
         written.append(roc_name)
 
         cm_name = f"confusion_{slug}.csv"
-        with open(os.path.join(out_dir, cm_name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(",predicted_1,predicted_0\n")
-            fh.write(f"actual_1,{ev.cm.tp},{ev.cm.fn}\n")
-            fh.write(f"actual_0,{ev.cm.fp},{ev.cm.tn}\n")
+        write_table(
+            os.path.join(out_dir, cm_name),
+            ["", "predicted_1", "predicted_0"],
+            [["actual_1", ev.cm.tp, ev.cm.fn], ["actual_0", ev.cm.fp, ev.cm.tn]],
+        )
         written.append(cm_name)
 
         if ev.importance:
             imp_name = f"importance_{slug}.csv"
             ordered = sorted(ev.importance.items(), key=lambda kv: (-kv[1], kv[0]))
-            with open(os.path.join(out_dir, imp_name), "w", encoding="utf-8", newline="") as fh:
-                fh.write("feature,weight\n")
-                for feat, weight in ordered:
-                    fh.write(f"{feat},{float(weight)!r}\n")
+            write_table(os.path.join(out_dir, imp_name), ["feature", "weight"], ordered)
             written.append(imp_name)
     return written

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, Feature
+from .dataset import Dataset, DatasetError, Feature, write_table
 
 __all__ = [
     "ScalerParams",
@@ -257,9 +257,4 @@ def conditional_summary(ds: Dataset, label: str) -> list[dict[str, float | str |
 def write_conditional_summary(path: str, ds: Dataset, label: str) -> None:
     records = conditional_summary(ds, label)
     header = ["feature", "class", "mean", "sd"] + [f"d{d}" for d in DECILES]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in records:
-            cells = [str(rec["feature"]), str(rec["class"])]
-            cells += [repr(float(rec[k])) for k in header[2:]]
-            fh.write(",".join(cells) + "\n")
+    write_table(path, header, ([rec[key] for key in header] for rec in records))

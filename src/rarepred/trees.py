@@ -10,6 +10,10 @@ Tie-breaking is fully specified so fits are reproducible down to the bit:
 among equal-gain splits the lowest feature index wins, then the lowest
 threshold. A single tree depends only on the data as a multiset, never on
 row order; forests are deterministic in (data, seed).
+
+Both also share one router. A call lays its trees end to end in one arena,
+where each leaf is its own child on both sides, and steps all (row, tree)
+pairs of a chunk of rows down one level at a time.
 """
 
 from __future__ import annotations
@@ -61,8 +65,9 @@ class DecisionTree:
 
     Node arrays are aligned by index; ``feature[i] == -1`` marks a leaf.
     ``prob`` is the positive share of training rows at the node. Every
-    child index is greater than its parent's; the router relies on it to
-    terminate and the model loader rejects files that break it.
+    child index is greater than its parent's, so the router's pairs reach
+    their self-looping leaves within the depth; the model loader rejects
+    files that break it.
     """
 
     feature_names: tuple[str, ...]
@@ -130,7 +135,7 @@ def _best_midpoint_split(x: np.ndarray, y: np.ndarray, min_child: int):
     the lowest threshold wins (first argmax over ascending candidates).
     """
     n = x.size
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)  # ties may land in any order: cuts fall only between runs
     xs = x[order]
     ys = y[order]
     cut = np.flatnonzero(xs[:-1] != xs[1:])  # split after these positions
@@ -315,26 +320,48 @@ def fit_cart(
     return builder.finish(root_gini, cp, min_split_obs)
 
 
-def _route(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    """Leaf of every row, one tree level per step; ties go left, NaN right."""
-    children = np.stack((tree.right, tree.left), axis=1).ravel()  # [2 * node + went_left]
-    leaf = np.zeros(X.shape[0], dtype=np.int64)
-    rows, node = np.arange(X.shape[0]), leaf
-    while rows.size:  # ends within the depth: children exceed their parent
-        feat = tree.feature[node]
-        inner = feat != -1
-        rows, node, feat = rows[inner], node[inner], feat[inner]
-        go_left = X[rows, feat] <= tree.threshold[node]
-        node = children[2 * node + go_left]
-        leaf[rows] = node
-    return leaf
+_CHUNK_PAIRS = 1 << 15  # (row, tree) pairs routed at once: bounds the transient arrays
+_SWEEP = 6  # levels stepped between drops of the pairs that are at a leaf
+
+
+def _route(trees: list[DecisionTree], values: list[np.ndarray], X: np.ndarray) -> np.ndarray:
+    """Per row of ``X``, the sum over trees ``t`` of ``values[t]`` at the row's leaf.
+
+    Pairs ``row * T + t`` go left on ties and right on NaN; leaves have feature
+    0. Sums are exact for integer values and for one tree.
+    """
+    sizes = [tree.n_nodes for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature = np.concatenate([tree.feature for tree in trees], dtype=np.intp)
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    value = np.concatenate(values)
+    children = np.empty(2 * feature.size, dtype=np.intp)  # [2 * node + went_left]
+    children[0::2] = np.concatenate([tree.right for tree in trees])
+    children[1::2] = np.concatenate([tree.left for tree in trees])
+    children += np.repeat(roots, np.multiply(sizes, 2))
+    at_leaf = feature == -1
+    leaves = np.flatnonzero(at_leaf)  # index arrays: far faster than masks here
+    feature[leaves] = 0
+    children[2 * leaves] = children[2 * leaves + 1] = leaves
+    flat, (n, k), T = X.ravel(), X.shape, len(trees)
+    sums = np.zeros(n, np.result_type(value, np.int64))
+    for rows in np.array_split(np.arange(n), max(1, -(-n * T // _CHUNK_PAIRS))):
+        pair, node = np.arange(rows.size * T), np.tile(roots, rows.size)
+        base, leaf = np.repeat(rows * k, T), np.empty_like(node)
+        while pair.size:
+            done = at_leaf[node]
+            leaf[pair[done]] = node[done]
+            pair, node, base = pair[~done], node[~done], base[~done]
+            for _ in range(_SWEEP):
+                node = children[2 * node + (flat[base + feature[node]] <= threshold[node])]
+        sums[rows] = value[leaf].reshape(rows.size, T).sum(axis=1)
+    return sums
 
 
 def predict_tree(tree: DecisionTree, ds: Dataset) -> np.ndarray:
     """Per-row positive probability: the training positive share at the leaf."""
     cols = [ds.feature_index(n) for n in tree.feature_names]
-    leaves = _route(tree, ds.values[:, cols])
-    return tree.prob[leaves]
+    return _route([tree], [tree.prob], ds.values[:, cols])
 
 
 def fit_forest(
@@ -400,15 +427,12 @@ def predict_forest(forest: Forest, ds: Dataset) -> np.ndarray:
 
     A tree votes positive when its leaf's positive share exceeds one half
     (an exactly split leaf votes negative). Classify at 0.5 downstream for
-    strict-majority semantics with forest-level ties going negative.
+    strict-majority semantics with forest-level ties going negative. All
+    trees are routed together, and votes are counted as exact integers.
     """
     cols = [ds.feature_index(n) for n in forest.feature_names]
-    X = ds.values[:, cols]
-    votes = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in forest.trees:
-        leaves = _route(tree, X)
-        votes += (tree.prob[leaves] > 0.5).astype(np.float64)
-    return votes / len(forest.trees)
+    votes = [tree.prob > 0.5 for tree in forest.trees]
+    return _route(forest.trees, votes, ds.values[:, cols]) / len(forest.trees)
 
 
 def _tree_gain_by_feature(tree: DecisionTree, k: int) -> np.ndarray:

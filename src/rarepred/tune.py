@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, stratified_split
+from .dataset import Dataset, DatasetError, stratified_split, write_table
 from .evaluate import auc, confusion, metrics
 from .linear import fit_elastic_net, fit_logit, predict_proba
 from .neural import predict_ffn, train_ffn
@@ -381,20 +381,18 @@ def write_tuning_report(dir_path: str, result: GridSearchResult) -> list[str]:
     import os
 
     os.makedirs(dir_path, exist_ok=True)
-    report = os.path.join(dir_path, "tuning_report.csv")
-    with open(report, "w", encoding="utf-8", newline="") as fh:
-        fh.write("point,params,repeat,fold,value\n")
-        for pi, r, fold, value in result.rows:
-            fh.write(
-                f"{pi},\"{_params_text(result.points[pi])}\",{r},{fold},{value!r}\n"
-            )
-    summary = os.path.join(dir_path, "tuning_summary.csv")
-    with open(summary, "w", encoding="utf-8", newline="") as fh:
-        fh.write("point,params,n_values,mean,selected\n")
-        for pi, params in enumerate(result.points):
-            vals = result.cell_values[pi]
-            fh.write(
-                f"{pi},\"{_params_text(params)}\",{len(vals)},"
-                f"{result.means[pi]!r},{int(pi == result.best_index)}\n"
-            )
+    quoted = [f'"{_params_text(params)}"' for params in result.points]
+    write_table(
+        os.path.join(dir_path, "tuning_report.csv"),
+        ["point", "params", "repeat", "fold", "value"],
+        ((pi, quoted[pi], r, fold, value) for pi, r, fold, value in result.rows),
+    )
+    write_table(
+        os.path.join(dir_path, "tuning_summary.csv"),
+        ["point", "params", "n_values", "mean", "selected"],
+        (
+            (pi, text, len(result.cell_values[pi]), result.means[pi], int(pi == result.best_index))
+            for pi, text in enumerate(quoted)
+        ),
+    )
     return ["tuning_report.csv", "tuning_summary.csv"]

@@ -203,6 +203,20 @@ class TestSchemaAndCsv:
         with pytest.raises(DatasetError, match="column 'y' appears twice"):
             load_csv(str(path), {"x": "continuous", "y": "label"})
 
+    @pytest.mark.parametrize(
+        "body, want",
+        [
+            (b"x,y\n1,0\n\xff,1\n", r"line 3: not UTF-8 \(invalid start byte\)"),
+            (b"x,y\n" + b"1,0\n" * 20_000 + b"2,\xc3\n", r"line 20002: not UTF-8"),
+            (b'x,y\n1,0\n"' + b"a" * 131_073 + b'",1\n', r"line 3: field larger than field limit"),
+        ],
+    )
+    def test_undecodable_or_untokenizable_file_names_the_line(self, tmp_path, body, want):
+        path = tmp_path / "data.csv"
+        path.write_bytes(body)
+        with pytest.raises(DatasetError, match=r"data\.csv, " + want):
+            load_csv(str(path), {"x": "continuous", "y": "label"})
+
 
 # ---------------------------------------------------------------------------
 # CSV oracles: the per-cell loader and the row-wise writer that load_csv and

@@ -1,10 +1,13 @@
 """CART growth, forest bagging, importance, and determinism guarantees."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rarepred import trees
 from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.evaluate import auc
 from rarepred.rng import generator
@@ -20,7 +23,8 @@ from rarepred.trees import (
     render_tree,
     variable_importance,
 )
-from rarepred.trees import _route
+from rarepred.serialize import load_model, save_model
+from rarepred.trees import _binary_gini, _route
 
 
 def array_dataset(X, y, names=None):
@@ -66,13 +70,72 @@ def route_per_node(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
     return assign
 
 
+def best_midpoint_split_stable(x: np.ndarray, y: np.ndarray, min_child: int):
+    """The split search as it was with a stable sort; the oracle for the quicksort one."""
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    ys = y[order]
+    cut = np.flatnonzero(xs[:-1] != xs[1:])  # split after these positions
+    if cut.size == 0:
+        return None
+    n_left = cut + 1
+    n_right = n - n_left
+    keep = (n_left >= min_child) & (n_right >= min_child)
+    if not keep.any():
+        return None
+    cut = cut[keep]
+    n_left = n_left[keep]
+    n_right = n_right[keep]
+    pos_prefix = np.cumsum(ys)
+    pos_left = pos_prefix[cut]
+    pos_total = pos_prefix[-1]
+    pos_right = pos_total - pos_left
+    pl = pos_left / n_left
+    pr = pos_right / n_right
+    g_left = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+    g_right = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+    g_node = _binary_gini(float(pos_total), float(n))
+    gains = g_node - (n_left * g_left + n_right * g_right) / n
+    best = int(np.argmax(gains))
+    threshold = 0.5 * (xs[cut[best]] + xs[cut[best] + 1])
+    return float(gains[best]), float(threshold)
+
+
+def route_depthwise(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
+    """The per-tree depth-wise router the arena router replaced; a second oracle."""
+    children = np.stack((tree.right, tree.left), axis=1).ravel()  # [2 * node + went_left]
+    leaf = np.zeros(X.shape[0], dtype=np.int64)
+    rows, node = np.arange(X.shape[0]), leaf
+    while rows.size:  # ends within the depth: children exceed their parent
+        feat = tree.feature[node]
+        inner = feat != -1
+        rows, node, feat = rows[inner], node[inner], feat[inner]
+        go_left = X[rows, feat] <= tree.threshold[node]
+        node = children[2 * node + go_left]
+        leaf[rows] = node
+    return leaf
+
+
+def leaf_codes(model_trees, X):
+    """Per row, every tree's leaf as one mixed-radix number, from the arena
+    router and from each oracle; equal numbers mean equal leaves in every tree."""
+    scale = np.cumprod([1] + [tree.n_nodes for tree in model_trees[:-1]])
+    codes = [np.arange(tree.n_nodes) * s for tree, s in zip(model_trees, scale)]
+    per_node = sum(route_per_node(t, X) * s for t, s in zip(model_trees, scale))
+    depthwise = sum(route_depthwise(t, X) * s for t, s in zip(model_trees, scale))
+    return _route(model_trees, codes, X), per_node, depthwise
+
+
 def assert_routes_like_oracle(model, X):
-    """Leaves, and scores on finite rows, equal the oracle's bit for bit."""
+    """Leaves on any rows, and scores on finite rows, equal both oracles' bit for bit."""
     forest = isinstance(model, Forest)
+    model_trees = model.trees if forest else [model]
+    arena, per_node, depthwise = leaf_codes(model_trees, X)
+    assert arena.tobytes() == per_node.tobytes() == depthwise.tobytes()
     votes = np.zeros(X.shape[0])
-    for tree in model.trees if forest else [model]:
+    for tree in model_trees:
         leaves = route_per_node(tree, X)
-        assert _route(tree, X).tobytes() == leaves.tobytes()
         votes += (tree.prob[leaves] > 0.5).astype(np.float64)
     if np.isfinite(X).all():
         ds = array_dataset(X, np.zeros(X.shape[0]), model.feature_names)
@@ -272,6 +335,42 @@ class TestForest:
         assert auc_forest > auc_tree
 
 
+class TestSplitSortOracle:
+    """The quicksort split search against the stable-sort one it replaced."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_trees_match_on_heavy_ties(self, seed):
+        rng = generator(seed)
+        n = int(rng.integers(20, 300))
+        X = np.column_stack([
+            rng.integers(0, 4, n),  # integer-valued
+            rng.integers(0, 2, n),  # binary
+            rng.integers(-3, 4, n) * 0.25,
+            rng.normal(size=n).round(1),
+        ]).astype(np.float64)
+        y = (rng.random(n) < 0.2 + 0.5 * X[:, 1]).astype(np.int64)
+        again = rng.integers(0, n, int(rng.integers(0, 2 * n)))  # duplicated rows
+        ds = array_dataset(np.vstack([X, X[again]]), np.concatenate([y, y[again]]))
+        hyper = ForestHyper(
+            n_trees=2, mtry=int(rng.integers(1, 5)), min_node=int(rng.integers(1, 20)), seed=seed
+        )
+        min_split_obs = int(rng.integers(1, 10))
+
+        def fit():
+            return [fit_cart(ds, "y", cp=0.0, min_split_obs=min_split_obs),
+                    *fit_forest(ds, "y", hyper).trees]
+
+        quick = fit()
+        stable_split = mock.Mock(wraps=best_midpoint_split_stable)
+        with mock.patch.object(trees, "_best_midpoint_split", stable_split):
+            stable = fit()
+        assert stable_split.called
+        for a, b in zip(quick, stable, strict=True):
+            for name in ("feature", "threshold", "left", "right", "n_rows", "prob", "gain"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 class TestImportance:
     def test_tree_importance_concentrates(self):
         ds = blob_dataset(14, n=700, informative=2.0)
@@ -319,7 +418,7 @@ class TestImportance:
 
 
 class TestRouterOracle:
-    """The depth-wise router against the per-node router it replaced."""
+    """The arena router against the per-node and the per-tree depth-wise routers."""
 
     def test_cart(self):
         ds = blob_dataset(20, n=500)
@@ -342,7 +441,8 @@ class TestRouterOracle:
     def test_ties_go_left_and_nan_goes_right(self):
         tree = fit_cart(array_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1]), "y", min_split_obs=1)
         X = np.array([[2.5], [np.nan], [np.nextafter(2.5, 3.0)]])
-        np.testing.assert_array_equal(_route(tree, X), [tree.left[0], tree.right[0], tree.right[0]])
+        leaves = _route([tree], [np.arange(tree.n_nodes)], X)
+        np.testing.assert_array_equal(leaves, [tree.left[0], tree.right[0], tree.right[0]])
         assert_routes_like_oracle(tree, X)
 
     def test_zero_rows(self):
@@ -358,7 +458,46 @@ class TestRouterOracle:
         stump = fit_cart(ds, "y")
         assert stump.n_nodes == 1
         check_against_oracle(stump, ds)
-        np.testing.assert_array_equal(_route(stump, np.full((2, 1), np.nan)), [0, 0])
+        nan_rows = np.full((2, 1), np.nan)
+        np.testing.assert_array_equal(_route([stump], [np.arange(1)], nan_rows), [0, 0])
+        no_features = fit_cart(ds, "y", features=())
+        check_against_oracle(no_features, ds)
+
+    def test_forest_with_a_stump_and_trees_of_very_different_depths(self):
+        ds = blob_dataset(25, n=600)
+        pure = array_dataset(ds.values, np.zeros(ds.rows))
+        forest = fit_forest(ds, "y", ForestHyper(n_trees=3, min_node=150, seed=5))
+        deep = fit_cart(ds, "y", cp=0.0, min_split_obs=1)
+        stump = fit_cart(pure, "y")
+        assert stump.n_nodes == 1 and deep.n_nodes > 20 * forest.trees[0].n_nodes
+        mixed = Forest(ds.feature_names, [stump, deep, *forest.trees, stump], forest.hyper)
+        check_against_oracle(mixed, ds)
+        stumps = Forest(ds.feature_names, [stump, stump], forest.hyper)
+        check_against_oracle(stumps, ds)
+
+    def test_leaf_thresholds_are_ignored(self):
+        ds = blob_dataset(29, n=300)
+        forest = fit_forest(ds, "y", ForestHyper(n_trees=3, min_node=20, seed=8))
+        for tree in forest.trees:
+            tree.threshold[tree.feature == -1] = np.inf  # would send every finite row left
+        check_against_oracle(forest, ds)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_rows_around_one_chunk(self, extra):
+        ds = blob_dataset(26, n=400)
+        forest = fit_forest(ds, "y", ForestHyper(n_trees=3, min_node=10, seed=6))
+        n = trees._CHUNK_PAIRS // len(forest.trees) + extra
+        X = generator(27).normal(size=(n, 3))
+        X[::7, 0] = forest.trees[0].threshold[0]
+        check_against_oracle(forest, array_dataset(X, np.zeros(n)))
+
+    def test_saved_and_loaded_forest(self, tmp_path):
+        ds = blob_dataset(28, n=500)
+        forest = fit_forest(ds, "y", ForestHyper(n_trees=4, min_node=5, seed=7))
+        save_model(str(tmp_path / "forest.model"), forest)
+        loaded = load_model(str(tmp_path / "forest.model"))
+        check_against_oracle(loaded, ds)
+        assert predict_forest(loaded, ds).tobytes() == predict_forest(forest, ds).tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
