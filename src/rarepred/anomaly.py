@@ -103,9 +103,7 @@ def train_autoencoder(
     smaller than the input width. The output layer always has input width.
     ``activity_l2`` penalizes the first hidden layer's activations.
     """
-    names = tuple(features) if features is not None else ds.feature_names
-    cols = [ds.feature_index(n) for n in names]
-    X = ds.values[:, cols]
+    names, X = ds.columns(features)
     if label is not None:
         keep = ds.label(label) == 0
         if not keep.any():
@@ -157,8 +155,7 @@ def score_dataset(ae: Autoencoder, ds: Dataset, kind: str = "l2") -> np.ndarray:
     ``squared_l2`` its square."""
     if kind not in ERROR_KINDS:
         raise DatasetError(f"unknown error kind {kind!r}")
-    cols = [ds.feature_index(n) for n in ae.feature_names]
-    X = ds.values[:, cols]
+    X = ds.columns(ae.feature_names)[1]
     recon = forward(ae.net, X)
     sq = np.sum((X - recon) ** 2, axis=1)
     return np.sqrt(sq) if kind == "l2" else sq

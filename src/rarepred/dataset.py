@@ -109,6 +109,12 @@ class Dataset:
                 return i
         raise DatasetError(f"unknown feature {name!r}")
 
+    def columns(self, names=None) -> tuple[tuple[str, ...], np.ndarray]:
+        """The named features (all of them when ``names`` is None) and their
+        value columns, in the given order."""
+        names = tuple(names) if names is not None else self.feature_names
+        return names, self.values[:, [self.feature_index(n) for n in names]]
+
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.feature_index(name)]
 
@@ -122,17 +128,18 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
             features=self.features,
-            values=self.values[idx].copy(),
-            labels={k: v[idx].copy() for k, v in self.labels.items()},
+            values=self.values[idx],
+            labels={k: v[idx] for k, v in self.labels.items()},
         )
 
     def select_features(self, names: list[str] | tuple[str, ...]) -> "Dataset":
-        """A new Dataset restricted to the named features, in the given order."""
+        """A new Dataset restricted to the named features, in the given order;
+        it shares the frozen label vectors."""
         cols = [self.feature_index(n) for n in names]
         return Dataset(
             features=tuple(self.features[c] for c in cols),
-            values=self.values[:, cols].copy(),
-            labels={k: v.copy() for k, v in self.labels.items()},
+            values=self.values[:, cols],
+            labels=self.labels,
         )
 
 

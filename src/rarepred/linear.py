@@ -73,9 +73,7 @@ class ElasticNetModel:
 
 
 def _design(ds: Dataset, label: str, features: list[str] | tuple[str, ...] | None):
-    names = tuple(features) if features is not None else ds.feature_names
-    cols = [ds.feature_index(n) for n in names]
-    X = ds.values[:, cols]
+    names, X = ds.columns(features)
     y = ds.label(label).astype(np.float64)
     if X.shape[0] < 2:
         raise DatasetError("need at least 2 rows to fit")
@@ -267,6 +265,5 @@ def fit_elastic_net(
 
 def predict_proba(model: LogitModel | ElasticNetModel, ds: Dataset) -> np.ndarray:
     """sigmoid(intercept + x . coef) per row, matching features by name."""
-    cols = [ds.feature_index(n) for n in model.feature_names]
-    eta = model.intercept + ds.values[:, cols] @ model.coef
+    eta = model.intercept + ds.columns(model.feature_names)[1] @ model.coef
     return _sigmoid(eta)

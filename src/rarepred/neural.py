@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, DatasetError
+from .linear import _sigmoid
 from .rng import child_seed, generator
 
 __all__ = [
@@ -105,12 +106,7 @@ def param_count(net: Network) -> int:
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        return _sigmoid(z)
     if kind == "tanh":
         return np.tanh(z)
     if kind == "relu":
@@ -425,9 +421,7 @@ def train_ffn(
     trimmed to the hidden depth. Weights start Glorot-uniform from a child
     seed, and each epoch reshuffles the rows.
     """
-    names = tuple(features) if features is not None else ds.feature_names
-    cols = [ds.feature_index(n) for n in names]
-    X = ds.values[:, cols]
+    names, X = ds.columns(features)
     y = ds.label(label).astype(np.float64).reshape(-1, 1)
     if dropout is None:
         dropout = DEFAULT_DROPOUT[: len(hidden)]
@@ -452,5 +446,4 @@ def train_ffn(
 
 def predict_ffn(model: FFNModel, ds: Dataset) -> np.ndarray:
     """Positive-class probabilities, dropout off."""
-    cols = [ds.feature_index(n) for n in model.feature_names]
-    return forward(model.net, ds.values[:, cols]).ravel()
+    return forward(model.net, ds.columns(model.feature_names)[1]).ravel()

@@ -118,7 +118,7 @@ def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
     return Dataset(
         features=ds.features,
         values=values,
-        labels={k: v.copy() for k, v in ds.labels.items()},
+        labels=ds.labels,
     )
 
 
@@ -135,7 +135,7 @@ def invert_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
     return Dataset(
         features=ds.features,
         values=values,
-        labels={k: v.copy() for k, v in ds.labels.items()},
+        labels=ds.labels,
     )
 
 
@@ -218,7 +218,7 @@ def one_hot(ds: Dataset) -> Dataset:
     return Dataset(
         features=tuple(features),
         values=np.column_stack(columns),
-        labels={k: v.copy() for k, v in ds.labels.items()},
+        labels=ds.labels,
     )
 
 

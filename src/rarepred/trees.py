@@ -1,10 +1,13 @@
 """Classification trees and bagged forests with gini split search.
 
-Both learners share one split-search core. The single tree accepts a split
-when its impurity decrease, taken as a fraction of the root impurity and
-weighted by the node's share of the training data, reaches the complexity
-threshold ``cp``; forest trees grow unpruned to a minimum node size over
-bootstrap resamples and per-split feature subsets.
+Both learners grow through one function, depth first from a row sample. A
+node splits on the best gini decrease, weighted by the node's share of the
+training data, among its candidate features, when the learner admits it: the
+single tree needs the decrease, as a fraction of the root impurity, to reach
+the complexity threshold ``cp``; forest trees need it to be positive and grow
+unpruned to a minimum node size over bootstrap resamples and per-split
+feature subsets. Both children are numbered when their parent splits, and
+the left subtree grows first.
 
 Tie-breaking is fully specified so fits are reproducible down to the bit:
 among equal-gain splits the lowest feature index wins, then the lowest
@@ -183,97 +186,53 @@ def _uniform_cut_split(x: np.ndarray, y: np.ndarray, rng: np.random.Generator):
     return gain, threshold
 
 
-class _Builder:
-    """Shared arena-growing machinery for single trees and forest trees."""
+def _grow(X, y, sample, mtry, min_rows, min_child, admit, rng, extratrees):
+    """Grow one tree over the rows ``sample`` of ``X``; return its seven node arrays.
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
-        self.X = X
-        self.y = y
-        self.names = names
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.n_rows: list[int] = []
-        self.prob: list[float] = []
-        self.gain: list[float] = []
+    Nodes under ``min_rows`` rows, and pure ones, stay leaves. Otherwise
+    ``mtry`` of the ``k`` features are drawn (all, with no draw, when
+    ``mtry == k``), each cut at its best midpoint with ``min_child`` rows a
+    side or, with ``extratrees``, at one uniform cutpoint.
+    """
+    n_train, k = sample.size, X.shape[1]
+    nodes = []  # per node: feature, threshold, left, right, rows, positives, gain
 
-    def new_node(self, rows: np.ndarray) -> int:
-        idx = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(math.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        n = rows.size
-        pos = int(self.y[rows].sum())
-        self.n_rows.append(n)
-        self.prob.append(pos / n if n else 0.0)
-        self.gain.append(0.0)
-        return idx
+    def leaf(rows, y_rows):
+        nodes.append([-1, math.nan, -1, -1, rows.size, int(y_rows.sum()), 0.0])
+        return len(nodes) - 1, rows, y_rows
 
-    def grow(
-        self,
-        root_rows: np.ndarray,
-        accept,  # (node_gain_total, node_rows) -> bool
-        candidates,  # (node_rows) -> iterable of feature indices
-        splitter,  # (x, y_node, feat) -> (node-mean gain, threshold) | None
-        attempt,  # (node_rows) -> bool, gate before searching
-    ) -> None:
-        n_train = root_rows.size
-        stack = [(self.new_node(root_rows), root_rows)]
-        while stack:
-            node, rows = stack.pop()
-            if not attempt(rows):
+    stack = [leaf(sample, y[sample])]
+    while stack:
+        node, rows, y_node = stack.pop()
+        n, pos = rows.size, nodes[node][5]
+        if n < min_rows or pos == 0 or pos == n:
+            continue
+        feats = range(k) if mtry == k else np.sort(rng.choice(k, size=mtry, replace=False))
+        best = None
+        for feat in feats:
+            x = X[rows, feat]
+            if extratrees:
+                found = _uniform_cut_split(x, y_node, rng)
+            else:
+                found = _best_midpoint_split(x, y_node, min_child)
+            if found is None:
                 continue
-            y_node = self.y[rows]
-            pos = int(y_node.sum())
-            if pos == 0 or pos == rows.size:
-                continue  # pure nodes stay leaves
-            best = None
-            for feat in candidates(rows):
-                found = splitter(self.X[rows, feat], y_node, feat)
-                if found is None:
-                    continue
-                node_gain, threshold = found
-                total_gain = (rows.size / n_train) * node_gain
-                if best is None or total_gain > best[0]:
-                    best = (total_gain, feat, threshold)
-            if best is None:
-                continue
-            total_gain, feat, threshold = best
-            if not accept(total_gain, rows):
-                continue
-            go_left = self.X[rows, feat] <= threshold
-            left_rows = rows[go_left]
-            right_rows = rows[~go_left]
-            if left_rows.size == 0 or right_rows.size == 0:
-                continue
-            self.feature[node] = feat
-            self.threshold[node] = threshold
-            self.gain[node] = total_gain
-            left_idx = self.new_node(left_rows)
-            right_idx = self.new_node(right_rows)
-            self.left[node] = left_idx
-            self.right[node] = right_idx
-            # right pushed first so the left child is processed (and
-            # numbered) in depth-first order
-            stack.append((right_idx, right_rows))
-            stack.append((left_idx, left_rows))
-
-    def finish(self, root_gini: float, cp: float, min_split_obs: int) -> DecisionTree:
-        return DecisionTree(
-            feature_names=self.names,
-            feature=np.array(self.feature, dtype=np.int32),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int32),
-            right=np.array(self.right, dtype=np.int32),
-            n_rows=np.array(self.n_rows, dtype=np.int64),
-            prob=np.array(self.prob, dtype=np.float64),
-            gain=np.array(self.gain, dtype=np.float64),
-            root_gini=root_gini,
-            cp=cp,
-            min_split_obs=min_split_obs,
-        )
+            gain = (n / n_train) * found[0]
+            if best is None or gain > best[0]:
+                best = (gain, feat, found[1])
+        if best is None or not admit(best[0]):
+            continue
+        gain, feat, threshold = best
+        go_left = X[rows, feat] <= threshold
+        if not 0 < np.count_nonzero(go_left) < n:
+            continue
+        left = leaf(rows[go_left], y_node[go_left])
+        right = leaf(rows[~go_left], y_node[~go_left])
+        nodes[node] = [feat, threshold, left[0], right[0], n, pos, gain]
+        stack += [right, left]
+    feature, threshold, left, right, n_rows, pos, gain = map(np.array, zip(*nodes))
+    feature, left, right = (links.astype(np.int32) for links in (feature, left, right))
+    return feature, threshold, left, right, n_rows, pos / np.maximum(n_rows, 1), gain
 
 
 def fit_cart(
@@ -295,29 +254,21 @@ def fit_cart(
         raise DatasetError("cp must be >= 0")
     if min_split_obs < 1:
         raise DatasetError("min_split_obs must be >= 1")
-    names = tuple(features) if features is not None else ds.feature_names
-    cols = [ds.feature_index(n) for n in names]
-    X = ds.values[:, cols]
+    names, X = ds.columns(features)
     y = ds.label(label)
-    n = X.shape[0]
-    root_gini = _binary_gini(float(y.sum()), float(n))
-
-    builder = _Builder(X, y, names)
-    feature_range = range(len(names))
-
-    def accept(total_gain: float, rows: np.ndarray) -> bool:
-        if root_gini == 0.0:
-            return False
-        return total_gain / root_gini >= cp
-
-    builder.grow(
-        root_rows=np.arange(n, dtype=np.int64),
-        accept=accept,
-        candidates=lambda rows: feature_range,
-        splitter=lambda x, y_node, feat: _best_midpoint_split(x, y_node, min_split_obs),
-        attempt=lambda rows: rows.size >= 2 * min_split_obs,
+    root_gini = _binary_gini(float(y.sum()), float(y.size))
+    nodes = _grow(
+        X,
+        y,
+        sample=np.arange(y.size, dtype=np.int64),
+        mtry=len(names),
+        min_rows=2 * min_split_obs,
+        min_child=min_split_obs,
+        admit=lambda gain: root_gini != 0.0 and gain / root_gini >= cp,
+        rng=None,
+        extratrees=False,
     )
-    return builder.finish(root_gini, cp, min_split_obs)
+    return DecisionTree(names, *nodes, root_gini, cp, min_split_obs)
 
 
 _CHUNK_PAIRS = 1 << 15  # (row, tree) pairs routed at once: bounds the transient arrays
@@ -352,7 +303,7 @@ def _route(trees: list[DecisionTree], values: list[np.ndarray], X: np.ndarray) -
             done = at_leaf[node]
             leaf[pair[done]] = node[done]
             pair, node, base = pair[~done], node[~done], base[~done]
-            for _ in range(_SWEEP):
+            for _ in range(_SWEEP if pair.size else 0):  # no steps once every pair is at a leaf
                 node = children[2 * node + (flat[base + feature[node]] <= threshold[node])]
         sums[rows] = value[leaf].reshape(rows.size, T).sum(axis=1)
     return sums
@@ -360,8 +311,7 @@ def _route(trees: list[DecisionTree], values: list[np.ndarray], X: np.ndarray) -
 
 def predict_tree(tree: DecisionTree, ds: Dataset) -> np.ndarray:
     """Per-row positive probability: the training positive share at the leaf."""
-    cols = [ds.feature_index(n) for n in tree.feature_names]
-    return _route([tree], [tree.prob], ds.values[:, cols])
+    return _route([tree], [tree.prob], ds.columns(tree.feature_names)[1])
 
 
 def fit_forest(
@@ -378,9 +328,7 @@ def fit_forest(
     nodes) become leaves; every split needs strictly positive gain. At each
     split ``mtry`` features are sampled without replacement.
     """
-    names = tuple(features) if features is not None else ds.feature_names
-    cols = [ds.feature_index(n) for n in names]
-    X = ds.values[:, cols]
+    names, X = ds.columns(features)
     y = ds.label(label)
     n, k = X.shape
     mtry = hyper.mtry if hyper.mtry is not None else max(1, int(math.isqrt(k)))
@@ -394,31 +342,19 @@ def fit_forest(
             sample = np.sort(rng.integers(0, n, size=n))
         else:
             sample = np.arange(n, dtype=np.int64)
-        builder = _Builder(X, y, names)
-
-        def candidates(rows: np.ndarray, rng=rng) -> np.ndarray:
-            if mtry == k:
-                return np.arange(k, dtype=np.int64)
-            return np.sort(rng.choice(k, size=mtry, replace=False))
-
-        if hyper.split_rule == "gini":
-            def splitter(x, y_node, feat):
-                return _best_midpoint_split(x, y_node, 1)
-        else:
-            def splitter(x, y_node, feat, rng=rng):
-                return _uniform_cut_split(x, y_node, rng)
-
-        builder.grow(
-            root_rows=sample,
-            accept=lambda total_gain, rows: total_gain > 0.0,
-            candidates=candidates,
-            splitter=splitter,
-            attempt=lambda rows: rows.size >= max(2, hyper.min_node),
+        nodes = _grow(
+            X,
+            y,
+            sample,
+            mtry,
+            min_rows=max(2, hyper.min_node),
+            min_child=1,
+            admit=lambda gain: gain > 0.0,
+            rng=rng,
+            extratrees=hyper.split_rule == "extratrees",
         )
-        root_pos = float(y[sample].sum())
-        trees.append(
-            builder.finish(_binary_gini(root_pos, sample.size), 0.0, 1)
-        )
+        root_gini = _binary_gini(float(y[sample].sum()), sample.size)
+        trees.append(DecisionTree(names, *nodes, root_gini, 0.0, 1))
     return Forest(feature_names=names, trees=trees, hyper=hyper)
 
 
@@ -430,9 +366,8 @@ def predict_forest(forest: Forest, ds: Dataset) -> np.ndarray:
     strict-majority semantics with forest-level ties going negative. All
     trees are routed together, and votes are counted as exact integers.
     """
-    cols = [ds.feature_index(n) for n in forest.feature_names]
     votes = [tree.prob > 0.5 for tree in forest.trees]
-    return _route(forest.trees, votes, ds.values[:, cols]) / len(forest.trees)
+    return _route(forest.trees, votes, ds.columns(forest.feature_names)[1]) / len(forest.trees)
 
 
 def _tree_gain_by_feature(tree: DecisionTree, k: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from rarepred.dataset import (
     write_csv,
     write_schema,
 )
+from rarepred.preprocess import apply_scaler, fit_scaler, invert_scaler, one_hot
 
 
 def tiny_dataset():
@@ -97,6 +98,40 @@ class TestDataset:
         assert sub.values[1, 1] == 1.5
         # labels carried through
         assert "outcome" in sub.labels
+
+    def test_columns(self):
+        ds = tiny_dataset()
+        names, X = ds.columns(["flag", "x"])
+        assert names == ("flag", "x")
+        assert X.tolist() == ds.values[:, [2, 0]].tolist()
+        names, X = ds.columns()
+        assert names == ds.feature_names and X.tolist() == ds.values.tolist()
+        with pytest.raises(DatasetError):
+            ds.columns(["nope"])
+
+    def test_derived_datasets_stay_frozen_and_leave_the_source_alone(self):
+        ds = tiny_dataset()
+        values, outcome = ds.values.copy(), ds.labels["outcome"].copy()
+        params = fit_scaler(ds, "standardize", ["x"])
+        derived = [
+            ds.subset_rows(np.array([3, 0, 0])),
+            ds.select_features(["flag", "x"]),
+            apply_scaler(ds, params),
+            invert_scaler(apply_scaler(ds, params), params),
+            one_hot(ds),
+        ]
+        split = stratified_split(ds, 0.5, "outcome", seed=1)
+        derived += [split.train, split.test]
+        for sub in derived:
+            assert not sub.values.flags.writeable
+            assert not sub.labels["outcome"].flags.writeable
+            with pytest.raises(ValueError):
+                sub.values[0, 0] = 9.0
+            with pytest.raises(ValueError):
+                sub.labels["outcome"][0] = 0
+        assert ds.values.tobytes() == values.tobytes()
+        assert ds.labels["outcome"].tobytes() == outcome.tobytes()
+        assert not ds.values.flags.writeable and not ds.labels["outcome"].flags.writeable
 
 
 class TestSchemaAndCsv:

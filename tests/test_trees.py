@@ -1,5 +1,6 @@
 """CART growth, forest bagging, importance, and determinism guarantees."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from rarepred import trees
 from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.evaluate import auc
-from rarepred.rng import generator
+from rarepred.rng import child_seed, generator
 from rarepred.trees import (
     DecisionTree,
     Forest,
@@ -24,7 +25,7 @@ from rarepred.trees import (
     variable_importance,
 )
 from rarepred.serialize import load_model, save_model
-from rarepred.trees import _binary_gini, _route
+from rarepred.trees import _best_midpoint_split, _binary_gini, _route, _uniform_cut_split
 
 
 def array_dataset(X, y, names=None):
@@ -169,6 +170,226 @@ def check_against_oracle(model, ds, seed=0):
     on_threshold, with_nan = edge_rows(model, X, generator(seed))
     for rows in (X, on_threshold, with_nan):
         assert_routes_like_oracle(model, rows)
+
+
+# The tree growth that one grow function replaced, kept verbatim as the oracle.
+
+class _Builder:
+    """Shared arena-growing machinery for single trees and forest trees."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
+        self.X = X
+        self.y = y
+        self.names = names
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.n_rows: list[int] = []
+        self.prob: list[float] = []
+        self.gain: list[float] = []
+
+    def new_node(self, rows: np.ndarray) -> int:
+        idx = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(math.nan)
+        self.left.append(-1)
+        self.right.append(-1)
+        n = rows.size
+        pos = int(self.y[rows].sum())
+        self.n_rows.append(n)
+        self.prob.append(pos / n if n else 0.0)
+        self.gain.append(0.0)
+        return idx
+
+    def grow(
+        self,
+        root_rows: np.ndarray,
+        accept,  # (node_gain_total, node_rows) -> bool
+        candidates,  # (node_rows) -> iterable of feature indices
+        splitter,  # (x, y_node, feat) -> (node-mean gain, threshold) | None
+        attempt,  # (node_rows) -> bool, gate before searching
+    ) -> None:
+        n_train = root_rows.size
+        stack = [(self.new_node(root_rows), root_rows)]
+        while stack:
+            node, rows = stack.pop()
+            if not attempt(rows):
+                continue
+            y_node = self.y[rows]
+            pos = int(y_node.sum())
+            if pos == 0 or pos == rows.size:
+                continue  # pure nodes stay leaves
+            best = None
+            for feat in candidates(rows):
+                found = splitter(self.X[rows, feat], y_node, feat)
+                if found is None:
+                    continue
+                node_gain, threshold = found
+                total_gain = (rows.size / n_train) * node_gain
+                if best is None or total_gain > best[0]:
+                    best = (total_gain, feat, threshold)
+            if best is None:
+                continue
+            total_gain, feat, threshold = best
+            if not accept(total_gain, rows):
+                continue
+            go_left = self.X[rows, feat] <= threshold
+            left_rows = rows[go_left]
+            right_rows = rows[~go_left]
+            if left_rows.size == 0 or right_rows.size == 0:
+                continue
+            self.feature[node] = feat
+            self.threshold[node] = threshold
+            self.gain[node] = total_gain
+            left_idx = self.new_node(left_rows)
+            right_idx = self.new_node(right_rows)
+            self.left[node] = left_idx
+            self.right[node] = right_idx
+            # right pushed first so the left child is processed (and
+            # numbered) in depth-first order
+            stack.append((right_idx, right_rows))
+            stack.append((left_idx, left_rows))
+
+    def finish(self, root_gini: float, cp: float, min_split_obs: int) -> DecisionTree:
+        return DecisionTree(
+            feature_names=self.names,
+            feature=np.array(self.feature, dtype=np.int32),
+            threshold=np.array(self.threshold, dtype=np.float64),
+            left=np.array(self.left, dtype=np.int32),
+            right=np.array(self.right, dtype=np.int32),
+            n_rows=np.array(self.n_rows, dtype=np.int64),
+            prob=np.array(self.prob, dtype=np.float64),
+            gain=np.array(self.gain, dtype=np.float64),
+            root_gini=root_gini,
+            cp=cp,
+            min_split_obs=min_split_obs,
+        )
+
+
+def fit_cart_oracle(
+    ds: Dataset,
+    label: str,
+    features: list[str] | tuple[str, ...] | None = None,
+    cp: float = 0.001,
+    min_split_obs: int = 2,
+) -> DecisionTree:
+    """Grow a classification tree by greedy gini split search.
+
+    A split is accepted when its training-share-weighted impurity decrease
+    is at least ``cp`` times the root impurity and both children keep at
+    least ``min_split_obs`` rows. With ``cp = 0`` zero-gain splits are
+    admitted (pure nodes still stop), which lets the tree carve out
+    interaction structure no single split can reward.
+    """
+    if cp < 0:
+        raise DatasetError("cp must be >= 0")
+    if min_split_obs < 1:
+        raise DatasetError("min_split_obs must be >= 1")
+    names = tuple(features) if features is not None else ds.feature_names
+    cols = [ds.feature_index(n) for n in names]
+    X = ds.values[:, cols]
+    y = ds.label(label)
+    n = X.shape[0]
+    root_gini = _binary_gini(float(y.sum()), float(n))
+
+    builder = _Builder(X, y, names)
+    feature_range = range(len(names))
+
+    def accept(total_gain: float, rows: np.ndarray) -> bool:
+        if root_gini == 0.0:
+            return False
+        return total_gain / root_gini >= cp
+
+    builder.grow(
+        root_rows=np.arange(n, dtype=np.int64),
+        accept=accept,
+        candidates=lambda rows: feature_range,
+        splitter=lambda x, y_node, feat: _best_midpoint_split(x, y_node, min_split_obs),
+        attempt=lambda rows: rows.size >= 2 * min_split_obs,
+    )
+    return builder.finish(root_gini, cp, min_split_obs)
+
+
+def fit_forest_oracle(
+    ds: Dataset,
+    label: str,
+    hyper: ForestHyper,
+    features: list[str] | tuple[str, ...] | None = None,
+) -> Forest:
+    """Fit a bagged forest of unpruned trees.
+
+    Tree t draws its bootstrap sample and split randomness from a child
+    seed of (hyper.seed, t), so the forest is reproducible and trees are
+    order-independent. Nodes with fewer than ``min_node`` rows (or pure
+    nodes) become leaves; every split needs strictly positive gain. At each
+    split ``mtry`` features are sampled without replacement.
+    """
+    names = tuple(features) if features is not None else ds.feature_names
+    cols = [ds.feature_index(n) for n in names]
+    X = ds.values[:, cols]
+    y = ds.label(label)
+    n, k = X.shape
+    mtry = hyper.mtry if hyper.mtry is not None else max(1, int(math.isqrt(k)))
+    if mtry > k:
+        raise DatasetError(f"mtry {mtry} exceeds feature count {k}")
+
+    trees: list[DecisionTree] = []
+    for t in range(hyper.n_trees):
+        rng = generator(child_seed(hyper.seed, "tree", t))
+        if hyper.bootstrap:
+            sample = np.sort(rng.integers(0, n, size=n))
+        else:
+            sample = np.arange(n, dtype=np.int64)
+        builder = _Builder(X, y, names)
+
+        def candidates(rows: np.ndarray, rng=rng) -> np.ndarray:
+            if mtry == k:
+                return np.arange(k, dtype=np.int64)
+            return np.sort(rng.choice(k, size=mtry, replace=False))
+
+        if hyper.split_rule == "gini":
+            def splitter(x, y_node, feat):
+                return _best_midpoint_split(x, y_node, 1)
+        else:
+            def splitter(x, y_node, feat, rng=rng):
+                return _uniform_cut_split(x, y_node, rng)
+
+        builder.grow(
+            root_rows=sample,
+            accept=lambda total_gain, rows: total_gain > 0.0,
+            candidates=candidates,
+            splitter=splitter,
+            attempt=lambda rows: rows.size >= max(2, hyper.min_node),
+        )
+        root_pos = float(y[sample].sum())
+        trees.append(
+            builder.finish(_binary_gini(root_pos, sample.size), 0.0, 1)
+        )
+    return Forest(feature_names=names, trees=trees, hyper=hyper)
+
+
+def tie_heavy_dataset(rng):
+    """Integer, binary, quarter-step and rounded columns with duplicated rows."""
+    n = int(rng.integers(20, 300))
+    X = np.column_stack([
+        rng.integers(0, 4, n),
+        rng.integers(0, 2, n),
+        rng.integers(-3, 4, n) * 0.25,
+        rng.normal(size=n).round(1),
+    ]).astype(np.float64)
+    y = (rng.random(n) < 0.2 + 0.5 * X[:, 1]).astype(np.int64)
+    again = rng.integers(0, n, int(rng.integers(0, 2 * n)))
+    return array_dataset(np.vstack([X, X[again]]), np.concatenate([y, y[again]]))
+
+
+def assert_same_trees(got, want):
+    for a, b in zip(got, want, strict=True):
+        for name in ("feature", "threshold", "left", "right", "n_rows", "prob", "gain"):
+            assert getattr(a, name).dtype == getattr(b, name).dtype
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (a.root_gini, a.cp, a.min_split_obs) == (b.root_gini, b.cp, b.min_split_obs)
+        assert a.feature_names == b.feature_names
 
 
 class TestGini:
@@ -369,6 +590,57 @@ class TestSplitSortOracle:
         for a, b in zip(quick, stable, strict=True):
             for name in ("feature", "threshold", "left", "right", "n_rows", "prob", "gain"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+class TestGrowOracle:
+    """One grow function against the builder and callbacks it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_fits_match_bit_for_bit(self, seed):
+        rng = generator(seed)
+        ds = tie_heavy_dataset(rng)
+        cp = (0.0, float(rng.uniform(0.0, 0.02)))[int(rng.integers(2))]
+        min_split_obs = int(rng.integers(1, 10))
+        assert_same_trees(
+            [fit_cart(ds, "y", cp=cp, min_split_obs=min_split_obs)],
+            [fit_cart_oracle(ds, "y", cp=cp, min_split_obs=min_split_obs)],
+        )
+        hyper = ForestHyper(
+            n_trees=2,
+            mtry=int(rng.integers(1, 5)),  # 4 is every feature
+            min_node=int(rng.integers(1, 20)),
+            split_rule=("gini", "extratrees")[int(rng.integers(2))],
+            seed=seed,
+            bootstrap=bool(rng.integers(2)),
+        )
+        got, want = fit_forest(ds, "y", hyper), fit_forest_oracle(ds, "y", hyper)
+        assert got.feature_names == want.feature_names and got.hyper == want.hyper
+        assert_same_trees(got.trees, want.trees)
+
+    @pytest.mark.parametrize("mtry", [None, 2, 3])
+    @pytest.mark.parametrize("split_rule", ["gini", "extratrees"])
+    def test_forest_on_blobs(self, mtry, split_rule):
+        ds = blob_dataset(31, n=600)
+        hyper = ForestHyper(n_trees=4, mtry=mtry, min_node=3, split_rule=split_rule, seed=5)
+        assert_same_trees(fit_forest(ds, "y", hyper).trees, fit_forest_oracle(ds, "y", hyper).trees)
+
+    def test_edge_datasets(self):
+        for ds in (
+            array_dataset(np.zeros((0, 2)), np.zeros(0)),
+            array_dataset(np.zeros((6, 2)), [0, 1, 0, 1, 0, 1]),  # no cut anywhere
+            array_dataset(np.ones((4, 1)), [1, 1, 1, 1]),  # pure root
+            xor_dataset(3),
+        ):
+            for cp in (0.0, 0.01):
+                assert_same_trees(
+                    [fit_cart(ds, "y", cp=cp, min_split_obs=1)],
+                    [fit_cart_oracle(ds, "y", cp=cp, min_split_obs=1)],
+                )
+            hyper = ForestHyper(n_trees=2, mtry=1, min_node=1, seed=3)
+            assert_same_trees(
+                fit_forest(ds, "y", hyper).trees, fit_forest_oracle(ds, "y", hyper).trees
+            )
 
 
 class TestImportance:
