@@ -189,10 +189,11 @@ def _uniform_cut_split(x: np.ndarray, y: np.ndarray, rng: np.random.Generator):
 def _grow(X, y, sample, mtry, min_rows, min_child, admit, rng, extratrees):
     """Grow one tree over the rows ``sample`` of ``X``; return its seven node arrays.
 
-    Nodes under ``min_rows`` rows, and pure ones, stay leaves. Otherwise
-    ``mtry`` of the ``k`` features are drawn (all, with no draw, when
-    ``mtry == k``), each cut at its best midpoint with ``min_child`` rows a
-    side or, with ``extratrees``, at one uniform cutpoint.
+    Nodes under ``min_rows`` rows, and pure ones, stay leaves. Others split
+    where ``admit`` takes the best share-weighted gain (the first on ties) of
+    ``mtry`` drawn features (all, with no draw, when ``mtry == k``), each cut
+    at its best midpoint with ``min_child`` rows a side or, with
+    ``extratrees``, at one uniform cutpoint.
     """
     n_train, k = sample.size, X.shape[1]
     nodes = []  # per node: feature, threshold, left, right, rows, positives, gain

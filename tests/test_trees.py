@@ -630,6 +630,7 @@ class TestGrowOracle:
             array_dataset(np.zeros((0, 2)), np.zeros(0)),
             array_dataset(np.zeros((6, 2)), [0, 1, 0, 1, 0, 1]),  # no cut anywhere
             array_dataset(np.ones((4, 1)), [1, 1, 1, 1]),  # pure root
+            array_dataset([1 + 2 ** -52, 1 + 2 ** -51] * 3, [0, 1] * 3),  # midpoint rounds up: empty child
             xor_dataset(3),
         ):
             for cp in (0.0, 0.01):
