@@ -14,6 +14,11 @@ train-only scaler statistics. Two runs with the same configuration and
 seed produce byte-identical artifacts and manifests; wall-clock timestamps
 live in ``timestamps.txt`` so they never break that.
 
+Every command reads its workspace inputs through one check: a file that is
+missing, not recorded, or whose sha256 no longer matches the manifest is
+refused with exit 1. A split file that passes is parsed once per command
+run, so ``rarepred all`` parses each of data.csv, train.csv and test.csv once.
+
 The test split is written once by ``split`` and first read by ``evaluate``
 (then ``detect``); the manifest's per-artifact input lists make that
 auditable. Running ``evaluate`` again warns that a reused holdout stops
@@ -92,12 +97,19 @@ class _UsageError(Exception):
     pass
 
 
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 class Workspace:
     """One output directory with its manifest and timestamp log."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.entries: dict[str, str] = {}
+        # parsed split files keyed by (rel, its sha256, schema.txt's sha256)
+        self.datasets: dict[tuple[str, str, str], Dataset] = {}
         path = os.path.join(out_dir, MANIFEST_NAME)
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
@@ -117,10 +129,7 @@ class Workspace:
         self.entries[key] = str(value)
 
     def record_artifact(self, rel: str, command: str, inputs: list[str]) -> None:
-        digest = hashlib.sha256()
-        with open(os.path.join(self.out_dir, rel), "rb") as fh:
-            digest.update(fh.read())
-        self.entries[f"artifact.{rel}.sha256"] = digest.hexdigest()
+        self.entries[f"artifact.{rel}.sha256"] = _sha256(os.path.join(self.out_dir, rel))
         self.entries[f"artifact.{rel}.command"] = command
         # "(none)" keeps every manifest value nonempty, so the file parses
         # back identically line by line
@@ -130,10 +139,27 @@ class Workspace:
         return f"artifact.{rel}.sha256" in self.entries
 
     def require_artifact(self, rel: str, producer: str) -> str:
+        """Path of ``rel`` once its bytes hash to the sha256 the manifest records."""
         full = os.path.join(self.out_dir, rel)
         if not os.path.exists(full):
             raise PipelineError(f"missing artifact {rel}; run '{producer}' first")
+        recorded = self.entries.get(f"artifact.{rel}.sha256")
+        if recorded is None or _sha256(full) != recorded:
+            why = "is not in" if recorded is None else "no longer matches its sha256 in"
+            raise PipelineError(
+                f"artifact {rel} {why} {MANIFEST_NAME}; run '{producer}' again"
+            )
         return full
+
+    def dataset(self, rel: str, producer: str) -> Dataset:
+        """The checked split file ``rel``, parsed once per content and schema."""
+        full = self.require_artifact(rel, producer)
+        schema = self.require_artifact("schema.txt", producer)
+        key = (rel, self.entries[f"artifact.{rel}.sha256"],
+               self.entries["artifact.schema.txt.sha256"])
+        if key not in self.datasets:
+            self.datasets[key] = load_csv(full, load_schema(schema))
+        return self.datasets[key]
 
     def artifacts(self) -> list[str]:
         prefix, suffix = "artifact.", ".sha256"
@@ -144,14 +170,20 @@ class Workspace:
         )
 
     def save(self) -> None:
+        # Only the manifest is replaced atomically. An artifact is written in
+        # place and recorded afterwards, so a crash in between leaves bytes
+        # whose sha256 the manifest does not hold, and require_artifact
+        # refuses them; a torn manifest would lose every record at once.
         os.makedirs(self.out_dir, exist_ok=True)
         lines = [
             "# artifact hashes, seeds, versions, and the effective configuration",
             f"# timestamps live in {TIMESTAMPS_NAME}",
         ]
         lines += [f"{key} = {self.entries[key]}" for key in sorted(self.entries)]
-        with open(os.path.join(self.out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+        path = os.path.join(self.out_dir, MANIFEST_NAME)
+        with open(path + ".tmp", "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
+        os.replace(path + ".tmp", path)
 
     def stamp(self, command: str) -> None:
         os.makedirs(self.out_dir, exist_ok=True)
@@ -184,19 +216,8 @@ def _record_scaler_stats(ws: Workspace, prefix: str, params) -> None:
         ws.set(f"{prefix}.{name}.constant", int(stats["constant"]))
 
 
-def _out_schema(ws: Workspace) -> dict[str, str]:
-    ws.require_artifact("schema.txt", "split")
-    return load_schema(ws.path("schema.txt"))
-
-
-def _load_split(ws: Workspace, rel: str, producer: str = "split") -> Dataset:
-    ws.require_artifact(rel, producer)
-    return load_csv(ws.path(rel), _out_schema(ws))
-
-
-def _load_scaler(ws: Workspace, rel: str = "scaler.txt"):
-    ws.require_artifact(rel, "preprocess")
-    with open(ws.path(rel), encoding="utf-8") as fh:
+def _load_scaler(ws: Workspace):
+    with open(ws.require_artifact("scaler.txt", "preprocess"), encoding="utf-8") as fh:
         return scaler_from_text(fh.read())
 
 
@@ -218,9 +239,9 @@ def cmd_generate(cfg: RunConfig, ws: Workspace) -> None:
 
 def cmd_split(cfg: RunConfig, ws: Workspace) -> None:
     if cfg.synth is not None:
-        ws.require_artifact("data.csv", "generate")
-        ws.require_artifact("schema.txt", "generate")
-        ds = load_csv(ws.path("data.csv"), load_schema(ws.path("schema.txt")))
+        # checked but not memoised: nothing reads data.csv again
+        data = ws.require_artifact("data.csv", "generate")
+        ds = load_csv(data, load_schema(ws.require_artifact("schema.txt", "generate")))
         inputs = ["data.csv", "schema.txt"]
     else:
         ds = load_csv(cfg.csv, load_schema(cfg.schema), missing_policy=cfg.missing)
@@ -240,7 +261,7 @@ def cmd_split(cfg: RunConfig, ws: Workspace) -> None:
 
 
 def cmd_preprocess(cfg: RunConfig, ws: Workspace) -> None:
-    train = _load_split(ws, "train.csv")
+    train = ws.dataset("train.csv", "split")
     params = fit_scaler(train, cfg.scaler, feature_names=cfg.scale_features)
     with open(ws.path("scaler.txt"), "w", encoding="utf-8") as fh:
         fh.write(scaler_to_text(params))
@@ -255,7 +276,7 @@ def cmd_preprocess(cfg: RunConfig, ws: Workspace) -> None:
 def cmd_tune(cfg: RunConfig, ws: Workspace) -> None:
     if not cfg.models:
         raise PipelineError("no [model:<kind>] sections to tune")
-    train = _load_split(ws, "train.csv")
+    train = ws.dataset("train.csv", "split")
     for mg in cfg.models:
         seed = child_seed(cfg.seed, "tune", mg.kind)
         result = grid_search(
@@ -289,9 +310,9 @@ def cmd_tune(cfg: RunConfig, ws: Workspace) -> None:
 
 def _chosen_params(cfg: RunConfig, ws: Workspace, mg) -> tuple[dict, list[str]]:
     best_rel = f"tune/{mg.kind}/best_params.txt"
-    if os.path.exists(os.path.join(ws.out_dir, best_rel)):
+    if ws.has_artifact(best_rel) or os.path.exists(os.path.join(ws.out_dir, best_rel)):
         params = {}
-        with open(ws.path(best_rel), encoding="utf-8") as fh:
+        with open(ws.require_artifact(best_rel, "tune"), encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
@@ -311,7 +332,7 @@ def _chosen_params(cfg: RunConfig, ws: Workspace, mg) -> tuple[dict, list[str]]:
 def cmd_train(cfg: RunConfig, ws: Workspace) -> None:
     if not cfg.models:
         raise PipelineError("no [model:<kind>] sections to train")
-    train = _load_split(ws, "train.csv")
+    train = ws.dataset("train.csv", "split")
     scaler = _load_scaler(ws)
     train_s = apply_scaler(train, scaler)
     for mg in cfg.models:
@@ -337,15 +358,14 @@ def cmd_evaluate(cfg: RunConfig, ws: Workspace) -> None:
             file=sys.stderr,
         )
     model_rels = [f"models/{mg.kind}.model" for mg in cfg.models]
-    for rel in model_rels:
-        ws.require_artifact(rel, "train")
+    model_paths = [ws.require_artifact(rel, "train") for rel in model_rels]
     scaler = _load_scaler(ws)
-    test = _load_split(ws, "test.csv")
+    test = ws.dataset("test.csv", "split")
     test_s = apply_scaler(test, scaler)
     y = test_s.label(cfg.label)
     evaluations = []
-    for mg in cfg.models:
-        model = load_model(ws.path(f"models/{mg.kind}.model"))
+    for mg, path in zip(cfg.models, model_paths):
+        model = load_model(path)
         scores = get_model_spec(mg.kind).predict(model, test_s)
         importance = variable_importance(model) if mg.kind != "ffn" else {}
         evaluations.append(evaluate_scores(mg.kind, y, scores, importance=importance))
@@ -361,8 +381,8 @@ def cmd_detect(cfg: RunConfig, ws: Workspace) -> None:
     ae_cfg = cfg.autoencoder
     if ae_cfg is None:
         raise PipelineError("no [autoencoder] section to run detection with")
-    train = _load_split(ws, "train.csv")
-    test = _load_split(ws, "test.csv")
+    train = ws.dataset("train.csv", "split")
+    test = ws.dataset("test.csv", "split")
     params = fit_scaler(train, ae_cfg.scaler, feature_names=ae_cfg.features)
     with open(ws.path("ae_scaler.txt"), "w", encoding="utf-8") as fh:
         fh.write(scaler_to_text(params))
@@ -446,11 +466,11 @@ def cmd_report(cfg: RunConfig, ws: Workspace) -> None:
         lines.append(f"{rel}  sha256={ws.entries[f'artifact.{rel}.sha256']}")
     inputs = []
     for rel in ("report/metrics.csv", "detect/detect_metrics.csv", "detect/band.txt"):
-        full = os.path.join(ws.out_dir, rel)
-        if os.path.exists(full):
+        if ws.has_artifact(rel):
             lines.append("")
             lines.append(f"[{rel}]")
-            with open(full, encoding="utf-8") as fh:
+            producer = ws.entries[f"artifact.{rel}.command"]
+            with open(ws.require_artifact(rel, producer), encoding="utf-8") as fh:
                 lines.extend(fh.read().splitlines())
             inputs.append(rel)
     with open(ws.path("report/summary.txt"), "w", encoding="utf-8") as fh:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import rarepred
+from rarepred import cli
 from rarepred.benchmarks import benchmark_spec
-from rarepred.cli import main
+from rarepred.cli import PipelineError, main, run
 from rarepred.config import (
     ConfigError,
     format_value,
@@ -384,3 +385,156 @@ class TestPipeline:
         assert "[report/metrics.csv]" in summary
         assert "Sensitivity" in summary
         assert "sha256=" in summary
+
+
+DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "demo.ini")
+
+
+def flip_digit(path):
+    """Change one digit in the middle of a file, keeping it parseable."""
+    data = bytearray(open(path, "rb").read())
+    i = len(data) // 2
+    while not chr(data[i]).isdigit():
+        i += 1
+    data[i] = ord("1") if data[i] != ord("1") else ord("2")
+    open(path, "wb").write(bytes(data))
+
+
+class TestVerifiedReads:
+    """Fault injection: a command refuses an artifact the manifest does not vouch for."""
+
+    def test_truncated_train_refused(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path, out=out)
+        assert run_cli(["all", "--config", cfg]) == 0
+        path = os.path.join(out, "train.csv")
+        os.truncate(path, os.path.getsize(path) // 2)
+        capsys.readouterr()
+        assert run_cli(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "train.csv no longer matches its sha256 in manifest.txt" in err
+
+    def test_flipped_byte_in_test_refused(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path, out=out)
+        assert run_cli(["all", "--config", cfg]) == 0
+        flip_digit(os.path.join(out, "test.csv"))
+        capsys.readouterr()
+        assert run_cli(["evaluate", "--config", cfg]) == 1
+        assert "test.csv" in capsys.readouterr().err
+
+    def test_unrecorded_best_params_refused(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        text = BASE.replace("cp = 0.005, 0.05", "cp = 0.01")
+        cfg = write_cfg(tmp_path, text, out=out)
+        for command in ("generate", "split", "preprocess"):
+            assert run_cli([command, "--config", cfg]) == 0, command
+        os.makedirs(os.path.join(out, "tune", "cart"))
+        with open(os.path.join(out, "tune", "cart", "best_params.txt"), "w") as fh:
+            fh.write("cp = 0.5\nmin_split_obs = 20\n")
+        capsys.readouterr()
+        assert run_cli(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "tune/cart/best_params.txt is not in manifest.txt" in err
+        assert not os.path.exists(os.path.join(out, "models", "cart.model"))
+
+    def test_report_embeds_only_recorded_tables(self, tmp_path):
+        out = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path, BASE[: BASE.index("[autoencoder]")], out=out)
+        assert run_cli(["all", "--config", cfg]) == 0
+        os.makedirs(os.path.join(out, "detect"))
+        with open(os.path.join(out, "detect", "band.txt"), "w") as fh:
+            fh.write("lo = 0.0\nhi = 1.0\n")
+        assert run_cli(["report", "--config", cfg]) == 0
+        summary = open(os.path.join(out, "report/summary.txt")).read()
+        assert "[report/metrics.csv]" in summary
+        assert "detect/band.txt" not in summary
+
+    @pytest.mark.parametrize("earlier_run", [False, True])
+    def test_crash_between_write_and_record(
+        self, tmp_path, monkeypatch, capsys, earlier_run
+    ):
+        out = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path, out=out)
+        assert run_cli(["all" if earlier_run else "generate", "--config", cfg]) == 0
+
+        def crash(self, rel, command, inputs):
+            raise RuntimeError("crashed before recording")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.Workspace, "record_artifact", crash)
+            assert run_cli(["split", "--config", cfg, "--seed", "6"]) == 2
+        capsys.readouterr()
+        assert run_cli(["preprocess", "--config", cfg]) == 1
+        why = "no longer matches its sha256 in" if earlier_run else "is not in"
+        assert f"train.csv {why} manifest.txt" in capsys.readouterr().err
+
+    def test_failed_manifest_replace_keeps_previous(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path, out=out)
+        assert run_cli(["all", "--config", cfg]) == 0
+        manifest = os.path.join(out, "manifest.txt")
+        before = open(manifest, "rb").read()
+
+        def fail(src, dst):
+            raise OSError("disk gone")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.os, "replace", fail)
+            assert run_cli(["split", "--config", cfg, "--seed", "6"]) == 2
+        assert open(manifest, "rb").read() == before
+        assert run_cli(["preprocess", "--config", cfg]) == 1
+
+
+class TestDatasetMemo:
+    def test_all_parses_each_split_file_once(self, tmp_path, monkeypatch):
+        parsed = []
+
+        def counting(path, *args, **kwargs):
+            parsed.append(os.path.basename(path))
+            return load_csv(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv", counting)
+        out = str(tmp_path / "out")
+        assert main(["all", "--config", DEMO_CONFIG, "--out", out]) == 0
+        assert parsed == ["data.csv", "train.csv", "test.csv"]
+
+    def test_rewrite_between_steps_refused(self, tmp_path, monkeypatch):
+        cfg = load_config(write_cfg(tmp_path))
+        tune = cli._COMMANDS["tune"]
+
+        def tune_then_rewrite(cfg, ws):
+            tune(cfg, ws)
+            assert any(key[0] == "train.csv" for key in ws.datasets)
+            path = os.path.join(ws.out_dir, "train.csv")
+            lines = open(path, "rb").read().splitlines(keepends=True)
+            open(path, "wb").write(b"".join(lines[:-1]))
+
+        monkeypatch.setitem(cli._COMMANDS, "tune", tune_then_rewrite)
+        with pytest.raises(PipelineError, match="train.csv no longer matches"):
+            run(cfg, "all")
+
+    def test_memoised_dataset_equals_fresh_parse(self, tmp_path, monkeypatch):
+        cfg = load_config(write_cfg(tmp_path))
+        seen = []
+        report = cli._COMMANDS["report"]
+
+        def report_and_keep(cfg, ws):
+            seen.append(ws)
+            report(cfg, ws)
+
+        monkeypatch.setitem(cli._COMMANDS, "report", report_and_keep)
+        run(cfg, "all")
+        ws = seen[0]
+        memo = [ds for key, ds in ws.datasets.items() if key[0] == "train.csv"]
+        assert len(memo) == 1
+        assert ws.dataset("train.csv", "split") is memo[0]
+        fresh = load_csv(
+            os.path.join(ws.out_dir, "train.csv"),
+            load_schema(os.path.join(ws.out_dir, "schema.txt")),
+        )
+        assert memo[0].features == fresh.features
+        assert memo[0].values.tobytes() == fresh.values.tobytes()
+        assert memo[0].labels.keys() == fresh.labels.keys()
+        for key, vec in fresh.labels.items():
+            assert memo[0].labels[key].tobytes() == vec.tobytes()
