@@ -8,16 +8,19 @@ failure.
 
 Every command writes its artifacts under the configured output directory
 and records them in ``manifest.txt``: a sorted key-value file carrying
-artifact SHA-256 hashes, the command and input artifacts behind each file,
-derived seeds, library versions, the effective configuration, and the
-train-only scaler statistics. Two runs with the same configuration and
-seed produce byte-identical artifacts and manifests; wall-clock timestamps
-live in ``timestamps.txt`` so they never break that.
+artifact SHA-256 hashes, the command and input artifacts behind each file
+with the inputs' hashes at the time, derived seeds, library versions, the
+effective configuration, and the train-only scaler statistics. Two runs
+with the same configuration and seed produce byte-identical artifacts and
+manifests; wall-clock timestamps live in ``timestamps.txt`` so they never
+break that.
 
 Every command reads its workspace inputs through one check: a file that is
 missing, not recorded, or whose sha256 no longer matches the manifest is
-refused with exit 1. A split file that passes is parsed once per command
-run, so ``rarepred all`` parses each of data.csv, train.csv and test.csv once.
+refused with exit 1, and so is one made from an input that has since been
+rewritten; ``report`` checks every artifact it lists. A split file that
+passes is parsed once per command run, so ``rarepred all`` parses each of
+data.csv, train.csv and test.csv once.
 
 The test split is written once by ``split`` and first read by ``evaluate``
 (then ``detect``); the manifest's per-artifact input lists make that
@@ -134,6 +137,11 @@ class Workspace:
         # "(none)" keeps every manifest value nonempty, so the file parses
         # back identically line by line
         self.entries[f"artifact.{rel}.inputs"] = ",".join(inputs) if inputs else "(none)"
+        self.entries[f"artifact.{rel}.input_hashes"] = self._input_hashes(inputs)
+
+    def _input_hashes(self, inputs: list[str]) -> str:
+        """The sha256s the manifest records for ``inputs`` now, in order."""
+        return ",".join(self.entries.get(f"artifact.{i}.sha256", "?") for i in inputs) or "(none)"
 
     def has_artifact(self, rel: str) -> bool:
         return f"artifact.{rel}.sha256" in self.entries
@@ -149,6 +157,15 @@ class Workspace:
             raise PipelineError(
                 f"artifact {rel} {why} {MANIFEST_NAME}; run '{producer}' again"
             )
+        # provenance by content: the inputs must still be the bytes rel was made from
+        listed = self.entries.get(f"artifact.{rel}.inputs", "(none)")
+        inputs = [] if listed == "(none)" else listed.split(",")
+        made_from = self.entries.get(f"artifact.{rel}.input_hashes", "").split(",")
+        for name, then, now in zip(inputs, made_from, self._input_hashes(inputs).split(",")):
+            if then != now:
+                raise PipelineError(
+                    f"artifact {rel} was made from an older {name}; run '{producer}' again"
+                )
         return full
 
     def dataset(self, rel: str, producer: str) -> Dataset:
@@ -459,20 +476,16 @@ def cmd_report(cfg: RunConfig, ws: Workspace) -> None:
     artifacts = [rel for rel in ws.artifacts() if rel != "report/summary.txt"]
     if not artifacts:
         raise PipelineError("nothing to report; run the pipeline first")
-    lines = ["run summary", "==========="]
-    lines.append("")
-    lines.append("[artifacts]")
+    lines = ["run summary", "===========", "", "[artifacts]"]
     for rel in artifacts:
+        ws.require_artifact(rel, ws.entries[f"artifact.{rel}.command"])
         lines.append(f"{rel}  sha256={ws.entries[f'artifact.{rel}.sha256']}")
-    inputs = []
-    for rel in ("report/metrics.csv", "detect/detect_metrics.csv", "detect/band.txt"):
-        if ws.has_artifact(rel):
-            lines.append("")
-            lines.append(f"[{rel}]")
-            producer = ws.entries[f"artifact.{rel}.command"]
-            with open(ws.require_artifact(rel, producer), encoding="utf-8") as fh:
-                lines.extend(fh.read().splitlines())
-            inputs.append(rel)
+    tables = ("report/metrics.csv", "detect/detect_metrics.csv", "detect/band.txt")
+    inputs = [rel for rel in tables if ws.has_artifact(rel)]
+    for rel in inputs:  # checked above with every other artifact
+        lines += ["", f"[{rel}]"]
+        with open(os.path.join(ws.out_dir, rel), encoding="utf-8") as fh:
+            lines.extend(fh.read().splitlines())
     with open(ws.path("report/summary.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     ws.record_artifact("report/summary.txt", "report", inputs)

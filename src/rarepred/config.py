@@ -8,6 +8,12 @@ stage knobs; each ``[model:<kind>]`` section lists a hyperparameter grid
 (comma-separated candidates, space-separated tuple entries); an optional
 ``[autoencoder]`` section configures anomaly detection.
 
+Each key of the fixed sections is declared once, in ``_SECTIONS``: its
+field, default, and the parser that types and bounds it. One reader applies
+the table, so an unknown key, an empty or a bad value fails with a
+``ConfigError`` that starts ``[section] key:``; ``load_config`` spells out
+only the rules that tie keys together. README's config reference lists it.
+
 Values are typed by shape: integers, floats, ``true``/``false``, bare
 strings, and space-separated tuples. ``format_value`` is the exact inverse
 of ``parse_value``, so artifacts that echo configuration (chosen grid
@@ -26,44 +32,14 @@ from .anomaly import (
 )
 from .benchmarks import BENCHMARKS, benchmark_spec
 from .dataset import load_schema
-from .neural import LOSSES
+from .neural import ACTIVATIONS, LOSSES
 from .preprocess import SCALER_METHODS
 from .tune import METRICS, _REGISTRY
 
 __all__ = [
-    "ConfigError",
-    "ModelGrid",
-    "AutoencoderConfig",
-    "RunConfig",
-    "parse_scalar",
-    "parse_value",
-    "parse_values",
-    "format_value",
-    "load_config",
+    "ConfigError", "ModelGrid", "AutoencoderConfig", "RunConfig", "parse_scalar",
+    "parse_value", "parse_values", "format_value", "load_config",
 ]
-
-_SECTION_KEYS = {
-    "run": ("seed", "out_dir", "label"),
-    "data": ("synth", "n", "csv", "schema", "missing"),
-    "split": ("fraction",),
-    "preprocess": ("scaler", "features"),
-    "tuning": ("k", "repeats", "subset_frac", "metric"),
-    "autoencoder": (
-        "features",
-        "hidden",
-        "activations",
-        "loss",
-        "activity_l2",
-        "epochs",
-        "batch_size",
-        "learning_rate",
-        "scaler",
-        "objective",
-        "band_lo",
-        "band_hi",
-        "error",
-    ),
-}
 
 
 class ConfigError(ValueError):
@@ -124,6 +100,137 @@ def format_value(value) -> str:
     return str(value)
 
 
+# Value parsers: each takes the stripped, nonempty text of one key and
+# returns its value or raises a ConfigError that _section prefixes.
+
+
+def _number(want: type, bound: str = "", ok=lambda value: True):
+    """An ``int`` or ``float`` (an int is accepted as a float) passing ``ok``."""
+    expected = f"expected {want.__name__} {bound}".rstrip()
+
+    def parse(text: str):
+        value = parse_scalar(text)
+        if want is float and type(value) is int:
+            value = float(value)
+        if type(value) is not want or not ok(value):
+            raise ConfigError(f"{expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _choice(options):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ConfigError(f"unknown value {text!r} (have {', '.join(options)})")
+        return text
+
+    return parse
+
+
+def _names(allowed=None):
+    """A comma-separated list of names, each one of ``allowed`` when given."""
+    check = _choice(allowed) if allowed is not None else str
+
+    def parse(text: str) -> tuple[str, ...]:
+        names = tuple(part.strip() for part in text.split(","))
+        if not all(names):
+            raise ConfigError(f"malformed name list {text!r}")
+        return tuple(check(name) for name in names)
+
+    return parse
+
+
+def _widths(text: str) -> tuple[int, ...]:
+    value = parse_value(text)
+    widths = value if isinstance(value, tuple) else (value,)
+    if not all(type(w) is int and w > 0 for w in widths):
+        raise ConfigError("widths must be positive integers")
+    return widths
+
+
+def _edge(text: str) -> float:
+    value = _number(float)(text)
+    if math.isnan(value):
+        raise ConfigError("band edges must not be nan")
+    return value
+
+
+_REQUIRED = object()  # default of a key that must be given
+
+# section -> {key: (field, default, parse)}; the fields of every section but
+# [autoencoder] are RunConfig's, those of [autoencoder] AutoencoderConfig's
+_SECTIONS = {
+    "run": {
+        "seed": ("seed", 0, _number(int)),
+        "out_dir": ("out_dir", _REQUIRED, str),
+        "label": ("label", _REQUIRED, str),
+    },
+    "data": {
+        "synth": ("synth", None, _choice(tuple(BENCHMARKS))),
+        "n": ("synth_n", None, _number(int, ">= 1", lambda v: v >= 1)),
+        "csv": ("csv", None, str),
+        "schema": ("schema", None, str),
+        "missing": ("missing", "error", _choice(("error", "impute"))),
+    },
+    "split": {
+        "fraction": ("fraction", 0.8, _number(float, "in (0, 1)", lambda v: 0 < v < 1)),
+    },
+    "preprocess": {
+        "scaler": ("scaler", "standardize", _choice(SCALER_METHODS)),
+        "features": ("scale_features", None, _names()),
+    },
+    "tuning": {
+        "k": ("k", 5, _number(int, ">= 2", lambda v: v >= 2)),
+        "repeats": ("repeats", 1, _number(int, ">= 1", lambda v: v >= 1)),
+        "subset_frac": ("subset_frac", 1.0, _number(float, "in (0, 1]", lambda v: 0 < v <= 1)),
+        "metric": ("metric", "auc", _choice(METRICS)),
+    },
+    "autoencoder": {
+        "features": ("features", DEFAULT_AUTOENCODER_FEATURES, _names()),
+        "hidden": ("hidden", DEFAULT_HIDDEN, _widths),
+        "activations": ("activations", DEFAULT_ACTIVATIONS, _names(ACTIVATIONS)),
+        "loss": ("loss", "cosine_proximity", _choice(LOSSES)),
+        "activity_l2": ("activity_l2", 1e-4, _number(float, ">= 0", lambda v: v >= 0)),
+        "epochs": ("epochs", 10, _number(int, ">= 1", lambda v: v >= 1)),
+        "batch_size": ("batch_size", 512, _number(int, ">= 1", lambda v: v >= 1)),
+        "learning_rate": ("learning_rate", 0.001, _number(float, "> 0", lambda v: v > 0)),
+        "scaler": ("scaler", "minmax", _choice(SCALER_METHODS)),
+        "objective": ("objective", "youden", _choice(OBJECTIVES)),
+        "band_lo": ("band_lo", None, _edge),
+        "band_hi": ("band_hi", math.inf, _edge),
+        "error": ("error", "l2", _choice(ERROR_KINDS)),
+    },
+}
+
+
+def _section(parser, name: str, given: dict | None = None) -> dict:
+    """Field values of section ``name``: ``given`` (when not None), else the
+    file's value, else the default. A key ``given`` fills is never parsed."""
+    table = _SECTIONS[name]
+    present = parser.options(name) if parser.has_section(name) else []
+    for key in present:
+        if key not in table:
+            raise ConfigError(f"[{name}] unknown key {key!r}")
+    values = {}
+    for key, (fld, default, parse) in table.items():
+        if given and given.get(fld) is not None:
+            values[fld] = given[fld]
+        elif key in present:
+            text = parser.get(name, key).strip()
+            try:
+                if not text:
+                    raise ConfigError("empty value")
+                values[fld] = parse(text)
+            except ConfigError as exc:
+                raise ConfigError(f"[{name}] {key}: {exc}") from None
+        elif default is _REQUIRED:
+            raise ConfigError(f"[{name}] {key}: required key is missing")
+        else:
+            values[fld] = default
+    return values
+
+
 @dataclass(frozen=True)
 class ModelGrid:
     """One model family with its hyperparameter candidates."""
@@ -133,29 +240,28 @@ class ModelGrid:
 
     def single_point(self) -> dict | None:
         """The grid's only point, or None when tuning must choose."""
-        point = {}
-        for key, values in self.grid.items():
-            if len(values) != 1:
-                return None
-            point[key] = values[0]
-        return point
+        if any(len(values) != 1 for values in self.grid.values()):
+            return None
+        return {key: values[0] for key, values in self.grid.items()}
 
 
 @dataclass(frozen=True)
 class AutoencoderConfig:
-    features: tuple[str, ...] = DEFAULT_AUTOENCODER_FEATURES
-    hidden: tuple[int, ...] = DEFAULT_HIDDEN
-    activations: tuple[str, ...] = DEFAULT_ACTIVATIONS
-    loss: str = "cosine_proximity"
-    activity_l2: float = 1e-4
-    epochs: int = 10
-    batch_size: int = 512
-    learning_rate: float = 0.001
-    scaler: str = "minmax"
-    objective: str | None = "youden"
-    band_lo: float | None = None
-    band_hi: float = float("inf")
-    error: str = "l2"
+    """The ``[autoencoder]`` section; its defaults live in ``_SECTIONS``."""
+
+    features: tuple[str, ...]
+    hidden: tuple[int, ...]
+    activations: tuple[str, ...]
+    loss: str
+    activity_l2: float
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    scaler: str
+    objective: str | None
+    band_lo: float | None
+    band_hi: float
+    error: str
 
 
 @dataclass(frozen=True)
@@ -189,127 +295,14 @@ class RunConfig:
         return load_schema(self.schema)
 
 
-def _get(parser, section, key, fallback=None):
-    if parser.has_option(section, key):
-        return parser.get(section, key).strip()
-    return fallback
-
-
-def _require(parser, section, key) -> str:
-    value = _get(parser, section, key)
-    if value is None or value == "":
-        raise ConfigError(f"[{section}] {key} is required")
-    return value
-
-
-def _typed(section: str, key: str, text: str, want: type):
-    value = parse_scalar(text)
-    if want is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, want) or isinstance(value, bool) is not (want is bool):
-        raise ConfigError(f"[{section}] {key}: expected {want.__name__}, got {text!r}")
-    return value
-
-
-def _names(text: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in text.split(","))
-    if any(not name for name in names):
-        raise ConfigError(f"malformed name list {text!r}")
-    return names
-
-
-def _check_keys(parser, section: str) -> None:
-    allowed = _SECTION_KEYS[section]
-    for key in parser.options(section):
-        if key not in allowed:
-            raise ConfigError(f"[{section}] unknown key {key!r}")
-
-
-def _parse_autoencoder(parser) -> AutoencoderConfig:
-    section = "autoencoder"
-    _check_keys(parser, section)
-    defaults = AutoencoderConfig()
-    features = defaults.features
-    if _get(parser, section, "features"):
-        features = _names(parser.get(section, "features"))
-    hidden = defaults.hidden
-    if _get(parser, section, "hidden"):
-        value = parse_value(parser.get(section, "hidden"))
-        hidden = value if isinstance(value, tuple) else (value,)
-        if not all(isinstance(w, int) and w > 0 for w in hidden):
-            raise ConfigError("[autoencoder] hidden: widths must be positive integers")
-    activations = defaults.activations
-    if _get(parser, section, "activations"):
-        activations = _names(parser.get(section, "activations"))
-    if len(activations) != len(hidden) + 1:
-        raise ConfigError(
-            f"[autoencoder] activations: need {len(hidden) + 1} entries, got {len(activations)}"
-        )
-    objective: str | None = defaults.objective
-    if _get(parser, section, "objective"):
-        objective = parser.get(section, "objective").strip()
-        if objective not in OBJECTIVES:
-            raise ConfigError(f"[autoencoder] objective: unknown objective {objective!r}")
-    band_lo = None
-    if _get(parser, section, "band_lo"):
-        band_lo = _typed(section, "band_lo", parser.get(section, "band_lo"), float)
-        if parser.has_option(section, "objective"):
-            raise ConfigError("[autoencoder] band_lo and objective are mutually exclusive")
-        objective = None
-    band_hi = defaults.band_hi
-    if _get(parser, section, "band_hi"):
-        text = parser.get(section, "band_hi").strip()
-        band_hi = float("inf") if text == "inf" else _typed(section, "band_hi", text, float)
-    for key, edge in (("band_lo", band_lo), ("band_hi", band_hi)):
-        if edge is not None and math.isnan(edge):
-            raise ConfigError(f"[autoencoder] {key}: band edges must not be nan")
-    if band_lo is not None and band_lo > band_hi:
-        raise ConfigError("[autoencoder] band_lo must not exceed band_hi")
-    scaler = _get(parser, section, "scaler", defaults.scaler)
-    if scaler not in SCALER_METHODS:
-        raise ConfigError(f"[autoencoder] scaler: unknown method {scaler!r}")
-    error = _get(parser, section, "error", defaults.error)
-    if error not in ERROR_KINDS:
-        raise ConfigError(f"[autoencoder] error: unknown error kind {error!r}")
-    loss = _get(parser, section, "loss", defaults.loss)
-    if loss not in LOSSES:
-        raise ConfigError(f"[autoencoder] loss: unknown loss {loss!r}")
-    return AutoencoderConfig(
-        features=features,
-        hidden=hidden,
-        activations=activations,
-        loss=loss,
-        activity_l2=_typed(
-            section, "activity_l2",
-            _get(parser, section, "activity_l2", format_value(defaults.activity_l2)), float,
-        ),
-        epochs=_typed(section, "epochs", _get(parser, section, "epochs", "10"), int),
-        batch_size=_typed(
-            section, "batch_size", _get(parser, section, "batch_size", "512"), int,
-        ),
-        learning_rate=_typed(
-            section, "learning_rate", _get(parser, section, "learning_rate", "0.001"), float,
-        ),
-        scaler=scaler,
-        objective=objective,
-        band_lo=band_lo,
-        band_hi=band_hi,
-        error=error,
-    )
-
-
-def load_config(
-    path: str, out_dir: str | None = None, seed: int | None = None
-) -> RunConfig:
+def load_config(path: str, out_dir: str | None = None, seed: int | None = None) -> RunConfig:
     """Parse and validate a run configuration file.
 
     ``out_dir`` and ``seed`` override the file when given (the command-line
     flags). Every referenced feature and label is checked against the
     configured data source, so a bad name fails here rather than mid-run.
     """
-    parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#",), interpolation=None
-    )
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str
     try:
         with open(path, encoding="utf-8") as fh:
@@ -321,124 +314,66 @@ def load_config(
 
     models: list[ModelGrid] = []
     for section in parser.sections():
-        if section.startswith("model:"):
-            kind = section.split(":", 1)[1]
-            if kind not in _REGISTRY:
+        if not section.startswith("model:"):
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown section [{section}]")
+            continue
+        kind = section.split(":", 1)[1]
+        if kind not in _REGISTRY:
+            raise ConfigError(
+                f"[{section}] unknown model kind {kind!r} (have {', '.join(_REGISTRY)})"
+            )
+        if any(m.kind == kind for m in models):
+            raise ConfigError(f"[{section}] duplicate model section")
+        params = _REGISTRY[kind].params
+        grid: dict[str, list] = {}
+        for key in parser.options(section):
+            if key not in params:
                 raise ConfigError(
-                    f"[{section}] unknown model kind {kind!r}"
-                    f" (have {', '.join(_REGISTRY)})"
+                    f"[{section}] unknown hyperparameter {key!r} (have {', '.join(params)})"
                 )
-            if any(m.kind == kind for m in models):
-                raise ConfigError(f"[{section}] duplicate model section")
-            params = _REGISTRY[kind].params
-            grid: dict[str, list] = {}
-            for key in parser.options(section):
-                if key not in params:
-                    raise ConfigError(
-                        f"[{section}] unknown hyperparameter {key!r}"
-                        f" (have {', '.join(params)})"
-                    )
-                grid[key] = parse_values(parser.get(section, key))
-            models.append(ModelGrid(kind=kind, grid=grid))
-        elif section not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        else:
-            _check_keys(parser, section)
-
+            grid[key] = parse_values(parser.get(section, key))
+        models.append(ModelGrid(kind=kind, grid=grid))
     for required in ("run", "data"):
         if not parser.has_section(required):
             raise ConfigError(f"missing section [{required}]")
 
-    synth = _get(parser, "data", "synth")
-    csv_path = _get(parser, "data", "csv")
-    schema_path = _get(parser, "data", "schema")
-    if (synth is None) == (csv_path is None):
+    fields: dict = {}
+    for name in _SECTIONS:
+        if name != "autoencoder":
+            fields.update(_section(parser, name, {"seed": seed, "out_dir": out_dir}))
+    if (fields["synth"] is None) == (fields["csv"] is None):
         raise ConfigError("[data] exactly one of synth or csv must be set")
-    if synth is not None and synth not in BENCHMARKS:
-        raise ConfigError(
-            f"[data] synth: unknown benchmark {synth!r}"
-            f" (have {', '.join(sorted(BENCHMARKS))})"
-        )
-    if csv_path is not None and schema_path is None:
+    if fields["csv"] is not None and fields["schema"] is None:
         raise ConfigError("[data] schema is required with csv")
-    if synth is not None and schema_path is not None:
-        raise ConfigError("[data] schema only applies to csv sources")
-    synth_n = None
-    if _get(parser, "data", "n"):
-        if synth is None:
-            raise ConfigError("[data] n only applies to synth sources")
-        synth_n = _typed("data", "n", parser.get("data", "n"), int)
-        if synth_n < 1:
-            raise ConfigError("[data] n must be >= 1")
-    missing = _get(parser, "data", "missing", "error")
-    if missing not in ("error", "impute"):
-        raise ConfigError(f"[data] missing: unknown policy {missing!r}")
-    if missing != "error" and synth is not None:
-        raise ConfigError("[data] missing only applies to csv sources")
+    source = "synth" if fields["synth"] is not None else "csv"
+    for key, only in (("schema", "csv"), ("n", "synth"), ("missing", "csv")):
+        if parser.has_option("data", key) and source != only:
+            raise ConfigError(f"[data] {key} only applies to {only} sources")
 
-    if seed is None:
-        seed = _typed("run", "seed", _get(parser, "run", "seed", "0"), int)
-    if out_dir is None:
-        out_dir = _require(parser, "run", "out_dir")
-    label = _require(parser, "run", "label")
-
-    fraction = _typed("split", "fraction", _get(parser, "split", "fraction", "0.8"), float) \
-        if parser.has_section("split") else 0.8
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError("[split] fraction must lie strictly between 0 and 1")
-
-    scaler = "standardize"
-    scale_features: tuple[str, ...] | None = None
-    if parser.has_section("preprocess"):
-        scaler = _get(parser, "preprocess", "scaler", scaler)
-        if _get(parser, "preprocess", "features"):
-            scale_features = _names(parser.get("preprocess", "features"))
-    if scaler not in SCALER_METHODS:
-        raise ConfigError(f"[preprocess] scaler: unknown method {scaler!r}")
-
-    k, repeats, subset_frac, metric = 5, 1, 1.0, "auc"
-    if parser.has_section("tuning"):
-        k = _typed("tuning", "k", _get(parser, "tuning", "k", "5"), int)
-        repeats = _typed("tuning", "repeats", _get(parser, "tuning", "repeats", "1"), int)
-        subset_frac = _typed(
-            "tuning", "subset_frac", _get(parser, "tuning", "subset_frac", "1.0"), float
-        )
-        metric = _get(parser, "tuning", "metric", metric)
-    if k < 2:
-        raise ConfigError("[tuning] k must be >= 2")
-    if repeats < 1:
-        raise ConfigError("[tuning] repeats must be >= 1")
-    if not 0.0 < subset_frac <= 1.0:
-        raise ConfigError("[tuning] subset_frac must lie in (0, 1]")
-    if metric not in METRICS:
-        raise ConfigError(
-            f"[tuning] metric: unknown metric {metric!r} (have {', '.join(METRICS)})"
-        )
-
-    autoencoder = _parse_autoencoder(parser) if parser.has_section("autoencoder") else None
+    autoencoder = None
+    if parser.has_section("autoencoder"):
+        ae = _section(parser, "autoencoder")
+        if len(ae["activations"]) != len(ae["hidden"]) + 1:
+            raise ConfigError(
+                f"[autoencoder] activations: need {len(ae['hidden']) + 1} entries,"
+                f" got {len(ae['activations'])}"
+            )
+        if ae["band_lo"] is not None:
+            if parser.has_option("autoencoder", "objective"):
+                raise ConfigError("[autoencoder] band_lo and objective are mutually exclusive")
+            if ae["band_lo"] > ae["band_hi"]:
+                raise ConfigError("[autoencoder] band_lo must not exceed band_hi")
+            ae["objective"] = None
+        autoencoder = AutoencoderConfig(**ae)
     if not models and autoencoder is None:
         raise ConfigError("configure at least one [model:<kind>] or [autoencoder] section")
 
-    raw = {s: dict(parser.items(s)) for s in parser.sections()}
     cfg = RunConfig(
-        seed=seed,
-        out_dir=out_dir,
-        label=label,
-        synth=synth,
-        synth_n=synth_n,
-        csv=csv_path,
-        schema=schema_path,
-        missing=missing,
-        fraction=fraction,
-        scaler=scaler,
-        scale_features=scale_features,
-        k=k,
-        repeats=repeats,
-        subset_frac=subset_frac,
-        metric=metric,
+        **fields,
         models=tuple(models),
         autoencoder=autoencoder,
-        raw=raw,
+        raw={s: dict(parser.items(s)) for s in parser.sections()},
     )
     _check_columns(cfg)
     return cfg

@@ -13,6 +13,7 @@ from rarepred import cli
 from rarepred.benchmarks import benchmark_spec
 from rarepred.cli import PipelineError, main, run
 from rarepred.config import (
+    _SECTIONS,
     ConfigError,
     format_value,
     load_config,
@@ -188,6 +189,133 @@ class TestLoadConfig:
         text = text[: text.index("[autoencoder]")]
         with pytest.raises(ConfigError, match="at least one"):
             load_config(write_cfg(tmp_path, text))
+
+
+def set_key(text, section, key, value):
+    """``text`` with ``key = value`` as the only ``key`` line of ``[section]``."""
+    lines, out, current = text.splitlines(), [], None
+    for line in lines:
+        if line.startswith("["):
+            current = line.strip("[]")
+        elif current == section and line.partition("=")[0].strip() == key:
+            continue
+        out.append(line)
+        if line == f"[{section}]":
+            out.append(f"{key} = {value}")
+    if f"[{section}]" not in lines:
+        out += [f"[{section}]", f"{key} = {value}"]
+    return "\n".join(out) + "\n"
+
+
+def csv_base(tmp_path):
+    """BASE reading a CSV/schema pair instead of a synthetic benchmark."""
+    ds = synth_generate(benchmark_spec("interaction", n=300, seed=2))
+    write_csv(str(tmp_path / "d.csv"), ds)
+    write_schema(str(tmp_path / "s.txt"), ds)
+    return BASE.replace(
+        "synth = interaction\nn = 600",
+        f"csv = {tmp_path / 'd.csv'}\nschema = {tmp_path / 's.txt'}",
+    )
+
+
+# one accepted value per table key, with the field value it must load as;
+# a key added to _SECTIONS without an entry here fails the tests below
+VALID = {
+    ("run", "seed"): ("11", 11),
+    ("run", "out_dir"): ("elsewhere", "elsewhere"),
+    ("run", "label"): ("outcome", "outcome"),
+    ("data", "synth"): ("anomaly", "anomaly"),
+    ("data", "n"): ("700", 700),
+    ("data", "csv"): (None, None),
+    ("data", "schema"): (None, None),
+    ("data", "missing"): ("impute", "impute"),
+    ("split", "fraction"): ("0.7", 0.7),
+    ("preprocess", "scaler"): ("minmax", "minmax"),
+    ("preprocess", "features"): ("sim.past, many_field", ("sim.past", "many_field")),
+    ("tuning", "k"): ("3", 3),
+    ("tuning", "repeats"): ("2", 2),
+    ("tuning", "subset_frac"): ("1", 1.0),
+    ("tuning", "metric"): ("kappa", "kappa"),
+    ("autoencoder", "features"): ("sim.past, sim.present", ("sim.past", "sim.present")),
+    ("autoencoder", "hidden"): ("5 3 3", (5, 3, 3)),
+    ("autoencoder", "activations"): ("relu, relu, linear, sigmoid",
+                                     ("relu", "relu", "linear", "sigmoid")),
+    ("autoencoder", "loss"): ("mse", "mse"),
+    ("autoencoder", "activity_l2"): ("0", 0.0),
+    ("autoencoder", "epochs"): ("2", 2),
+    ("autoencoder", "batch_size"): ("64", 64),
+    ("autoencoder", "learning_rate"): ("0.01", 0.01),
+    ("autoencoder", "scaler"): ("standardize", "standardize"),
+    ("autoencoder", "objective"): ("f1", "f1"),
+    ("autoencoder", "band_lo"): ("0.5", 0.5),
+    ("autoencoder", "band_hi"): ("inf", float("inf")),
+    ("autoencoder", "error"): ("squared_l2", "squared_l2"),
+}
+TABLE_KEYS = [(section, key) for section, keys in _SECTIONS.items() for key in keys]
+CSV_KEYS = {("data", "csv"), ("data", "schema"), ("data", "missing")}
+
+
+class TestSectionTable:
+    @pytest.mark.parametrize("section,key", TABLE_KEYS)
+    def test_valid_value_loads(self, tmp_path, section, key):
+        base = csv_base(tmp_path) if (section, key) in CSV_KEYS else BASE
+        text, want = VALID[(section, key)]
+        if text is None:  # a file csv_base wrote
+            text = want = str(tmp_path / {"csv": "d.csv", "schema": "s.txt"}[key])
+        cfg = load_config(write_cfg(tmp_path, set_key(base, section, key, text)))
+        field = _SECTIONS[section][key][0]
+        assert getattr(cfg.autoencoder if section == "autoencoder" else cfg, field) == want
+
+    @pytest.mark.parametrize("section,key", TABLE_KEYS)
+    def test_empty_value_refused(self, tmp_path, section, key):
+        base = csv_base(tmp_path) if (section, key) in CSV_KEYS else BASE
+        text = set_key(base, section, key, "")
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: empty value$"):
+            load_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("key,value,want", [
+        ("epochs", "0", "expected int >= 1, got '0'"),
+        ("batch_size", "0", "expected int >= 1, got '0'"),
+        ("activity_l2", "-0.1", "expected float >= 0, got '-0.1'"),
+        ("learning_rate", "0", "expected float > 0, got '0'"),
+        ("learning_rate", "-0.001", "expected float > 0, got '-0.001'"),
+        ("activations", "tanh, bogus, tanh, relu", "unknown value 'bogus'"),
+    ])
+    def test_library_bounds_refused_at_load(self, tmp_path, capsys, key, value, want):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, set_key(BASE, "autoencoder", key, value), out=str(out))
+        assert run_cli(["all", "--config", cfg]) == 1
+        assert f"config error: [autoencoder] {key}: {want}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_seed_ignored_under_override(self, tmp_path):
+        text = set_key(BASE, "run", "seed", "many")
+        with pytest.raises(ConfigError, match=r"^\[run\] seed: expected int, got 'many'$"):
+            load_config(write_cfg(tmp_path, text))
+        assert load_config(write_cfg(tmp_path, text), seed=3).seed == 3
+
+    def test_out_dir_required_unless_overridden(self, tmp_path):
+        text = BASE.replace("out_dir = {out}\n", "")
+        with pytest.raises(ConfigError, match=r"^\[run\] out_dir: required key is missing$"):
+            load_config(write_cfg(tmp_path, text))
+        assert load_config(write_cfg(tmp_path, text), out_dir="o").out_dir == "o"
+
+    def test_readme_lists_every_key(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        text = open(readme, encoding="utf-8").read()
+        table = text[text.index("## Config reference"):]
+        table = table[: table.index("\n## ", 1)]
+        rows = {}
+        for line in table.splitlines():
+            cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 4:
+                rows[(cells[0], cells[1])] = cells[2]
+        assert sorted(rows) == sorted(TABLE_KEYS)
+        for (section, key), (_, default, _) in (
+            ((s, k), _SECTIONS[s][k]) for s, k in TABLE_KEYS
+        ):
+            if isinstance(default, (int, float, str)):
+                assert rows[(section, key)] == format_value(default), (section, key)
 
 
 def run_cli(args):
@@ -449,6 +577,41 @@ class TestVerifiedReads:
         summary = open(os.path.join(out, "report/summary.txt")).read()
         assert "[report/metrics.csv]" in summary
         assert "detect/band.txt" not in summary
+
+    def test_report_refuses_tampered_artifact(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path, out=out)
+        assert run_cli(["all", "--config", cfg]) == 0
+        with open(os.path.join(out, "models", "logit.model"), "a") as fh:
+            fh.write("\n")
+        capsys.readouterr()
+        assert run_cli(["report", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "models/logit.model no longer matches its sha256 in manifest.txt" in err
+
+    def test_artifact_from_older_input_refused(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        cfg = write_cfg(tmp_path, out=out)
+        assert run_cli(["all", "--config", cfg]) == 0
+        assert run_cli(["split", "--config", cfg, "--seed", "6"]) == 0
+        capsys.readouterr()
+        assert run_cli(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "scaler.txt was made from an older train.csv; run 'preprocess' again" in err
+        assert run_cli(["report", "--config", cfg]) == 1
+        entries = manifest_entries(out)
+        hashes = [entries[f"artifact.{rel}.sha256"] for rel in ("train.csv", "schema.txt")]
+        assert entries["artifact.scaler.txt.inputs"] == "train.csv,schema.txt"
+        assert entries["artifact.scaler.txt.input_hashes"] != ",".join(hashes)
+        assert entries["artifact.data.csv.input_hashes"] == "(none)"
+        assert run_cli(["preprocess", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert run_cli(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "tune/logit/best_params.txt was made from an older train.csv" in err
+        for command in ("tune", "train"):
+            assert run_cli([command, "--config", cfg]) == 0, command
+        assert manifest_entries(out)["artifact.scaler.txt.input_hashes"] == ",".join(hashes)
 
     @pytest.mark.parametrize("earlier_run", [False, True])
     def test_crash_between_write_and_record(
