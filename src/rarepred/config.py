@@ -376,6 +376,11 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
         raw={s: dict(parser.items(s)) for s in parser.sections()},
     )
     _check_columns(cfg)
+    if autoencoder is not None and min(autoencoder.hidden) >= len(autoencoder.features):
+        raise ConfigError(
+            f"[autoencoder] hidden: bottleneck width {min(autoencoder.hidden)} must be smaller"
+            f" than the {len(autoencoder.features)} features"
+        )
     return cfg
 
 

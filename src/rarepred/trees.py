@@ -12,7 +12,9 @@ the left subtree grows first.
 Tie-breaking is fully specified so fits are reproducible down to the bit:
 among equal-gain splits the lowest feature index wins, then the lowest
 threshold. A single tree depends only on the data as a multiset, never on
-row order; forests are deterministic in (data, seed).
+row order; forests are deterministic in (data, seed). A forest's trees are
+split over the CPUs the process may use, one forked process per share; each
+tree draws only from its own seed, so the split cannot change a bit.
 
 Both also share one router. A call lays its trees end to end in one arena,
 where each leaf is its own child on both sides, and steps all (row, tree)
@@ -22,6 +24,9 @@ pairs of a chunk of rows down one level at a time.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,16 +35,8 @@ from .dataset import Dataset, DatasetError
 from .rng import child_seed, generator
 
 __all__ = [
-    "gini",
-    "DecisionTree",
-    "ForestHyper",
-    "Forest",
-    "fit_cart",
-    "predict_tree",
-    "fit_forest",
-    "predict_forest",
-    "variable_importance",
-    "render_tree",
+    "gini", "DecisionTree", "ForestHyper", "Forest", "fit_cart", "predict_tree", "fit_forest",
+    "predict_forest", "variable_importance", "render_tree",
 ]
 
 
@@ -328,6 +325,10 @@ def fit_forest(
     order-independent. Nodes with fewer than ``min_node`` rows (or pure
     nodes) become leaves; every split needs strictly positive gain. At each
     split ``mtry`` features are sampled without replacement.
+
+    Tree t is fitted in share ``t % P`` of P processes, one per usable CPU
+    (see ``_fit_shares``); since a tree reads nothing but the data and its
+    own seed, the forest is the same bit for bit at any CPU count.
     """
     names, X = ds.columns(features)
     y = ds.label(label)
@@ -336,27 +337,65 @@ def fit_forest(
     if mtry > k:
         raise DatasetError(f"mtry {mtry} exceeds feature count {k}")
 
-    trees: list[DecisionTree] = []
-    for t in range(hyper.n_trees):
+    def fit(t: int) -> DecisionTree:
         rng = generator(child_seed(hyper.seed, "tree", t))
-        if hyper.bootstrap:
-            sample = np.sort(rng.integers(0, n, size=n))
-        else:
-            sample = np.arange(n, dtype=np.int64)
+        sample = np.sort(rng.integers(0, n, size=n)) if hyper.bootstrap else np.arange(n)
         nodes = _grow(
-            X,
-            y,
-            sample,
-            mtry,
-            min_rows=max(2, hyper.min_node),
-            min_child=1,
-            admit=lambda gain: gain > 0.0,
-            rng=rng,
-            extratrees=hyper.split_rule == "extratrees",
+            X, y, sample, mtry, min_rows=max(2, hyper.min_node), min_child=1,
+            admit=lambda gain: gain > 0.0, rng=rng, extratrees=hyper.split_rule == "extratrees",
         )
         root_gini = _binary_gini(float(y[sample].sum()), sample.size)
-        trees.append(DecisionTree(names, *nodes, root_gini, 0.0, 1))
-    return Forest(feature_names=names, trees=trees, hyper=hyper)
+        return DecisionTree(names, *nodes, root_gini, 0.0, 1)
+
+    return Forest(feature_names=names, trees=_fit_shares(fit, hyper.n_trees), hyper=hyper)
+
+
+def _fit_shares(fit, n: int) -> list[DecisionTree]:
+    """``[fit(t) for t in range(n)]``, with tree t fitted by share ``t % P``.
+
+    P is the count of CPUs this process may run on, at most ``n``. The caller
+    fits share 0 and a forked helper each other share, which it pickles into a
+    pipe. A failed share raises here; helpers still running are then killed.
+    Every helper is reaped and every pipe closed before this returns.
+    """
+    usable = hasattr(os, "fork") and getattr(os, "sched_getaffinity", None)
+    p = min(len(usable(0)), n) if usable else 1
+    pipes, pids = [], []  # read ends, and the helpers not yet reaped, by share
+    try:
+        for share in range(1, p):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as out:
+                pid = os.fork()
+                if pid == 0:  # the helper leaves by os._exit: no atexit hook, no stdio flush
+                    status = 1
+                    try:
+                        try:
+                            result = [fit(t) for t in range(share, n, p)]
+                        except Exception as exc:  # noqa: BLE001 - the caller raises it again
+                            result = exc
+                        pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                        out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+        shares = [[fit(t) for t in range(0, n, p)]]
+        for pipe in pipes:
+            payload, status = pipe.read(), os.waitpid(pids[0], 0)[1]
+            pid = pids.pop(0)
+            if status or not payload:
+                raise RuntimeError(f"forest helper {pid} failed with wait status {status}")
+            shares.append(pickle.loads(payload))
+            if isinstance(shares[-1], Exception):
+                raise shares[-1]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[t % p][t // p] for t in range(n)]
 
 
 def predict_forest(forest: Forest, ds: Dataset) -> np.ndarray:

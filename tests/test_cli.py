@@ -1,6 +1,7 @@
 """Configuration parsing and the batch pipeline front end."""
 
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import rarepred
-from rarepred import cli
+from rarepred import anomaly, cli
 from rarepred.benchmarks import benchmark_spec
 from rarepred.cli import PipelineError, main, run
 from rarepred.config import (
@@ -236,7 +237,8 @@ VALID = {
     ("tuning", "repeats"): ("2", 2),
     ("tuning", "subset_frac"): ("1", 1.0),
     ("tuning", "metric"): ("kappa", "kappa"),
-    ("autoencoder", "features"): ("sim.past, sim.present", ("sim.past", "sim.present")),
+    ("autoencoder", "features"): ("sim.past, sim.present, npl_cits, bwd_cits, claims_bwd",
+                                  ("sim.past", "sim.present", "npl_cits", "bwd_cits", "claims_bwd")),
     ("autoencoder", "hidden"): ("5 3 3", (5, 3, 3)),
     ("autoencoder", "activations"): ("relu, relu, linear, sigmoid",
                                      ("relu", "relu", "linear", "sigmoid")),
@@ -287,6 +289,40 @@ class TestSectionTable:
         assert run_cli(["all", "--config", cfg]) == 1
         assert f"config error: [autoencoder] {key}: {want}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("settings,want", [
+        ({"hidden": "12 12 12"}, "width 12 must be smaller than the 11 features"),
+        ({"features": "sim.past, sim.present, bwd_cits", "hidden": "11 3 11"},
+         "width 3 must be smaller than the 3 features"),
+        ({"features": "sim.past, sim.present"}, "width 4 must be smaller than the 2 features"),
+    ])
+    def test_bottleneck_refused_at_load(self, tmp_path, capsys, settings, want):
+        out, text = tmp_path / "out", BASE
+        for key, value in settings.items():
+            text = set_key(text, "autoencoder", key, value)
+        cfg = write_cfg(tmp_path, text, out=str(out))
+        assert run_cli(["all", "--config", cfg]) == 1
+        assert f"config error: [autoencoder] hidden: bottleneck {want}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_autoencoder_defaults_match_library(self):
+        # the library's own keyword defaults must agree with the config table;
+        # features is left out: the library's None means every feature column
+        params = {
+            **inspect.signature(anomaly.train_autoencoder).parameters,
+            "objective": inspect.signature(anomaly.calibrate_band).parameters["objective"],
+        }
+        renamed = {"learning_rate": "lr", "loss": "loss_name"}
+        shared = {
+            key: default for key, (_, default, _) in _SECTIONS["autoencoder"].items()
+            if renamed.get(key, key) in params and key != "features"
+        }
+        assert set(shared) == {
+            "hidden", "activations", "loss", "activity_l2", "epochs", "batch_size",
+            "learning_rate", "objective",
+        }
+        for key, default in shared.items():
+            assert params[renamed.get(key, key)].default == default, key
 
     def test_bad_seed_ignored_under_override(self, tmp_path):
         text = set_key(BASE, "run", "seed", "many")

@@ -1,6 +1,9 @@
 """CART growth, forest bagging, importance, and determinism guarantees."""
 
 import math
+import os
+import signal
+import time
 from unittest import mock
 
 import numpy as np
@@ -25,7 +28,9 @@ from rarepred.trees import (
     variable_importance,
 )
 from rarepred.serialize import load_model, save_model
-from rarepred.trees import _best_midpoint_split, _binary_gini, _route, _uniform_cut_split
+from rarepred.trees import (
+    _best_midpoint_split, _binary_gini, _grow, _route, _uniform_cut_split,
+)
 
 
 def array_dataset(X, y, names=None):
@@ -369,6 +374,43 @@ def fit_forest_oracle(
     return Forest(feature_names=names, trees=trees, hyper=hyper)
 
 
+def fit_forest_serial(
+    ds: Dataset,
+    label: str,
+    hyper: ForestHyper,
+    features: list[str] | tuple[str, ...] | None = None,
+) -> Forest:
+    """fit_forest as it was before its trees were split over processes."""
+    names, X = ds.columns(features)
+    y = ds.label(label)
+    n, k = X.shape
+    mtry = hyper.mtry if hyper.mtry is not None else max(1, int(math.isqrt(k)))
+    if mtry > k:
+        raise DatasetError(f"mtry {mtry} exceeds feature count {k}")
+
+    trees: list[DecisionTree] = []
+    for t in range(hyper.n_trees):
+        rng = generator(child_seed(hyper.seed, "tree", t))
+        if hyper.bootstrap:
+            sample = np.sort(rng.integers(0, n, size=n))
+        else:
+            sample = np.arange(n, dtype=np.int64)
+        nodes = _grow(
+            X,
+            y,
+            sample,
+            mtry,
+            min_rows=max(2, hyper.min_node),
+            min_child=1,
+            admit=lambda gain: gain > 0.0,
+            rng=rng,
+            extratrees=hyper.split_rule == "extratrees",
+        )
+        root_gini = _binary_gini(float(y[sample].sum()), sample.size)
+        trees.append(DecisionTree(names, *nodes, root_gini, 0.0, 1))
+    return Forest(feature_names=names, trees=trees, hyper=hyper)
+
+
 def tie_heavy_dataset(rng):
     """Integer, binary, quarter-step and rounded columns with duplicated rows."""
     n = int(rng.integers(20, 300))
@@ -642,6 +684,105 @@ class TestGrowOracle:
             assert_same_trees(
                 fit_forest(ds, "y", hyper).trees, fit_forest_oracle(ds, "y", hyper).trees
             )
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the helpers forked during the test."""
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+def report_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedShares:
+    """Forests fitted over forked helpers against the serial tree loop."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 5])
+    @pytest.mark.parametrize("mtry", [2, 3])  # 3 is every feature
+    @pytest.mark.parametrize("split_rule", ["gini", "extratrees"])
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_matches_serial(self, monkeypatch, forks, cpus, n_trees, mtry, split_rule, bootstrap):
+        ds = blob_dataset(41, n=300)
+        hyper = ForestHyper(
+            n_trees=n_trees, mtry=mtry, min_node=5, split_rule=split_rule, seed=n_trees,
+            bootstrap=bootstrap,
+        )
+        report_cpus(monkeypatch, cpus)
+        got = fit_forest(ds, "y", hyper)
+        assert len(forks) == min(cpus, n_trees) - 1
+        want = fit_forest_serial(ds, "y", hyper)
+        assert got.feature_names == want.feature_names and got.hyper == want.hyper
+        assert_same_trees(got.trees, want.trees)
+        assert_no_child_left()
+
+    def test_usable_cpus_by_default(self, forks):
+        ds = blob_dataset(42, n=200)
+        hyper = ForestHyper(n_trees=4, min_node=10, seed=2)
+        assert_same_trees(fit_forest(ds, "y", hyper).trees, fit_forest_serial(ds, "y", hyper).trees)
+        assert len(forks) == min(len(os.sched_getaffinity(0)), 4) - 1
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_serial_without_fork_or_affinity(self, monkeypatch, forks, missing):
+        report_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, missing)
+        ds = blob_dataset(43, n=200)
+        hyper = ForestHyper(n_trees=3, min_node=10, seed=3)
+        assert_same_trees(fit_forest(ds, "y", hyper).trees, fit_forest_serial(ds, "y", hyper).trees)
+        assert forks == []
+
+    @pytest.mark.parametrize("where", ["helper", "caller", "helper exit"])
+    def test_failed_share_raises_and_leaves_nothing(self, monkeypatch, forks, where):
+        caller, grow, waitpid, statuses = os.getpid(), trees._grow, os.waitpid, []
+
+        def failing_grow(*args, **kwargs):
+            in_helper = os.getpid() != caller
+            if in_helper and where == "helper exit":
+                os._exit(3)
+            if in_helper == (where != "caller"):
+                raise DatasetError(f"grow failed in the {where}")
+            if in_helper:
+                time.sleep(60)  # the caller has failed: a helper still at work is killed
+            return grow(*args, **kwargs)
+
+        def recorded_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        monkeypatch.setattr(trees, "_grow", failing_grow)
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        report_cpus(monkeypatch, 64)
+        ds = blob_dataset(44, n=200)
+        fds = open_fds()
+        want = "wait status 768" if where == "helper exit" else f"grow failed in the {where}"
+        with pytest.raises((DatasetError, RuntimeError), match=want):
+            fit_forest(ds, "y", ForestHyper(n_trees=3, min_node=10, seed=4))
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert open_fds() == fds
+        if where == "caller":
+            assert [os.WTERMSIG(status) for status in statuses] == [signal.SIGKILL] * 2
 
 
 class TestImportance:
