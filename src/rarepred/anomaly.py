@@ -226,6 +226,4 @@ def write_scores(
         tags = [""] * (hi - lo) if y is None else map(str, y[lo:hi].astype(np.int64).tolist())
         return [map(str, range(lo, hi)), map(repr, s[lo:hi].tolist()), tags]
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("row_id,score,label\n")
-        _write_blocks(fh, len(s), block_cells)
+    _write_blocks(path, "row_id,score,label", len(s), block_cells)

@@ -72,18 +72,6 @@ from .tune import get_model_spec, grid_search, write_tuning_report
 
 __all__ = ["console_main", "main", "PipelineError", "COMMANDS"]
 
-COMMANDS = (
-    "generate",
-    "split",
-    "preprocess",
-    "tune",
-    "train",
-    "evaluate",
-    "detect",
-    "report",
-    "all",
-)
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
@@ -502,6 +490,7 @@ _COMMANDS = {
     "detect": cmd_detect,
     "report": cmd_report,
 }
+COMMANDS = (*_COMMANDS, "all")
 
 
 def _steps_for(command: str, cfg: RunConfig) -> list[str]:

@@ -17,6 +17,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .rng import child_seed, generator
+from .shares import fork_map
 
 __all__ = [
     "Feature",
@@ -365,12 +366,20 @@ def _csv_field(text: str, alone: bool) -> str:
     return buf.getvalue()[: -1 if alone else -2]
 
 
-def _write_blocks(fh, n: int, block_cells) -> None:
-    """Write rows ``[0, n)`` a block at a time; ``block_cells(lo, hi)`` gives
-    the block's cells as one iterable of strings per column."""
-    for lo in range(0, n, _BLOCK_ROWS):
-        columns = block_cells(lo, min(lo + _BLOCK_ROWS, n))
-        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+def _write_blocks(path: str, header: str, n: int, block_cells) -> None:
+    """Write ``header`` and rows ``[0, n)`` as UTF-8 to ``path``, a block at a
+    time; ``block_cells(lo, hi)`` gives the block's cells as one iterable of
+    strings per column. Blocks are formatted over the usable CPUs
+    (``shares.fork_map``) and written in order."""
+
+    def block(b: int) -> bytes:
+        columns = block_cells(b * _BLOCK_ROWS, min((b + 1) * _BLOCK_ROWS, n))
+        return ("\n".join(map(",".join, zip(*columns))) + "\n").encode("utf-8")
+
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode("utf-8"))
+        fh.flush()  # the helpers fork with an empty buffer
+        fork_map(block, -(-n // _BLOCK_ROWS), fh.write)
 
 
 def write_csv(path: str, ds: Dataset) -> None:
@@ -393,9 +402,7 @@ def write_csv(path: str, ds: Dataset) -> None:
         cells += [map(str, vec[lo:hi].tolist()) for vec in ds.labels.values()]
         return cells or [[""] * (hi - lo)]  # a row of no fields is an empty line
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        _write_blocks(fh, ds.rows, block_cells)
+    _write_blocks(path, ",".join(_csv_field(name, alone) for name in header), ds.rows, block_cells)
 
 
 def write_table(path: str, header: list[str], rows) -> None:

@@ -13,8 +13,8 @@ Tie-breaking is fully specified so fits are reproducible down to the bit:
 among equal-gain splits the lowest feature index wins, then the lowest
 threshold. A single tree depends only on the data as a multiset, never on
 row order; forests are deterministic in (data, seed). A forest's trees are
-split over the CPUs the process may use, one forked process per share; each
-tree draws only from its own seed, so the split cannot change a bit.
+made over the CPUs the process may use by ``shares.fork_map``; each tree draws
+only from its own seed, so the split cannot change a bit.
 
 Both also share one router. A call lays its trees end to end in one arena,
 where each leaf is its own child on both sides, and steps all (row, tree)
@@ -24,15 +24,13 @@ pairs of a chunk of rows down one level at a time.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset, DatasetError
 from .rng import child_seed, generator
+from .shares import fork_map
 
 __all__ = [
     "gini", "DecisionTree", "ForestHyper", "Forest", "fit_cart", "predict_tree", "fit_forest",
@@ -143,12 +141,11 @@ def _best_midpoint_split(x: np.ndarray, y: np.ndarray, min_child: int):
         return None
     n_left = cut + 1
     n_right = n - n_left
-    keep = (n_left >= min_child) & (n_right >= min_child)
-    if not keep.any():
-        return None
-    cut = cut[keep]
-    n_left = n_left[keep]
-    n_right = n_right[keep]
+    if min_child > 1:  # else every cut between runs has a row on each side
+        keep = (n_left >= min_child) & (n_right >= min_child)
+        if not keep.any():
+            return None
+        cut, n_left, n_right = cut[keep], n_left[keep], n_right[keep]
     pos_prefix = np.cumsum(ys)
     pos_left = pos_prefix[cut]
     pos_total = pos_prefix[-1]
@@ -327,8 +324,8 @@ def fit_forest(
     split ``mtry`` features are sampled without replacement.
 
     Tree t is fitted in share ``t % P`` of P processes, one per usable CPU
-    (see ``_fit_shares``); since a tree reads nothing but the data and its
-    own seed, the forest is the same bit for bit at any CPU count.
+    (see ``shares.fork_map``); since a tree reads nothing but the data and
+    its own seed, the forest is the same bit for bit at any CPU count.
     """
     names, X = ds.columns(features)
     y = ds.label(label)
@@ -347,55 +344,9 @@ def fit_forest(
         root_gini = _binary_gini(float(y[sample].sum()), sample.size)
         return DecisionTree(names, *nodes, root_gini, 0.0, 1)
 
-    return Forest(feature_names=names, trees=_fit_shares(fit, hyper.n_trees), hyper=hyper)
-
-
-def _fit_shares(fit, n: int) -> list[DecisionTree]:
-    """``[fit(t) for t in range(n)]``, with tree t fitted by share ``t % P``.
-
-    P is the count of CPUs this process may run on, at most ``n``. The caller
-    fits share 0 and a forked helper each other share, which it pickles into a
-    pipe. A failed share raises here; helpers still running are then killed.
-    Every helper is reaped and every pipe closed before this returns.
-    """
-    usable = hasattr(os, "fork") and getattr(os, "sched_getaffinity", None)
-    p = min(len(usable(0)), n) if usable else 1
-    pipes, pids = [], []  # read ends, and the helpers not yet reaped, by share
-    try:
-        for share in range(1, p):
-            read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb"))
-            with open(write_end, "wb") as out:
-                pid = os.fork()
-                if pid == 0:  # the helper leaves by os._exit: no atexit hook, no stdio flush
-                    status = 1
-                    try:
-                        try:
-                            result = [fit(t) for t in range(share, n, p)]
-                        except Exception as exc:  # noqa: BLE001 - the caller raises it again
-                            result = exc
-                        pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
-                        out.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-                pids.append(pid)
-        shares = [[fit(t) for t in range(0, n, p)]]
-        for pipe in pipes:
-            payload, status = pipe.read(), os.waitpid(pids[0], 0)[1]
-            pid = pids.pop(0)
-            if status or not payload:
-                raise RuntimeError(f"forest helper {pid} failed with wait status {status}")
-            shares.append(pickle.loads(payload))
-            if isinstance(shares[-1], Exception):
-                raise shares[-1]
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return [shares[t % p][t // p] for t in range(n)]
+    fitted: list[DecisionTree] = []
+    fork_map(fit, hyper.n_trees, fitted.append)
+    return Forest(feature_names=names, trees=fitted, hyper=hyper)
 
 
 def predict_forest(forest: Forest, ds: Dataset) -> np.ndarray:

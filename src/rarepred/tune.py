@@ -287,7 +287,7 @@ def grid_search(
     k: int = 5,
     seed: int = 0,
     metric: str = "auc",
-    subset_frac: float = 0.10,
+    subset_frac: float = 1.0,
     repeats: int = 1,
     refit: bool = True,
     scaler: str | None = None,

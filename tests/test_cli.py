@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rarepred
-from rarepred import anomaly, cli
+from rarepred import anomaly, cli, tune
 from rarepred.benchmarks import benchmark_spec
 from rarepred.cli import PipelineError, main, run
 from rarepred.config import (
@@ -323,6 +323,13 @@ class TestSectionTable:
         }
         for key, default in shared.items():
             assert params[renamed.get(key, key)].default == default, key
+
+    def test_tuning_defaults_match_library(self):
+        # every [tuning] key is a grid_search keyword of the same name and default
+        params = inspect.signature(tune.grid_search).parameters
+        assert set(_SECTIONS["tuning"]) == {"k", "repeats", "subset_frac", "metric"}
+        for key, (_, default, _) in _SECTIONS["tuning"].items():
+            assert params[key].default == default, key
 
     def test_bad_seed_ignored_under_override(self, tmp_path):
         text = set_key(BASE, "run", "seed", "many")

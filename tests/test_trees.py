@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child_left, open_fds, report_cpus
+
 from rarepred import trees
 from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.evaluate import auc
@@ -684,34 +686,6 @@ class TestGrowOracle:
             assert_same_trees(
                 fit_forest(ds, "y", hyper).trees, fit_forest_oracle(ds, "y", hyper).trees
             )
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Pids of the helpers forked during the test."""
-    pids, fork = [], os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return pids
-
-
-def report_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
-def open_fds():
-    return len(os.listdir("/proc/self/fd"))
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestForkedShares:
