@@ -8,6 +8,7 @@ prevalence survives a stratified split, and round-trips the result through
 the CSV + schema file pair the command-line pipeline uses.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -47,6 +48,8 @@ def main():
             back.label("outcome") == ds.label("outcome")
         ).all()
     print(f"\ncsv + schema round trip exact: {bool(same)}")
+    if not same:
+        sys.exit("check failed: the csv + schema round trip changed the data")
 
 
 if __name__ == "__main__":

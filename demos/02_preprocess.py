@@ -7,6 +7,8 @@ should), inverts the transform, and prints the per-class summary table
 used to eyeball which features carry signal.
 """
 
+import sys
+
 import numpy as np
 
 from rarepred.benchmarks import benchmark_spec
@@ -17,9 +19,8 @@ from rarepred.preprocess import (
     conditional_summary,
     fit_scaler,
     invert_scaler,
-    scaler_from_text,
-    scaler_to_text,
 )
+from rarepred.serialize import model_from_text, model_to_text
 
 SEED = 11
 
@@ -32,7 +33,7 @@ def main():
         params = fit_scaler(pair.train, method)
         train_s = apply_scaler(pair.train, params)
         test_s = apply_scaler(pair.test, params)
-        col = params.names[0]
+        col = params.feature_names[0]
         print(f"[{method}] {col!r}: train mean {train_s.column(col).mean():+.4f}, "
               f"holdout mean {test_s.column(col).mean():+.4f} "
               "(holdout uses training statistics, so it is not exactly centered)")
@@ -40,11 +41,13 @@ def main():
         gap = float(np.max(np.abs(back.values - pair.train.values)))
         print(f"          inverse transform max error {gap:.2e}")
 
-    # parameters serialize to a text block so a pipeline can reload them
+    # a fitted scaler saves as a model file (kind "scaler") so a pipeline can reload it
     params = fit_scaler(pair.train, "standardize")
-    text = scaler_to_text(params)
-    reloaded = scaler_from_text(text)
-    print(f"\nscaler text round trip exact: {scaler_to_text(reloaded) == text}")
+    text = model_to_text(params)
+    exact = model_to_text(model_from_text(text)) == text
+    print(f"\nscaler file round trip exact: {exact}")
+    if not exact:
+        sys.exit("check failed: the scaler file does not round-trip")
 
     print("\nper-class feature summary (first 3 features):")
     rows = conditional_summary(ds, "outcome")

@@ -7,6 +7,8 @@ subsampling collapses to exactly the result of one cross_validate call
 plus one refit, byte for byte.
 """
 
+import sys
+
 import numpy as np
 
 from rarepred.benchmarks import benchmark_spec
@@ -57,6 +59,8 @@ def main():
     same_model = model_to_text(gs1.model) == model_to_text(refit)
     print(f"\ndegenerate grid == plain cross-validation: cells {same_cells}, "
           f"refit model identical {same_model}")
+    if not (same_cells and same_model):
+        sys.exit("check failed: the one-point grid differs from cross_validate plus a refit")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ instead of an exception, AUC is checked against the rank-statistic
 definition it must equal, and a full report bundle is written to disk.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -46,8 +47,10 @@ def main():
     scores = np.round(rng.random(200), 2)  # two decimals force plenty of ties
     labels = (rng.random(200) < scores).astype(int)
     a, b = auc(labels, scores), auc_pair_count(labels, scores)
-    print(f"\ntrapezoid auc {a:.12f} == pair-count auc {b:.12f}: "
-          f"{abs(a - b) < 1e-12}")
+    agree = abs(a - b) < 1e-12
+    print(f"\ntrapezoid auc {a:.12f} == pair-count auc {b:.12f}: {agree}")
+    if not agree:
+        sys.exit("check failed: the trapezoid and pair-count auc disagree")
     curve = roc(labels, scores)
     print(f"roc curve has {curve.shape[0]} thresholds "
           f"(unique scores, descending)")

@@ -10,6 +10,7 @@ directories and shows that every artifact hash comes out identical.
 """
 
 import hashlib
+import sys
 import tempfile
 from pathlib import Path
 
@@ -35,13 +36,19 @@ def main():
         print("=== first run ===")
         code = rarepred_main(["all", "--config", CONFIG, "--out", str(first)])
         print(f"exit code {code}")
+        if code != 0:
+            sys.exit(f"check failed: the first run exited with {code}")
 
         print("\n=== second run (same config, fresh directory) ===")
-        rarepred_main(["all", "--config", CONFIG, "--out", str(second)])
+        code = rarepred_main(["all", "--config", CONFIG, "--out", str(second)])
+        if code != 0:
+            sys.exit(f"check failed: the second run exited with {code}")
 
         a, b = artifact_hashes(first), artifact_hashes(second)
-        same = sorted(a) == sorted(b) and all(a[k] == b[k] for k in a)
+        same = a == b
         print(f"\n{len(a)} artifacts, byte-identical across runs: {same}")
+        if not same:
+            sys.exit("check failed: the two runs wrote different artifacts")
 
         manifest = (first / "manifest.txt").read_text()
         test_readers = []

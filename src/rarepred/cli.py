@@ -58,13 +58,7 @@ from .dataset import (
 )
 from .benchmarks import benchmark_spec
 from .evaluate import auc, confusion, evaluate_scores, metrics, write_report
-from .preprocess import (
-    apply_scaler,
-    fit_scaler,
-    scaler_from_text,
-    scaler_to_text,
-    write_conditional_summary,
-)
+from .preprocess import apply_scaler, fit_scaler, write_conditional_summary
 from .rng import child_seed
 from .serialize import load_model, save_model
 from .trees import variable_importance
@@ -214,16 +208,11 @@ def _common_entries(cfg: RunConfig, ws: Workspace) -> None:
 
 def _record_scaler_stats(ws: Workspace, prefix: str, params) -> None:
     ws.set(f"{prefix}.method", params.method)
-    for name in params.names:
+    for name in params.feature_names:
         stats = params.stats_for(name)
         for stat in ("mean", "sd", "min", "max"):
             ws.set(f"{prefix}.{name}.{stat}", repr(float(stats[stat])))
         ws.set(f"{prefix}.{name}.constant", int(stats["constant"]))
-
-
-def _load_scaler(ws: Workspace):
-    with open(ws.require_artifact("scaler.txt", "preprocess"), encoding="utf-8") as fh:
-        return scaler_from_text(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +257,13 @@ def cmd_split(cfg: RunConfig, ws: Workspace) -> None:
 def cmd_preprocess(cfg: RunConfig, ws: Workspace) -> None:
     train = ws.dataset("train.csv", "split")
     params = fit_scaler(train, cfg.scaler, feature_names=cfg.scale_features)
-    with open(ws.path("scaler.txt"), "w", encoding="utf-8") as fh:
-        fh.write(scaler_to_text(params))
+    save_model(ws.path("scaler.txt"), params)
     write_conditional_summary(ws.path("conditional_summary.csv"), train, cfg.label)
     inputs = ["train.csv", "schema.txt"]
     ws.record_artifact("scaler.txt", "preprocess", inputs)
     ws.record_artifact("conditional_summary.csv", "preprocess", inputs)
     _record_scaler_stats(ws, "scaler", params)
-    print(f"preprocess: {cfg.scaler} scaler over {len(params.names)} features")
+    print(f"preprocess: {cfg.scaler} scaler over {len(params.feature_names)} features")
 
 
 def cmd_tune(cfg: RunConfig, ws: Workspace) -> None:
@@ -338,7 +326,7 @@ def cmd_train(cfg: RunConfig, ws: Workspace) -> None:
     if not cfg.models:
         raise PipelineError("no [model:<kind>] sections to train")
     train = ws.dataset("train.csv", "split")
-    scaler = _load_scaler(ws)
+    scaler = load_model(ws.require_artifact("scaler.txt", "preprocess"))
     train_s = apply_scaler(train, scaler)
     for mg in cfg.models:
         params, extra_inputs = _chosen_params(cfg, ws, mg)
@@ -364,7 +352,7 @@ def cmd_evaluate(cfg: RunConfig, ws: Workspace) -> None:
         )
     model_rels = [f"models/{mg.kind}.model" for mg in cfg.models]
     model_paths = [ws.require_artifact(rel, "train") for rel in model_rels]
-    scaler = _load_scaler(ws)
+    scaler = load_model(ws.require_artifact("scaler.txt", "preprocess"))
     test = ws.dataset("test.csv", "split")
     test_s = apply_scaler(test, scaler)
     y = test_s.label(cfg.label)
@@ -389,8 +377,7 @@ def cmd_detect(cfg: RunConfig, ws: Workspace) -> None:
     train = ws.dataset("train.csv", "split")
     test = ws.dataset("test.csv", "split")
     params = fit_scaler(train, ae_cfg.scaler, feature_names=ae_cfg.features)
-    with open(ws.path("ae_scaler.txt"), "w", encoding="utf-8") as fh:
-        fh.write(scaler_to_text(params))
+    save_model(ws.path("ae_scaler.txt"), params)
     ws.record_artifact("ae_scaler.txt", "detect", ["train.csv", "schema.txt"])
     _record_scaler_stats(ws, "ae_scaler", params)
     train_s = apply_scaler(train, params)

@@ -152,7 +152,8 @@ def load_schema(path: str) -> dict[str, str]:
     """Parse a flat ``column = kind`` schema file.
 
     Blank lines and ``#`` comments are ignored. Kinds are the feature kinds
-    plus ``label`` for outcome columns.
+    plus ``label`` for outcome columns; a line splits at its last ``=``, so a
+    column name may hold one (``one_hot`` names columns ``feature=level``).
     """
     schema: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -162,7 +163,7 @@ def load_schema(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise DatasetError(f"{path}:{lineno}: expected 'column = kind'")
-            name, kind = (part.strip() for part in line.split("=", 1))
+            name, kind = (part.strip() for part in line.rsplit("=", 1))
             if kind not in FEATURE_KINDS + ("label",):
                 raise DatasetError(f"{path}:{lineno}: unknown kind {kind!r}")
             if name in schema:
@@ -174,11 +175,13 @@ def load_schema(path: str) -> dict[str, str]:
 
 
 def write_schema(path: str, ds: Dataset) -> None:
+    """Write the schema ``load_schema`` reads back; refuse a name it could not."""
+    rows = [(f.name, f.kind) for f in ds.features] + [(name, "label") for name in ds.labels]
+    for name, _ in rows:
+        if any(c in name for c in "#\r\n"):
+            raise DatasetError(f"column {name!r} holds '#' or a newline; a schema file cannot")
     with open(path, "w", encoding="utf-8") as fh:
-        for feat in ds.features:
-            fh.write(f"{feat.name} = {feat.kind}\n")
-        for name in ds.labels:
-            fh.write(f"{name} = label\n")
+        fh.writelines(f"{name} = {kind}\n" for name, kind in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +409,18 @@ def write_csv(path: str, ds: Dataset) -> None:
 
 
 def write_table(path: str, header: list[str], rows) -> None:
-    """Write a small table as CSV: floats as their ``repr``, other cells as ``str``."""
+    """Write a small table as CSV: floats as their ``repr``, text quoted as
+    ``csv.writer`` quotes it, other cells as ``str``."""
+
+    def cell(v) -> str:
+        if isinstance(v, float):
+            return repr(float(v))
+        return _csv_field(v, alone=False) if isinstance(v, str) else str(v)
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(map(cell, header)) + "\n")
         for row in rows:
-            cells = (repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(map(cell, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------

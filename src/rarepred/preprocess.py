@@ -18,8 +18,6 @@ __all__ = [
     "fit_scaler",
     "apply_scaler",
     "invert_scaler",
-    "scaler_to_text",
-    "scaler_from_text",
     "one_hot",
     "conditional_summary",
     "write_conditional_summary",
@@ -33,19 +31,35 @@ class ScalerParams:
     """Per-feature statistics frozen at fit time.
 
     ``constant`` marks columns with zero spread under the chosen method;
-    those transform to 0 and invert back to their fitted center.
+    those transform to 0 and invert back to their fitted center. A scaler
+    saves and loads like a model (``serialize.save_model``, kind ``scaler``).
     """
 
     method: str
-    names: tuple[str, ...]
+    feature_names: tuple[str, ...]
     mean: np.ndarray
     sd: np.ndarray
     min: np.ndarray
     max: np.ndarray
     constant: np.ndarray
 
+    def __post_init__(self) -> None:
+        if self.method not in SCALER_METHODS:
+            raise DatasetError(
+                f"field 'method' = {self.method!r}, expected one of {', '.join(SCALER_METHODS)}"
+            )
+        k = len(self.feature_names)
+        if k == 0:
+            raise DatasetError("field 'feature_names' lists no features to scale")
+        for field in ("mean", "sd", "min", "max", "constant"):
+            if len(getattr(self, field)) != k:
+                raise DatasetError(
+                    f"field {field!r} has {len(getattr(self, field))} entries,"
+                    f" 'feature_names' has {k}"
+                )
+
     def stats_for(self, name: str) -> dict[str, float]:
-        i = self.names.index(name)
+        i = self.feature_names.index(name)
         return {
             "mean": float(self.mean[i]),
             "sd": float(self.sd[i]),
@@ -64,14 +78,10 @@ def fit_scaler(
     deviations use the n-1 convention; a single-row fit makes every column
     constant rather than dividing by zero.
     """
-    if method not in SCALER_METHODS:
-        raise DatasetError(f"unknown scaling method {method!r}")
     if feature_names is None:
         feature_names = [f.name for f in ds.features if f.kind == "continuous"]
     names = tuple(feature_names)
     cols = np.array([ds.feature_index(n) for n in names], dtype=np.int64)
-    if cols.size == 0:
-        raise DatasetError("no features to scale")
     block = ds.values[:, cols]
     mean = block.mean(axis=0)
     sd = block.std(axis=0, ddof=1) if ds.rows > 1 else np.zeros(len(names))
@@ -83,7 +93,7 @@ def fit_scaler(
         constant = (hi - lo) == 0.0
     return ScalerParams(
         method=method,
-        names=names,
+        feature_names=names,
         mean=mean,
         sd=sd,
         min=lo,
@@ -109,7 +119,7 @@ def _center(params: ScalerParams) -> np.ndarray:
 
 def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
     """Transform the fitted columns; everything else passes through."""
-    cols = np.array([ds.feature_index(n) for n in params.names], dtype=np.int64)
+    cols = np.array([ds.feature_index(n) for n in params.feature_names], dtype=np.int64)
     values = ds.values.copy()
     block = values[:, cols]
     scaled = (block - _center(params)) / _denominator(params)
@@ -124,7 +134,7 @@ def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
 
 def invert_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
     """Undo :func:`apply_scaler`; flagged constant columns restore their center."""
-    cols = np.array([ds.feature_index(n) for n in params.names], dtype=np.int64)
+    cols = np.array([ds.feature_index(n) for n in params.feature_names], dtype=np.int64)
     values = ds.values.copy()
     block = values[:, cols]
     restored = block * _denominator(params) + _center(params)
@@ -136,64 +146,6 @@ def invert_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
         features=ds.features,
         values=values,
         labels=ds.labels,
-    )
-
-
-def scaler_to_text(params: ScalerParams) -> str:
-    """Readable key-value form of the fitted statistics.
-
-    One block per feature; floats use repr so a round trip is exact and a
-    rewrite of identical statistics is byte-identical.
-    """
-    lines = [f"method = {params.method}"]
-    for i, name in enumerate(params.names):
-        if "=" in name or "\n" in name:
-            raise DatasetError(f"feature name {name!r} cannot be serialized")
-        lines.append(f"feature = {name}")
-        lines.append(f"mean = {float(params.mean[i])!r}")
-        lines.append(f"sd = {float(params.sd[i])!r}")
-        lines.append(f"min = {float(params.min[i])!r}")
-        lines.append(f"max = {float(params.max[i])!r}")
-        lines.append(f"constant = {int(params.constant[i])}")
-    return "\n".join(lines) + "\n"
-
-
-def scaler_from_text(text: str) -> ScalerParams:
-    """Inverse of :func:`scaler_to_text`."""
-    method = None
-    names: list[str] = []
-    stats: dict[str, list[float]] = {"mean": [], "sd": [], "min": [], "max": []}
-    constant: list[bool] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if " = " not in line:
-            raise DatasetError(f"scaler text line {lineno}: expected 'key = value'")
-        key, value = line.split(" = ", 1)
-        if key == "method":
-            method = value
-        elif key == "feature":
-            names.append(value)
-        elif key in stats:
-            stats[key].append(float(value))
-        elif key == "constant":
-            constant.append(bool(int(value)))
-        else:
-            raise DatasetError(f"scaler text line {lineno}: unknown key {key!r}")
-    if method not in SCALER_METHODS:
-        raise DatasetError(f"scaler text: unknown or missing method {method!r}")
-    counts = {len(v) for v in stats.values()} | {len(constant)}
-    if counts != {len(names)} or not names:
-        raise DatasetError("scaler text: incomplete feature blocks")
-    return ScalerParams(
-        method=method,
-        names=tuple(names),
-        mean=np.array(stats["mean"]),
-        sd=np.array(stats["sd"]),
-        min=np.array(stats["min"]),
-        max=np.array(stats["max"]),
-        constant=np.array(constant, dtype=bool),
     )
 
 

@@ -1,10 +1,10 @@
 """Versioned plain-text model files with exact float round-trips.
 
-Every model kind saves to a line-oriented ``key = value`` format (arrays as
-space-separated shortest-round-trip floats, nested parts as ``[section]``
-blocks). Writing the same model twice produces identical bytes, and a
-save/load cycle reproduces the model bit for bit, which downstream
-determinism checks lean on.
+Every fitted object, each model kind and a fitted scaler (kind ``scaler``),
+saves to a line-oriented ``key = value`` format (arrays as space-separated
+shortest-round-trip floats, nested parts as ``[section]`` blocks). Writing
+the same object twice produces identical bytes, and a save/load cycle
+reproduces it bit for bit, which downstream determinism checks lean on.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .anomaly import Autoencoder
 from .dataset import DatasetError
 from .linear import ElasticNetModel, LogitModel
 from .neural import DenseLayer, FFNModel, Network
+from .preprocess import ScalerParams
 from .trees import DecisionTree, Forest, ForestHyper
 
 __all__ = ["save_model", "load_model", "model_to_text", "model_from_text"]
@@ -56,6 +57,10 @@ _INT = (str, int)
 _TEXT = (str, str)
 _BOOL = (lambda b: str(b).lower(), lambda t: {"true": True, "false": False}[t])
 _FLOATS = (_floats, _parse_floats)
+_BOOLS = (
+    lambda arr: " ".join(map(_BOOL[0], arr)),
+    lambda t: np.array([_BOOL[1](tok) for tok in t.split(" ")] if t else [], dtype=bool),
+)
 _FLOAT_LIST = (_floats, lambda t: _parse_floats(t).tolist())
 _INT32S = (_ints, lambda t: _parse_ints(t, np.int32))
 _INT64S = (_ints, _parse_ints)
@@ -96,7 +101,16 @@ _KINDS = {
     "autoencoder": (Autoencoder, (("loss", _TEXT), ("activity_l2", _FLOAT)) + _RECIPE + (
         ("n_train_rows", _INT), ("loss_path", _FLOAT_LIST),
     )),
+    "scaler": (ScalerParams, (
+        ("method", _TEXT), ("mean", _FLOATS), ("sd", _FLOATS), ("min", _FLOATS),
+        ("max", _FLOATS), ("constant", _BOOLS),
+    )),
 }
+
+
+def _title(kind: str) -> str:
+    """How error messages name a model of ``kind``."""
+    return "cart tree" if kind == "cart" else f"{kind} model"
 
 
 def _emit(out: list[str], obj, fields) -> None:
@@ -143,6 +157,8 @@ def _split_sections(text: str) -> tuple[dict[str, str], dict[str, dict[str, str]
         if key in fields:
             raise DatasetError(f"{where}: repeated field {key!r}")
         fields[key] = value
+        if fields is head and key == "kind":
+            where = f"{_title(value)} header"
     return head, blocks
 
 
@@ -221,7 +237,7 @@ def model_from_text(text: str):
         raise DatasetError(f"unknown model kind {kind!r}")
     cls, fields = _KINDS[kind]
     net = kind in ("ffn", "autoencoder")
-    where = "cart tree" if kind == "cart" else f"{kind} model"
+    where = _title(kind)
     values = _read(head, _NAMES + fields + (_NETWORK if net else ()), where)
     names = values.pop("feature_names")
     if net:
@@ -244,7 +260,10 @@ def model_from_text(text: str):
         ]
         model = Forest(feature_names=names, trees=trees, hyper=hyper)
     else:
-        model = cls(feature_names=names, **values)
+        try:
+            model = cls(feature_names=names, **values)
+        except DatasetError as exc:  # a scaler's own checks
+            raise DatasetError(f"{where}: {exc}") from None
     if blocks:
         raise DatasetError(f"{where}: unexpected block [{next(iter(blocks))}]")
     return model

@@ -84,10 +84,6 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature == -1))
-
 
 @dataclass(frozen=True)
 class ForestHyper:

@@ -381,18 +381,18 @@ def write_tuning_report(dir_path: str, result: GridSearchResult) -> list[str]:
     import os
 
     os.makedirs(dir_path, exist_ok=True)
-    quoted = [f'"{_params_text(params)}"' for params in result.points]
+    texts = [_params_text(params) for params in result.points]
     write_table(
         os.path.join(dir_path, "tuning_report.csv"),
         ["point", "params", "repeat", "fold", "value"],
-        ((pi, quoted[pi], r, fold, value) for pi, r, fold, value in result.rows),
+        ((pi, texts[pi], r, fold, value) for pi, r, fold, value in result.rows),
     )
     write_table(
         os.path.join(dir_path, "tuning_summary.csv"),
         ["point", "params", "n_values", "mean", "selected"],
         (
             (pi, text, len(result.cell_values[pi]), result.means[pi], int(pi == result.best_index))
-            for pi, text in enumerate(quoted)
+            for pi, text in enumerate(texts)
         ),
     )
     return ["tuning_report.csv", "tuning_summary.csv"]

@@ -492,7 +492,7 @@ def test_criterion_10_leakage_guard(tmp_path):
     schema = load_schema(os.path.join(out, "schema.txt"))
     train = load_csv(os.path.join(out, "train.csv"), schema)
     params = fit_scaler(train, entries["scaler.method"])
-    for name in params.names:
+    for name in params.feature_names:
         stats = params.stats_for(name)
         for stat in ("mean", "sd", "min", "max"):
             recorded = entries[f"scaler.{name}.{stat}"]

@@ -454,7 +454,7 @@ class TestPipeline:
         schema = load_schema(os.path.join(out, "schema.txt"))
         train = load_csv(os.path.join(out, "train.csv"), schema)
         params = fit_scaler(train, entries["scaler.method"])
-        for name in params.names:
+        for name in params.feature_names:
             stats = params.stats_for(name)
             assert entries[f"scaler.{name}.mean"] == repr(stats["mean"])
             assert entries[f"scaler.{name}.sd"] == repr(stats["sd"])

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from rarepred.dataset import (
     synth_generate,
     write_csv,
     write_schema,
+    write_table,
 )
 from rarepred.preprocess import apply_scaler, fit_scaler, invert_scaler, one_hot
 
@@ -157,6 +159,47 @@ class TestSchemaAndCsv:
         path = tmp_path / "schema.txt"
         path.write_text("# header comment\n\nx = continuous  # inline\n")
         assert load_schema(str(path)) == {"x": "continuous"}
+
+    def test_one_hot_names_round_trip(self, tmp_path):
+        # one_hot names its columns "feature=level"; a schema line splits at its last "="
+        ds = one_hot(tiny_dataset())
+        assert "color=red" in ds.feature_names
+        csv_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.txt"
+        write_csv(str(csv_path), ds)
+        write_schema(str(schema_path), ds)
+        schema = load_schema(str(schema_path))
+        assert list(schema) == list(ds.feature_names) + ["outcome"]
+        back = load_csv(str(csv_path), schema)
+        assert back.feature_names == ds.feature_names
+        assert [f.kind for f in back.features] == [f.kind for f in ds.features]
+        np.testing.assert_array_equal(back.values, ds.values)
+        np.testing.assert_array_equal(back.labels["outcome"], ds.labels["outcome"])
+
+    @pytest.mark.parametrize("name", ["a#b", "a\nb", "a\rb"])
+    def test_schema_refuses_unreadable_name(self, tmp_path, name):
+        ds = Dataset(features=(Feature(name, "continuous"),), values=np.zeros((2, 1)), labels={})
+        path = tmp_path / "schema.txt"
+        with pytest.raises(DatasetError, match=re.escape(repr(name))):
+            write_schema(str(path), ds)
+        assert not path.exists()
+
+    def test_schema_refuses_unreadable_label(self, tmp_path):
+        ds = Dataset(features=(Feature("x", "continuous"),), values=np.zeros((2, 1)),
+                     labels={"y#1": np.array([0, 1])})
+        with pytest.raises(DatasetError, match="y#1"):
+            write_schema(str(tmp_path / "schema.txt"), ds)
+
+    def test_table_quotes_text_cells(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [("size, log", 1.0, 2), ('say "hi"', -0.5, 3), ("a\nb", 0.25, 4)]
+        write_table(str(path), ["feature", "importance", "rank"], rows)
+        with open(path, newline="") as fh:
+            parsed = list(csv.reader(fh))
+        assert parsed == [["feature", "importance", "rank"]] + [
+            [text, repr(value), str(rank)] for text, value, rank in rows
+        ]
+        # text needing no quotes is written bare
+        assert path.read_text().splitlines()[0] == "feature,importance,rank"
 
     def test_csv_round_trip(self, tmp_path):
         # level indices are first-seen order, so compare decoded strings

@@ -1,5 +1,6 @@
 """Scaler fit/apply/invert, one-hot expansion, conditional summaries."""
 
+import csv
 import math
 
 import numpy as np
@@ -14,8 +15,6 @@ from rarepred.preprocess import (
     fit_scaler,
     invert_scaler,
     one_hot,
-    scaler_from_text,
-    scaler_to_text,
     write_conditional_summary,
 )
 
@@ -80,14 +79,14 @@ class TestScaler:
     def test_default_targets_continuous_only(self):
         ds = make_ds([[1.0, 1.0], [3.0, 0.0]], kinds=["continuous", "binary"])
         params = fit_scaler(ds, "standardize")
-        assert params.names == ("f0",)
+        assert params.feature_names == ("f0",)
         out = apply_scaler(ds, params)
         np.testing.assert_array_equal(out.values[:, 1], ds.values[:, 1])
 
     def test_explicit_feature_subset(self):
         ds = make_ds([[1.0, 1.0], [3.0, 0.0]], kinds=["continuous", "binary"])
         params = fit_scaler(ds, "standardize", feature_names=["f1"])
-        assert params.names == ("f1",)
+        assert params.feature_names == ("f1",)
 
     def test_stats_for(self):
         ds = make_ds([[1.0], [2.0], [3.0]])
@@ -192,37 +191,16 @@ class TestConditionalSummary:
         write_conditional_summary(str(b), ds, "y")
         assert a.read_bytes() == b.read_bytes()
 
-
-class TestScalerText:
-    def test_round_trip_exact(self):
-        rng = np.random.Generator(np.random.PCG64(3))
-        ds = make_ds(rng.normal(size=(25, 3)) * [1.0, 100.0, 1e-6])
-        params = fit_scaler(ds, "standardize")
-        back = scaler_from_text(scaler_to_text(params))
-        assert back.method == params.method
-        assert back.names == params.names
-        np.testing.assert_array_equal(back.mean, params.mean)
-        np.testing.assert_array_equal(back.sd, params.sd)
-        np.testing.assert_array_equal(back.min, params.min)
-        np.testing.assert_array_equal(back.max, params.max)
-        np.testing.assert_array_equal(back.constant, params.constant)
-
-    def test_constant_flag_survives(self):
-        ds = make_ds([[5.0, 1.0], [5.0, 2.0]])
-        params = fit_scaler(ds, "minmax")
-        back = scaler_from_text(scaler_to_text(params))
-        assert back.constant.tolist() == [True, False]
-        out = apply_scaler(ds, back)
-        np.testing.assert_array_equal(out.values[:, 0], [0.0, 0.0])
-
-    def test_text_stable(self):
-        ds = make_ds([[1.0], [2.0], [4.0]])
-        params = fit_scaler(ds, "meannorm")
-        text = scaler_to_text(params)
-        assert scaler_to_text(scaler_from_text(text)) == text
-
-    def test_rejects_garbage(self):
-        with pytest.raises(DatasetError):
-            scaler_from_text("method = nonsense\n")
-        with pytest.raises(DatasetError):
-            scaler_from_text("method = minmax\nfeature = x\nmean = 1.0\n")
+    def test_comma_named_feature_keeps_one_cell_per_column(self, tmp_path):
+        ds = Dataset(
+            features=(Feature("size, log", "continuous"), Feature("x", "continuous")),
+            values=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+            labels={"y": np.array([0, 1, 1])},
+        )
+        path = tmp_path / "summary.csv"
+        write_conditional_summary(str(path), ds, "y")
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 4
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[0] for row in rows] == ["size, log", "size, log", "x", "x"]

@@ -13,6 +13,7 @@ from rarepred.linear import (
     predict_proba,
 )
 from rarepred.neural import DenseLayer, FFNModel, Network, predict_ffn, train_ffn
+from rarepred.preprocess import ScalerParams, apply_scaler, fit_scaler
 from rarepred.rng import generator
 from rarepred.serialize import load_model, model_from_text, model_to_text, save_model
 from rarepred.trees import (
@@ -482,5 +483,140 @@ class TestSurplusContent:
     def test_rejected_on_load(self, tmp_path, index, edit, match):
         path = tmp_path / "bad.model"
         path.write_text(edit(GOLDEN_TEXTS[index]))
+        with pytest.raises(DatasetError, match=match):
+            load_model(str(path))
+
+
+# ---------------------------------------------------------------------------
+# fitted scalers: kind "scaler"
+
+
+def scaler_ds(values, names=None):
+    values = np.asarray(values, dtype=np.float64)
+    names = names or [f"f{j}" for j in range(values.shape[1])]
+    return Dataset(
+        features=tuple(Feature(n, "continuous") for n in names), values=values, labels={}
+    )
+
+
+def assert_same_scaler(back, params):
+    assert back.method == params.method
+    assert back.feature_names == params.feature_names
+    for field in ("mean", "sd", "min", "max", "constant"):
+        a, b = getattr(back, field), getattr(params, field)
+        assert a.dtype == b.dtype, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+class TestScalerText:
+    def test_round_trip_exact(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        ds = scaler_ds(rng.normal(size=(25, 3)) * [1.0, 100.0, 1e-6])
+        params = fit_scaler(ds, "standardize")
+        assert_same_scaler(model_from_text(model_to_text(params)), params)
+
+    def test_constant_flag_survives(self):
+        ds = scaler_ds([[5.0, 1.0], [5.0, 2.0]])
+        params = fit_scaler(ds, "minmax")
+        back = model_from_text(model_to_text(params))
+        assert back.constant.tolist() == [True, False]
+        out = apply_scaler(ds, back)
+        np.testing.assert_array_equal(out.values[:, 0], [0.0, 0.0])
+
+    def test_text_stable(self):
+        params = fit_scaler(scaler_ds([[1.0], [2.0], [4.0]]), "meannorm")
+        text = model_to_text(params)
+        assert model_to_text(model_from_text(text)) == text
+
+    def test_rejects_garbage(self):
+        with pytest.raises(DatasetError):
+            model_from_text("method = nonsense\n")
+        with pytest.raises(DatasetError):
+            model_from_text("rarepred-model v1\nkind = scaler\nmethod = minmax\nmean = 1.0\n")
+
+
+GOLDEN_SCALER = ScalerParams(
+    method="minmax",
+    feature_names=("age", "bmi=high"),
+    mean=np.array([41.5, -0.0]),
+    sd=np.array([12.25, 0.0]),
+    min=np.array([18.0, 1e-300]),
+    max=np.array([90.0, inf]),
+    constant=np.array([False, True]),
+)
+
+# The scaler file as the serializer must keep writing it: the manifest
+# hashes scaler.txt and ae_scaler.txt.
+GOLDEN_SCALER_TEXT = """\
+rarepred-model v1
+kind = scaler
+feature_names = age\tbmi=high
+method = minmax
+mean = 41.5 -0.0
+sd = 12.25 0.0
+min = 18.0 1e-300
+max = 90.0 inf
+constant = false true
+"""
+
+
+class TestScalerModel:
+    def test_golden_bytes(self):
+        assert model_to_text(GOLDEN_SCALER) == GOLDEN_SCALER_TEXT
+        assert_same_scaler(model_from_text(GOLDEN_SCALER_TEXT), GOLDEN_SCALER)
+
+    @pytest.mark.parametrize("method", ["standardize", "minmax", "meannorm"])
+    def test_save_load_exact(self, tmp_path, method):
+        rng = np.random.Generator(np.random.PCG64(5))
+        values = rng.normal(size=(30, 3)) * [1.0, 1e6, 1e-9]
+        values[:, 1] = 7.0  # a constant column
+        params = fit_scaler(scaler_ds(values), method)
+        path = tmp_path / "scaler.txt"
+        save_model(str(path), params)
+        assert_same_scaler(load_model(str(path)), params)
+
+    def test_name_with_tab_refused_on_save(self):
+        params = fit_scaler(scaler_ds([[1.0], [2.0]], names=["a\tb"]), "minmax")
+        with pytest.raises(DatasetError, match="tab"):
+            model_to_text(params)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda t: with_fields(t, sd=None), "scaler model: missing field 'sd'"),
+            (lambda t: after_line(t, "mean = 41.5 -0.0", "mean = 7.0 5.0\n"),
+             "scaler model header: repeated field 'mean'"),
+            (lambda t: after_line(t, "method = minmax", "method = standardize\n"),
+             "scaler model header: repeated field 'method'"),
+            (lambda t: t + "feature = age\n", "scaler model: unknown field 'feature'"),
+            (lambda t: with_fields(t, method="zscore"), "scaler model: field 'method' = 'zscore'"),
+            (lambda t: with_fields(t, max="90.0"),
+             "scaler model: field 'max' has 1 entries, 'feature_names' has 2"),
+            (lambda t: with_fields(t, constant="false true false"),
+             "scaler model: field 'constant' has 3 entries"),
+            (lambda t: with_fields(t, feature_names="", mean="", sd="", min="", max="",
+                                   constant=""),
+             "scaler model: field 'feature_names' lists no features"),
+            (lambda t: with_fields(t, constant="false 2"),
+             "scaler model: bad value for field 'constant'"),
+            (lambda t: with_fields(t, constant="0 1"),
+             "scaler model: bad value for field 'constant'"),
+            (lambda t: with_fields(t, constant="false True"),
+             "scaler model: bad value for field 'constant'"),
+            (lambda t: with_fields(t, constant="false  true"),
+             "scaler model: bad value for field 'constant'"),
+            (lambda t: with_fields(t, mean="x 1.0"), "scaler model: bad value for field 'mean'"),
+            (lambda t: t + TREE_0, r"scaler model: unexpected block \[tree 0\]"),
+        ],
+        ids=[
+            "missing_field", "repeated_stat", "repeated_method", "unknown_field",
+            "unknown_method", "short_array", "long_constant", "no_features",
+            "constant_digit", "constant_old_spelling", "constant_capitalised",
+            "constant_double_space", "unparsable_mean", "block_in_scaler",
+        ],
+    )
+    def test_rejected_on_load(self, tmp_path, edit, match):
+        path = tmp_path / "scaler.txt"
+        path.write_text(edit(GOLDEN_SCALER_TEXT))
         with pytest.raises(DatasetError, match=match):
             load_model(str(path))

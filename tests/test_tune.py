@@ -1,5 +1,6 @@
 """Fold construction, grid expansion, CV mechanics, search composition."""
 
+import csv
 import dataclasses
 import inspect
 
@@ -264,3 +265,19 @@ class TestTuningReport:
         summary = (d1 / "tuning_summary.csv").read_text().splitlines()
         assert summary[0] == "point,params,n_values,mean,selected"
         assert sum(int(line.rsplit(",", 1)[1]) for line in summary[1:]) == 1
+
+    def test_params_cells_parse_back(self, tmp_path):
+        ds = sample(17, n=120)
+        result = grid_search(
+            ds, "y", "cart", {"cp": [0.01, 0.1]},
+            k=3, seed=6, subset_frac=1.0, refit=False,
+        )
+        write_tuning_report(str(tmp_path), result)
+        summary = (tmp_path / "tuning_summary.csv").read_text()
+        # csv needs no quotes around these params, so none are written
+        assert [line.split(",")[1] for line in summary.splitlines()[1:]] == [
+            "cp=0.01", "cp=0.1",
+        ]
+        with open(tmp_path / "tuning_report.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert all(len(row) == len(header) for row in rows)
