@@ -50,6 +50,7 @@ DEFAULT_HIDDEN = (9, 4, 4)
 DEFAULT_ACTIVATIONS = ("tanh", "relu", "tanh", "relu")
 ERROR_KINDS = ("l2", "squared_l2")
 OBJECTIVES = ("youden", "f1")
+_BAND_CANDIDATES = 512  # evenly spaced score quantiles scanned for the band's lower edge
 
 
 @dataclass
@@ -172,12 +173,11 @@ def calibrate_band(
     labels: np.ndarray,
     objective: str = "youden",
     hi: float = math.inf,
-    n_candidates: int = 512,
 ) -> tuple[ThresholdBand, float]:
     """Pick the band's lower edge by scanning score quantiles.
 
-    Candidates are the unique quantiles of the scores (``n_candidates``
-    evenly spaced probabilities); the upper edge stays fixed at ``hi``.
+    Candidates are the unique quantiles of the scores (512 evenly spaced
+    probabilities); the upper edge stays fixed at ``hi``.
     Returns the band maximizing the objective (``youden`` = sensitivity +
     specificity - 1, or ``f1``) together with the achieved value. Ties go
     to the lowest candidate, so calibration is deterministic.
@@ -193,10 +193,8 @@ def calibrate_band(
     pos = int(y.sum())
     if pos in (0, y.size):
         raise DatasetError("calibration needs both classes")
-    if n_candidates < 2:
-        raise DatasetError("n_candidates must be >= 2")
     ThresholdBand(-math.inf, hi)  # rejects a nan hi
-    qs = np.linspace(0.0, 1.0, n_candidates)
+    qs = np.linspace(0.0, 1.0, _BAND_CANDIDATES)
     candidates = np.unique(np.quantile(s, qs))
     if candidates[0] > hi:
         raise DatasetError(

@@ -199,20 +199,18 @@ class ModelEvaluation:
     auc_value: float
     roc_points: np.ndarray
     importance: dict[str, float] = field(default_factory=dict)
-    threshold: float = 0.5
 
 
 def evaluate_scores(
     name: str,
     y_true: np.ndarray,
     scores: np.ndarray,
-    threshold: float = 0.5,
     importance: dict[str, float] | None = None,
 ) -> ModelEvaluation:
-    """Score a model's probability outputs: positive iff score >= threshold."""
+    """Score a model's probability outputs: positive iff score >= 0.5."""
     yt = _as_binary(y_true, "labels")
     s = np.asarray(scores, dtype=np.float64)
-    cm = confusion(yt, s >= threshold)
+    cm = confusion(yt, s >= 0.5)
     curve = roc(yt, s)
     return ModelEvaluation(
         name=name,
@@ -221,7 +219,6 @@ def evaluate_scores(
         auc_value=_area(curve),
         roc_points=curve,
         importance=dict(importance or {}),
-        threshold=threshold,
     )
 
 

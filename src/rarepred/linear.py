@@ -98,6 +98,29 @@ def _column_sds(X: np.ndarray) -> np.ndarray:
     return X.std(axis=0, ddof=1) if X.shape[0] > 1 else np.zeros(X.shape[1])
 
 
+_TSQR_ROWS = 512
+
+
+def _tsqr_lstsq(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of ``M @ x = b`` by blocked TSQR.
+
+    The rows are folded in fixed blocks of ``_TSQR_ROWS``: each block is
+    stacked under the running triangle of ``[M b]`` and refactored, so the
+    order of every reduction over rows is fixed by the code and not by the
+    BLAS thread pool (Demmel et al., SIAM J. Sci. Comput. 2012). ``lstsq``
+    on the final triangle, with the cutoff a solve on all of ``M`` would
+    use, has the same minimisers and so tolerates collinear and constant
+    columns (the minimum-norm solution zeroes the slack).
+    """
+    n, k = M.shape
+    Mb = np.column_stack([M, b])
+    R = np.zeros((0, k + 1))
+    for start in range(0, n, _TSQR_ROWS):
+        R = np.linalg.qr(np.vstack([R, Mb[start : start + _TSQR_ROWS]]), mode="r")
+    rcond = np.finfo(np.float64).eps * max(n, k)
+    return np.linalg.lstsq(R[:k, :k], R[:k, k], rcond=rcond)[0]
+
+
 def fit_logit(
     ds: Dataset,
     label: str,
@@ -127,9 +150,7 @@ def fit_logit(
         w = np.clip(p * (1.0 - p), 1e-10, None)
         z = eta + (y - p) / w
         sw = np.sqrt(w)
-        # solve the weighted least-squares step; lstsq tolerates collinear
-        # and constant columns (minimum-norm solution zeroes the slack)
-        beta, *_ = np.linalg.lstsq(A * sw[:, None], z * sw, rcond=None)
+        beta = _tsqr_lstsq(A * sw[:, None], z * sw)
         eta = A @ beta
         new_loglik = float(np.sum(y * eta - _log1pexp(eta)))
         done = abs(new_loglik - loglik) < tol

@@ -2,8 +2,10 @@
 
 Everything is plain numpy on (batch, dim) matrices. Gradients are exact
 derivatives of the mean batch loss (verified against finite differences in
-the test suite), dropout is the inverted kind and only active during
-training steps, and all randomness flows through seeded generators.
+the test suite); each loss gives its value and its gradient from one pass.
+Dropout is the inverted kind and only active during training steps, Adam
+updates the layer arrays and its moment arrays in place, and all
+randomness flows through seeded generators.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from .rng import child_seed, generator
 __all__ = [
     "DenseLayer",
     "Network",
-    "AdamState",
     "FFNModel",
     "forward",
     "param_count",
     "loss",
     "backprop",
-    "adam_step",
     "glorot_init",
     "train_ffn",
     "predict_ffn",
@@ -36,6 +36,7 @@ ACTIVATIONS = ("sigmoid", "tanh", "relu", "linear")
 LOSSES = ("mse", "bce", "cosine_proximity")
 _EPS_PROB = 1e-12
 _EPS_NORM = 1e-12
+_BETA1, _BETA2, _EPS_ADAM = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -164,14 +165,8 @@ def forward(
     return _trace(net, X, training, rng)[4]
 
 
-def loss(name: str, pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean batch loss.
-
-    ``mse`` and ``bce`` average over every output element; ``bce`` clips
-    probabilities away from 0/1. ``cosine_proximity`` is the negative cosine
-    similarity per row, averaged, and contributes 0 for any row where either
-    vector's norm falls below 1e-12 (no direction to compare).
-    """
+def _loss(name: str, pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean batch loss and its gradient with respect to ``pred``, from one pass."""
     if name not in LOSSES:
         raise DatasetError(f"unknown loss {name!r}")
     p = np.asarray(pred, dtype=np.float64)
@@ -180,39 +175,38 @@ def loss(name: str, pred: np.ndarray, target: np.ndarray) -> float:
         raise DatasetError("pred and target shapes differ")
     if p.ndim != 2:
         raise DatasetError("loss expects (batch, dim) matrices")
-    if name == "mse":
-        return float(np.mean((p - t) ** 2))
-    if name == "bce":
-        q = np.clip(p, _EPS_PROB, 1.0 - _EPS_PROB)
-        return float(-np.mean(t * np.log(q) + (1.0 - t) * np.log(1.0 - q)))
-    pn = np.linalg.norm(p, axis=1)
-    tn = np.linalg.norm(t, axis=1)
-    ok = (pn >= _EPS_NORM) & (tn >= _EPS_NORM)
-    cos = np.zeros(p.shape[0])
-    cos[ok] = np.sum(p[ok] * t[ok], axis=1) / (pn[ok] * tn[ok])
-    return float(-np.mean(cos))
-
-
-def _loss_grad(name: str, p: np.ndarray, t: np.ndarray) -> np.ndarray:
     b, d = p.shape
     if name == "mse":
-        return 2.0 * (p - t) / (b * d)
+        diff = p - t
+        return float(np.mean(diff ** 2)), 2.0 * diff / (b * d)
     if name == "bce":
         q = np.clip(p, _EPS_PROB, 1.0 - _EPS_PROB)
-        g = (q - t) / (q * (1.0 - q)) / (b * d)
+        r = 1.0 - q
+        g = (q - t) / (q * r) / (b * d)
         # clipped elements sit on a flat edge of the surrogate
         g[(p < _EPS_PROB) | (p > 1.0 - _EPS_PROB)] = 0.0
-        return g
+        return float(-np.mean(t * np.log(q) + (1.0 - t) * np.log(r))), g
     pn = np.linalg.norm(p, axis=1, keepdims=True)
     tn = np.linalg.norm(t, axis=1, keepdims=True)
     ok = ((pn >= _EPS_NORM) & (tn >= _EPS_NORM)).ravel()
+    po, to, pno, tno = p[ok], t[ok], pn[ok], tn[ok]
+    dot = np.sum(po * to, axis=1, keepdims=True)
+    cos = np.zeros(b)
+    cos[ok] = (dot / (pno * tno)).ravel()
     g = np.zeros_like(p)
-    if ok.any():
-        po, to = p[ok], t[ok]
-        pno, tno = pn[ok], tn[ok]
-        dot = np.sum(po * to, axis=1, keepdims=True)
-        g[ok] = -(to / (pno * tno) - po * dot / (pno ** 3 * tno)) / b
-    return g
+    g[ok] = -(to / (pno * tno) - po * dot / (pno ** 3 * tno)) / b
+    return float(-np.mean(cos)), g
+
+
+def loss(name: str, pred: np.ndarray, target: np.ndarray) -> float:
+    """Mean batch loss.
+
+    ``mse`` and ``bce`` average over every output element; ``bce`` clips
+    probabilities away from 0/1. ``cosine_proximity`` is the negative cosine
+    similarity per row, averaged, and contributes 0 for any row where either
+    vector's norm falls below 1e-12 (no direction to compare).
+    """
+    return _loss(name, pred, target)[0]
 
 
 def backprop(
@@ -232,16 +226,13 @@ def backprop(
     matching the loss reported. With ``training=True`` dropout masks are
     sampled and the gradients are exact for those masks.
     """
-    if loss_name not in LOSSES:
-        raise DatasetError(f"unknown loss {loss_name!r}")
-    t = np.asarray(target, dtype=np.float64)
     inputs, zs, acts, masks, out = _trace(net, X, training, rng)
     batch = out.shape[0]
-    total = loss(loss_name, out, t)
+    # delta is the gradient wrt the post-dropout output
+    total, delta = _loss(loss_name, out, target)
     if activity_l2 > 0.0:
         total += activity_l2 * float(np.sum(acts[0] ** 2)) / batch
 
-    delta = _loss_grad(loss_name, out, t)  # gradient wrt post-dropout output
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
@@ -257,48 +248,17 @@ def backprop(
     return grads, total
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
-
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            t=0,
-        )
-
-
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns new params and state."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DatasetError("params, grads, and state must align")
-    t = state.t + 1
-    new_params = []
-    new_m = []
-    new_v = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+def _adam_step(params, grads, m, v, t: int, lr: float) -> None:
+    """Bias-corrected Adam update number ``t`` (from 1), in place on
+    ``params`` and their first and second moments ``m`` and ``v``."""
+    c1 = 1.0 - _BETA1 ** t
+    c2 = 1.0 - _BETA2 ** t
+    for p, g, mp, vp in zip(params, grads, m, v):
+        mp *= _BETA1
+        mp += (1.0 - _BETA1) * g
+        vp *= _BETA2
+        vp += (1.0 - _BETA2) * g * g
+        p -= lr * (mp / c1) / (np.sqrt(vp / c2) + _EPS_ADAM)
 
 
 def glorot_init(
@@ -333,12 +293,6 @@ def _net_params(net: Network) -> list[np.ndarray]:
     return params
 
 
-def _set_params(net: Network, params: list[np.ndarray]) -> None:
-    for i, layer in enumerate(net.layers):
-        layer.weights = params[2 * i]
-        layer.bias = params[2 * i + 1]
-
-
 def fit_network(
     net: Network,
     X: np.ndarray,
@@ -360,7 +314,10 @@ def fit_network(
     if epochs < 1 or batch_size < 1:
         raise DatasetError("epochs and batch_size must be >= 1")
     n = X.shape[0]
-    state = AdamState.for_params(_net_params(net))
+    params = _net_params(net)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    step = 0
     path: list[float] = []
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -377,9 +334,8 @@ def fit_network(
                 training=True,
                 rng=rng,
             )
-            flat = [g for pair in grads for g in pair]
-            new_params, state = adam_step(_net_params(net), flat, state, lr=lr)
-            _set_params(net, new_params)
+            step += 1
+            _adam_step(params, [g for pair in grads for g in pair], m, v, step, lr)
             accum += value * rows.size
             seen += rows.size
         path.append(accum / seen)

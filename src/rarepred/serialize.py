@@ -32,9 +32,10 @@ def _ints(arr) -> str:
 
 
 def _names(names: tuple[str, ...]) -> str:
+    # tab separates the names, and load_model's text reading ends a line at \r
     for n in names:
-        if "\t" in n or "\n" in n:
-            raise DatasetError(f"feature name {n!r} contains tab or newline")
+        if "\t" in n or "\n" in n or "\r" in n:
+            raise DatasetError(f"feature name {n!r} contains a tab, \\r or \\n")
     return "\t".join(names)
 
 
@@ -136,7 +137,7 @@ def _read(section: dict[str, str], fields, where: str) -> dict:
 
 def _split_sections(text: str) -> tuple[dict[str, str], dict[str, dict[str, str]]]:
     """The header's fields, and each ``[title]`` block's fields by title, none repeated."""
-    lines = text.splitlines()
+    lines = text.split("\n")  # splitlines() would also break at \x85, \u2028, ...
     if not lines or lines[0] != MAGIC:
         raise DatasetError("not a model file (bad or missing header)")
     head = fields = {}

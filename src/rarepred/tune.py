@@ -223,9 +223,8 @@ def cross_validate(
     metric: str = "auc",
     scaler: str | None = None,
     features: list[str] | tuple[str, ...] | None = None,
-    stratified: bool = True,
 ) -> CVResult:
-    """k-fold estimate of one metric for one hyperparameter point.
+    """Stratified k-fold estimate of one metric for one hyperparameter point.
 
     Preprocessing never leaks: when ``scaler`` is set, its statistics are
     refit on each fold's training split and applied to both sides. Fold f
@@ -237,10 +236,7 @@ def cross_validate(
     params = dict(params or {})
     spec = get_model_spec(kind)
     names = tuple(features) if features is not None else ds.feature_names
-    y_all = ds.label(label)
-    plan = kfold_partition(
-        ds.rows, k, seed, stratify_labels=y_all if stratified else None
-    )
+    plan = kfold_partition(ds.rows, k, seed, stratify_labels=ds.label(label))
     values = np.empty(k)
     times: list[float] = []
     for fold in range(k):

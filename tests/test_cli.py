@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rarepred
+from conftest import with_blas_threads
 from rarepred import anomaly, cli, tune
 from rarepred.benchmarks import benchmark_spec
 from rarepred.cli import PipelineError, main, run
@@ -377,6 +378,31 @@ def manifest_entries(out_dir):
     return entries
 
 
+THREADS_CFG = """
+[run]
+seed = 7
+out_dir = {out}
+label = outcome
+
+[data]
+synth = rare_linear
+n = 50000
+
+[model:logit]
+
+[model:elastic_net]
+lam = 0.01
+alpha = 0.5
+
+[model:ffn]
+hidden = 8 4
+epochs = 1
+
+[autoencoder]
+epochs = 1
+"""
+
+
 class TestPipeline:
     def test_all_produces_bundle(self, tmp_path):
         out = str(tmp_path / "out")
@@ -532,6 +558,27 @@ class TestPipeline:
         )
         assert proc.returncode == 1
         assert "usage error" in proc.stderr
+
+    def test_manifest_same_at_one_and_two_blas_threads(self, tmp_path):
+        # 40k training rows: enough for a row reduction left to the BLAS
+        # thread pool to change the logit bits between 1 and 2 threads
+        digests = []
+        for threads in (1, 2):
+            out = str(tmp_path / f"out{threads}")
+            cfg = write_cfg(tmp_path, THREADS_CFG, name=f"t{threads}.ini", out=out)
+            proc = subprocess.run(
+                [sys.executable, "-m", "rarepred.cli", "all", "--config", cfg],
+                capture_output=True,
+                text=True,
+                env=with_blas_threads(threads),
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            with open(os.path.join(out, "manifest.txt"), "rb") as fh:
+                digests.append(hashlib.sha256(fh.read()).hexdigest())
+            assert os.path.exists(os.path.join(out, "models/ffn.model"))
+            assert os.path.exists(os.path.join(out, "models/autoencoder.model"))
+        assert digests[0] == digests[1]
 
     def test_detect_band_calibrated_on_train_scores(self, tmp_path):
         out = str(tmp_path / "out")

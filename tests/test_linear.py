@@ -1,10 +1,13 @@
 """Logit IRLS, elastic-net coordinate descent, penalty arithmetic."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import with_blas_threads
 from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.linear import (
     fit_elastic_net,
@@ -91,6 +94,32 @@ class TestLogit:
         y = ds.label("y")
         manual = float(np.sum(y * np.log(p) + (1 - y) * np.log1p(-p)))
         assert abs(model.loglik - manual) < 1e-6
+
+    def test_model_bytes_same_at_one_and_two_blas_threads(self):
+        # 80k rows: enough for a row reduction left to the BLAS thread pool
+        # to change the coefficient bits between 1 and 2 threads
+        script = (
+            "import hashlib\n"
+            "from rarepred.benchmarks import rare_linear_spec\n"
+            "from rarepred.dataset import synth_generate\n"
+            "from rarepred.linear import fit_logit\n"
+            "from rarepred.serialize import model_to_text\n"
+            "ds = synth_generate(rare_linear_spec(n=80000, seed=7))\n"
+            "text = model_to_text(fit_logit(ds, 'outcome'))\n"
+            "print(hashlib.sha256(text.encode()).hexdigest())\n"
+        )
+        digests = []
+        for threads in (1, 2):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=with_blas_threads(threads),
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_feature_subset_and_name_lookup(self):
         ds = logistic_sample(3, 500, [1.0, -1.0], 0.0)

@@ -1,6 +1,7 @@
 """Forward/backward correctness, Adam arithmetic, FFN training behavior."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,11 +9,15 @@ import pytest
 from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.evaluate import auc
 from rarepred.neural import (
-    AdamState,
     DenseLayer,
     Network,
-    adam_step,
+    _activation_grad,
+    _adam_step,
+    _loss,
+    _net_params,
+    _trace,
     backprop,
+    fit_network,
     forward,
     glorot_init,
     loss,
@@ -57,6 +62,220 @@ def fd_gradient_errors(net, X, T, loss_name, activity_l2=0.0, h=1e-6):
                 denom = max(abs(numeric), abs(g[idx]), 1e-8)
                 worst = max(worst, abs(numeric - g[idx]) / denom)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the two-pass loss (value, then gradient) and the functional Adam
+# step that the single-pass loss and the in-place step replaced, kept verbatim.
+
+_EPS_PROB = 1e-12
+_EPS_NORM = 1e-12
+
+
+def loss_oracle(name, pred, target):
+    if name not in ("mse", "bce", "cosine_proximity"):
+        raise DatasetError(f"unknown loss {name!r}")
+    p = np.asarray(pred, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    if p.shape != t.shape:
+        raise DatasetError("pred and target shapes differ")
+    if p.ndim != 2:
+        raise DatasetError("loss expects (batch, dim) matrices")
+    if name == "mse":
+        return float(np.mean((p - t) ** 2))
+    if name == "bce":
+        q = np.clip(p, _EPS_PROB, 1.0 - _EPS_PROB)
+        return float(-np.mean(t * np.log(q) + (1.0 - t) * np.log(1.0 - q)))
+    pn = np.linalg.norm(p, axis=1)
+    tn = np.linalg.norm(t, axis=1)
+    ok = (pn >= _EPS_NORM) & (tn >= _EPS_NORM)
+    cos = np.zeros(p.shape[0])
+    cos[ok] = np.sum(p[ok] * t[ok], axis=1) / (pn[ok] * tn[ok])
+    return float(-np.mean(cos))
+
+
+def loss_grad_oracle(name, p, t):
+    b, d = p.shape
+    if name == "mse":
+        return 2.0 * (p - t) / (b * d)
+    if name == "bce":
+        q = np.clip(p, _EPS_PROB, 1.0 - _EPS_PROB)
+        g = (q - t) / (q * (1.0 - q)) / (b * d)
+        # clipped elements sit on a flat edge of the surrogate
+        g[(p < _EPS_PROB) | (p > 1.0 - _EPS_PROB)] = 0.0
+        return g
+    pn = np.linalg.norm(p, axis=1, keepdims=True)
+    tn = np.linalg.norm(t, axis=1, keepdims=True)
+    ok = ((pn >= _EPS_NORM) & (tn >= _EPS_NORM)).ravel()
+    g = np.zeros_like(p)
+    if ok.any():
+        po, to = p[ok], t[ok]
+        pno, tno = pn[ok], tn[ok]
+        dot = np.sum(po * to, axis=1, keepdims=True)
+        g[ok] = -(to / (pno * tno) - po * dot / (pno ** 3 * tno)) / b
+    return g
+
+
+def backprop_oracle(net, X, target, loss_name, activity_l2=0.0, training=False, rng=None):
+    if loss_name not in ("mse", "bce", "cosine_proximity"):
+        raise DatasetError(f"unknown loss {loss_name!r}")
+    t = np.asarray(target, dtype=np.float64)
+    inputs, zs, acts, masks, out = _trace(net, X, training, rng)
+    batch = out.shape[0]
+    total = loss_oracle(loss_name, out, t)
+    if activity_l2 > 0.0:
+        total += activity_l2 * float(np.sum(acts[0] ** 2)) / batch
+
+    delta = loss_grad_oracle(loss_name, out, t)  # gradient wrt post-dropout output
+    grads = [None] * len(net.layers)
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        if masks[i] is not None:
+            delta = delta * masks[i]
+        # now the gradient wrt the raw activation acts[i]
+        if i == 0 and activity_l2 > 0.0:
+            delta = delta + 2.0 * activity_l2 * acts[0] / batch
+        dz = delta * _activation_grad(zs[i], acts[i], layer.activation)
+        grads[i] = (dz.T @ inputs[i], dz.sum(axis=0))
+        if i > 0:
+            delta = dz @ layer.weights
+    return grads, total
+
+
+@dataclass
+class AdamState:
+    m: list
+    v: list
+    t: int = 0
+
+    @classmethod
+    def for_params(cls, params):
+        return cls(
+            m=[np.zeros_like(p) for p in params],
+            v=[np.zeros_like(p) for p in params],
+            t=0,
+        )
+
+
+def adam_step_oracle(params, grads, state, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    if len(params) != len(grads) or len(params) != len(state.m):
+        raise DatasetError("params, grads, and state must align")
+    t = state.t + 1
+    new_params = []
+    new_m = []
+    new_v = []
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m)
+        new_v.append(v)
+    return new_params, AdamState(m=new_m, v=new_v, t=t)
+
+
+def fit_network_oracle(net, X, target, loss_name, epochs, batch_size, lr, rng, activity_l2=0.0):
+    n = X.shape[0]
+    state = AdamState.for_params(_net_params(net))
+    path = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        seen = 0.0
+        accum = 0.0
+        for start in range(0, n, batch_size):
+            rows = order[start : start + batch_size]
+            grads, value = backprop_oracle(
+                net, X[rows], target[rows], loss_name,
+                activity_l2=activity_l2, training=True, rng=rng,
+            )
+            flat = [g for pair in grads for g in pair]
+            new_params, state = adam_step_oracle(_net_params(net), flat, state, lr=lr)
+            for i, layer in enumerate(net.layers):
+                layer.weights = new_params[2 * i]
+                layer.bias = new_params[2 * i + 1]
+            accum += value * rows.size
+            seen += rows.size
+        path.append(accum / seen)
+    return path
+
+
+def loss_cases(name, seed=30):
+    """A (pred, target) batch for ``name`` with the loss's edge cells in it:
+    clipped and exact 0/1 predictions for bce, zero and sub-cutoff norms on
+    either side for the cosine loss."""
+    rng = generator(seed)
+    if name == "bce":
+        pred = rng.random((9, 4))
+        pred[0] = [0.0, 1.0, 1e-13, 1.0 - 1e-17]
+        pred[1] = [1e-12, 1.0 - 1e-12, 0.5, 2e-12]
+        target = (rng.random((9, 4)) < 0.5).astype(np.float64)
+        target[2] = [0.25, 0.75, 1.0, 0.0]
+        return pred, target
+    pred = rng.normal(size=(9, 4))
+    target = rng.normal(size=(9, 4))
+    if name == "cosine_proximity":
+        pred[0] = 0.0
+        target[1] = 0.0
+        pred[2] = 1e-14
+        target[3] = [5e-13, 0.0, 0.0, 0.0]
+        pred[4], target[4] = 0.0, 0.0
+    return pred, target
+
+
+class TestLossOracle:
+    @pytest.mark.parametrize("name", ["mse", "bce", "cosine_proximity"])
+    def test_value_and_gradient_match_two_pass_oracle(self, name):
+        for seed in (30, 31, 32):
+            pred, target = loss_cases(name, seed)
+            value, grad = _loss(name, pred, target)
+            want = loss_grad_oracle(name, pred, target)
+            assert np.float64(value).tobytes() == np.float64(loss_oracle(name, pred, target)).tobytes()
+            assert grad.tobytes() == want.tobytes()
+            assert loss(name, pred, target) == value
+
+    def test_cosine_all_rows_degenerate(self):
+        pred, target = np.zeros((3, 2)), np.ones((3, 2))
+        value, grad = _loss("cosine_proximity", pred, target)
+        assert value == 0.0
+        assert grad.tobytes() == loss_grad_oracle("cosine_proximity", pred, target).tobytes()
+
+    def test_shape_mismatch_refused(self):
+        with pytest.raises(DatasetError, match="shapes differ"):
+            loss("mse", np.zeros((2, 3)), np.zeros((2, 2)))
+        net = small_net()  # output width 2
+        X = np.ones((4, 3))
+        for target in (np.zeros((4, 3)), np.zeros((3, 2)), np.zeros(8)):
+            with pytest.raises(DatasetError, match="shapes differ"):
+                backprop(net, X, target, "mse")
+
+    def test_backprop_unknown_loss(self):
+        with pytest.raises(DatasetError, match="unknown loss"):
+            backprop(small_net(), np.ones((2, 3)), np.zeros((2, 2)), "hinge")
+
+
+class TestFitNetworkOracle:
+    @pytest.mark.parametrize(
+        "loss_name, acts, activity_l2",
+        [
+            ("mse", ("relu", "tanh", "linear"), 0.01),
+            ("bce", ("relu", "relu", "sigmoid"), 0.0),
+            ("cosine_proximity", ("tanh", "relu", "tanh"), 1e-4),
+        ],
+    )
+    def test_weights_and_loss_path_match_oracle_loop(self, loss_name, acts, activity_l2):
+        rng = generator(50)
+        X = rng.normal(size=(203, 5))
+        if loss_name == "bce":
+            T = (rng.random((203, 2)) < 0.3).astype(np.float64)
+        else:
+            T = X[:, :2] + 0.1 * rng.normal(size=(203, 2))
+        nets = [small_net(51, (5, 7, 4, 2), acts, (0.3, 0.2, 0.0)) for _ in range(2)]
+        path = fit_network(nets[0], X, T, loss_name, 3, 32, 0.01, generator(52), activity_l2)
+        want = fit_network_oracle(nets[1], X, T, loss_name, 3, 32, 0.01, generator(52), activity_l2)
+        assert np.array(path).tobytes() == np.array(want).tobytes()
+        for got, exp in zip(_net_params(nets[0]), _net_params(nets[1])):
+            assert got.tobytes() == exp.tobytes()
 
 
 class TestStructure:
@@ -190,26 +409,27 @@ class TestAdam:
     def test_two_steps_constant_gradient(self):
         # with a constant gradient, bias correction makes every step lr*sign(g)
         params = [np.array([1.0])]
-        state = AdamState.for_params(params)
+        m, v = [np.zeros(1)], [np.zeros(1)]
         g = [np.array([0.5])]
-        params, state = adam_step(params, g, state, lr=0.1)
+        start = params[0]
+        _adam_step(params, g, m, v, 1, lr=0.1)
         assert abs(params[0][0] - 0.9) < 1e-7
-        params, state = adam_step(params, g, state, lr=0.1)
+        _adam_step(params, g, m, v, 2, lr=0.1)
         assert abs(params[0][0] - 0.8) < 1e-7
-        assert state.t == 2
+        assert params[0] is start  # updated in place
 
-    def test_state_not_mutated(self):
-        params = [np.ones(3)]
-        state = AdamState.for_params(params)
-        adam_step(params, [np.ones(3)], state)
-        np.testing.assert_array_equal(state.m[0], 0.0)
-        assert state.t == 0
-
-    def test_misaligned_rejected(self):
-        params = [np.ones(2)]
-        state = AdamState.for_params(params)
-        with pytest.raises(DatasetError):
-            adam_step(params, [np.ones(2), np.ones(1)], state)
+    def test_step_matches_functional_oracle(self):
+        rng = generator(40)
+        params = [rng.normal(size=(3, 2)), rng.normal(size=3)]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        want, state = [p.copy() for p in params], AdamState.for_params(params)
+        for t in range(1, 6):
+            grads = [rng.normal(size=p.shape) for p in params]
+            _adam_step(params, grads, m, v, t, lr=0.01)
+            want, state = adam_step_oracle(want, grads, state, lr=0.01)
+        for got, exp in zip(params + m + v, want + state.m + state.v):
+            assert got.tobytes() == exp.tobytes()
 
 
 def blob(seed, n=1200):

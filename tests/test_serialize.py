@@ -580,6 +580,25 @@ class TestScalerModel:
         with pytest.raises(DatasetError, match="tab"):
             model_to_text(params)
 
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\x0b", "\x1c"])
+    def test_names_with_other_line_breaks_round_trip(self, tmp_path, char):
+        # str.splitlines() breaks at these; the model files keep them
+        names = [f"a{char}b", " c"]
+        params = fit_scaler(scaler_ds([[1.0, 2.0], [3.0, 5.0]], names=names), "standardize")
+        assert_same_scaler(model_from_text(model_to_text(params)), params)
+        path = tmp_path / "scaler.txt"
+        save_model(str(path), params)
+        assert_same_scaler(load_model(str(path)), params)
+        logit = fit_logit(sample(4), "y")
+        logit.feature_names = (f"x{char}0", " x1", "x2")
+        save_model(str(tmp_path / "logit.model"), logit)
+        assert load_model(str(tmp_path / "logit.model")).feature_names == logit.feature_names
+
+    def test_name_with_carriage_return_refused_on_save(self, tmp_path):
+        params = fit_scaler(scaler_ds([[1.0], [2.0]], names=["a\rb"]), "minmax")
+        with pytest.raises(DatasetError, match=r"feature name 'a\\rb'"):
+            save_model(str(tmp_path / "scaler.txt"), params)
+
     @pytest.mark.parametrize(
         "edit, match",
         [
