@@ -126,27 +126,12 @@ def train_autoencoder(
     rng = generator(child_seed(seed, "autoencoder"))
     net = glorot_init(widths, tuple(activations), None, rng)
     path = fit_network(
-        net,
-        X,
-        X,
-        loss_name,
-        epochs=epochs,
-        batch_size=batch_size,
-        lr=lr,
-        rng=rng,
+        net, X, X, loss_name, epochs=epochs, batch_size=batch_size, lr=lr, rng=rng,
         activity_l2=activity_l2,
     )
     return Autoencoder(
-        feature_names=names,
-        net=net,
-        loss=loss_name,
-        activity_l2=activity_l2,
-        seed=seed,
-        epochs=epochs,
-        batch_size=batch_size,
-        lr=lr,
-        n_train_rows=X.shape[0],
-        loss_path=path,
+        feature_names=names, net=net, loss=loss_name, activity_l2=activity_l2, seed=seed,
+        epochs=epochs, batch_size=batch_size, lr=lr, n_train_rows=X.shape[0], loss_path=path,
     )
 
 

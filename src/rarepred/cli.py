@@ -19,8 +19,9 @@ Every command reads its workspace inputs through one check: a file that is
 missing, not recorded, or whose sha256 no longer matches the manifest is
 refused with exit 1, and so is one made from an input that has since been
 rewritten; ``report`` checks every artifact it lists. A split file that
-passes is parsed once per command run, so ``rarepred all`` parses each of
-data.csv, train.csv and test.csv once.
+passes is parsed once per command run. ``split`` keeps the train and test
+sets it writes as their parse where parsing would give them back bit for
+bit, so ``rarepred all`` parses only data.csv.
 
 The test split is written once by ``split`` and first read by ``evaluate``
 (then ``detect``); the manifest's per-artifact input lists make that
@@ -45,11 +46,12 @@ from .anomaly import (
     train_autoencoder,
     write_scores,
 )
-from .config import ConfigError, RunConfig, format_value, load_config, parse_value
+from .config import ConfigError, RunConfig, format_value, load_config, parse_param
 from .dataset import (
     Dataset,
     load_csv,
     load_schema,
+    reads_back,
     stratified_split,
     synth_generate,
     write_csv,
@@ -87,23 +89,27 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _read_pairs(path: str) -> dict[str, str]:
+    """The ``key = value`` lines of a manifest or a ``best_params.txt``;
+    blank lines and ``#`` comments are skipped."""
+    pairs = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in map(str.strip, fh):
+            if line and not line.startswith("#"):
+                key, _, value = line.partition(" = ")
+                pairs[key] = value
+    return pairs
+
+
 class Workspace:
     """One output directory with its manifest and timestamp log."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        self.entries: dict[str, str] = {}
+        path = os.path.join(out_dir, MANIFEST_NAME)
+        self.entries: dict[str, str] = _read_pairs(path) if os.path.exists(path) else {}
         # parsed split files keyed by (rel, its sha256, schema.txt's sha256)
         self.datasets: dict[tuple[str, str, str], Dataset] = {}
-        path = os.path.join(out_dir, MANIFEST_NAME)
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    key, _, value = line.partition(" = ")
-                    self.entries[key] = value
 
     def path(self, rel: str) -> str:
         full = os.path.join(self.out_dir, rel)
@@ -150,15 +156,24 @@ class Workspace:
                 )
         return full
 
+    def _dataset_key(self, rel: str) -> tuple[str, str, str]:
+        return (rel, self.entries[f"artifact.{rel}.sha256"],
+                self.entries["artifact.schema.txt.sha256"])
+
     def dataset(self, rel: str, producer: str) -> Dataset:
         """The checked split file ``rel``, parsed once per content and schema."""
         full = self.require_artifact(rel, producer)
         schema = self.require_artifact("schema.txt", producer)
-        key = (rel, self.entries[f"artifact.{rel}.sha256"],
-               self.entries["artifact.schema.txt.sha256"])
+        key = self._dataset_key(rel)
         if key not in self.datasets:
             self.datasets[key] = load_csv(full, load_schema(schema))
         return self.datasets[key]
+
+    def keep_dataset(self, rel: str, ds: Dataset) -> None:
+        """Keep ``ds`` as the parse of ``rel``, just written from it and recorded,
+        where parsing ``rel`` would give ``ds`` again (``dataset.reads_back``)."""
+        if reads_back(ds, load_schema(os.path.join(self.out_dir, "schema.txt"))):
+            self.datasets[self._dataset_key(rel)] = ds
 
     def artifacts(self) -> list[str]:
         prefix, suffix = "artifact.", ".sha256"
@@ -248,6 +263,8 @@ def cmd_split(cfg: RunConfig, ws: Workspace) -> None:
     write_csv(ws.path("test.csv"), pair.test)
     ws.record_artifact("train.csv", "split", inputs)
     ws.record_artifact("test.csv", "split", inputs)
+    ws.keep_dataset("train.csv", pair.train)
+    ws.keep_dataset("test.csv", pair.test)
     ws.set("seed.split", seed)
     ws.set("split.train_rows", pair.train.rows)
     ws.set("split.test_rows", pair.test.rows)
@@ -304,15 +321,8 @@ def cmd_tune(cfg: RunConfig, ws: Workspace) -> None:
 def _chosen_params(cfg: RunConfig, ws: Workspace, mg) -> tuple[dict, list[str]]:
     best_rel = f"tune/{mg.kind}/best_params.txt"
     if ws.has_artifact(best_rel) or os.path.exists(os.path.join(ws.out_dir, best_rel)):
-        params = {}
-        with open(ws.require_artifact(best_rel, "tune"), encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                key, _, value = line.partition(" = ")
-                params[key] = parse_value(value)
-        return params, [best_rel]
+        pairs = _read_pairs(ws.require_artifact(best_rel, "tune"))
+        return {key: parse_param(mg.kind, key, text) for key, text in pairs.items()}, [best_rel]
     point = mg.single_point()
     if point is None:
         raise PipelineError(
@@ -408,22 +418,17 @@ def cmd_detect(cfg: RunConfig, ws: Workspace) -> None:
     test_scores = score_dataset(ae, test_s, kind=ae_cfg.error)
     if ae_cfg.band_lo is not None:
         band = ThresholdBand(ae_cfg.band_lo, ae_cfg.band_hi)
-        objective_line = "objective = (fixed)"
-        value_line = None
+        how = ["objective = (fixed)"]
     else:
         band, value = calibrate_band(
             train_scores, y_train, objective=ae_cfg.objective, hi=ae_cfg.band_hi
         )
-        objective_line = f"objective = {ae_cfg.objective}"
-        value_line = f"value = {float(value)!r}"
+        how = [f"objective = {ae_cfg.objective}", f"value = {float(value)!r}"]
     write_scores(ws.path("detect/train_scores.csv"), train_scores, y_train)
     write_scores(ws.path("detect/test_scores.csv"), test_scores, y_test)
     with open(ws.path("detect/band.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"lo = {float(band.lo)!r}\n")
-        fh.write(f"hi = {float(band.hi)!r}\n")
-        fh.write(objective_line + "\n")
-        if value_line is not None:
-            fh.write(value_line + "\n")
+        lines = [f"lo = {float(band.lo)!r}", f"hi = {float(band.hi)!r}", *how]
+        fh.writelines(f"{line}\n" for line in lines)
     preds = classify_band(test_scores, band)
     m = metrics(confusion(y_test, preds))
     auc_value = auc(y_test, test_scores)

@@ -26,6 +26,7 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 from .anomaly import (
     DEFAULT_ACTIVATIONS, DEFAULT_AUTOENCODER_FEATURES, DEFAULT_HIDDEN, ERROR_KINDS, OBJECTIVES,
@@ -38,7 +39,7 @@ from .tune import METRICS, _REGISTRY
 
 __all__ = [
     "ConfigError", "ModelGrid", "AutoencoderConfig", "RunConfig", "parse_scalar",
-    "parse_value", "parse_values", "format_value", "load_config",
+    "parse_value", "parse_values", "parse_param", "format_value", "load_config",
 ]
 
 
@@ -79,12 +80,17 @@ def parse_value(text: str):
     return tuple(parse_scalar(tok) for tok in tokens)
 
 
-def parse_values(text: str) -> list:
-    """A comma-separated candidate list of typed values."""
+def parse_values(text: str, parse=parse_value) -> list:
+    """A comma-separated candidate list of values, each typed by ``parse``."""
     parts = [part for part in text.split(",")]
     if not parts or any(part.strip() == "" for part in parts):
         raise ConfigError(f"malformed value list {text!r}")
-    return [parse_value(part) for part in parts]
+    return [parse(part) for part in parts]
+
+
+def parse_param(kind: str, key: str, text: str):
+    """One value of hyperparameter ``key`` of ``[model:<kind>]``, as its grid reads it."""
+    return _GRID_VALUES.get((kind, key), parse_value)(text)
 
 
 def format_value(value) -> str:
@@ -149,6 +155,15 @@ def _widths(text: str) -> tuple[int, ...]:
     return widths
 
 
+def _rates(text: str) -> tuple | None:
+    """Dropout rates of the leading layers, each in [0, 1), or ``none`` for the defaults."""
+    value = parse_value(text)
+    rates = value if isinstance(value, tuple) else (value,)
+    if value is not None and not all(type(r) in (int, float) and 0 <= r < 1 for r in rates):
+        raise ConfigError("rates must be numbers in [0, 1)")
+    return None if value is None else rates
+
+
 def _edge(text: str) -> float:
     value = _number(float)(text)
     if math.isnan(value):
@@ -157,6 +172,9 @@ def _edge(text: str) -> float:
 
 
 _REQUIRED = object()  # default of a key that must be given
+
+# (model kind, hyperparameter) -> parser of one grid candidate; parse_value by default
+_GRID_VALUES = {("ffn", "hidden"): _widths, ("ffn", "dropout"): _rates}
 
 # section -> {key: (field, default, parse)}; the fields of every section but
 # [autoencoder] are RunConfig's, those of [autoencoder] AutoencoderConfig's
@@ -332,7 +350,10 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
                 raise ConfigError(
                     f"[{section}] unknown hyperparameter {key!r} (have {', '.join(params)})"
                 )
-            grid[key] = parse_values(parser.get(section, key))
+            try:
+                grid[key] = parse_values(parser.get(section, key), partial(parse_param, kind, key))
+            except ConfigError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
         models.append(ModelGrid(kind=kind, grid=grid))
     for required in ("run", "data"):
         if not parser.has_section(required):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice, repeat
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "load_schema",
     "write_schema",
     "load_csv",
+    "reads_back",
     "write_csv",
     "write_table",
     "synth_generate",
@@ -191,6 +192,8 @@ def write_schema(path: str, ds: Dataset) -> None:
 # Rows per block: load_csv parses, and the writers format, one block of rows
 # at a time, column by column, so only one block of cell strings is alive.
 _BLOCK_ROWS = 4096
+# Bytes per range: load_csv parses a file in ranges cut about this far apart.
+_RANGE_BYTES = 1 << 20
 
 
 def _cell_error(kind: str, cell: str, impute: bool) -> str | None:
@@ -269,6 +272,68 @@ def _rows(path: str, fh):
         raise DatasetError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from None
 
 
+def _parse_rows(reader, header: list[str], kinds: list[str], impute: bool):
+    """The rows of ``reader`` in blocks: ``(values, gaps)`` per column and
+    block, each column's levels in first-seen order, and the row count."""
+    levels: list[dict[str, int]] = [{} for _ in header]
+    blocks: list[list] = [[] for _ in header]
+    n = 0
+    body = filter(None, reader)  # blank lines are not rows
+    while rows := list(islice(body, _BLOCK_ROWS)):
+        parsed = [None]
+        if set(map(len, rows)) == {len(header)}:
+            parsed = list(map(_parse_column, zip(*rows), kinds, levels, repeat(impute)))
+        if None in parsed:
+            raise _block_error(rows, n, header, kinds, impute)
+        for column, block in zip(blocks, parsed):
+            column.append(block)
+        n += len(rows)
+    return blocks, levels, n
+
+
+def _cuts(path: str) -> list[int]:
+    """Where the file's ranges start and end: after the header line, then
+    after the line that reaches ``_RANGE_BYTES`` past the last cut, up to the
+    size; none when a quote or a carriage return may put a newline in a row."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b'"' in data or b"\r" in data:
+        return []
+    cuts = [data.find(b"\n") + 1 or len(data)]
+    while cuts[-1] < len(data):
+        cuts.append(data.find(b"\n", cuts[-1] + _RANGE_BYTES - 1) + 1 or len(data))
+    return cuts
+
+
+def _parse_ranges(path: str, cuts: list[int], header: list[str], kinds: list[str], impute: bool):
+    """:func:`_parse_rows` of each range over the usable CPUs (``shares.fork_map``).
+    A range numbers its levels in first-seen order; appending its new levels in
+    range order renumbers its codes into first-seen order over the file."""
+    levels: list[dict[str, int]] = [{} for _ in header]
+    blocks: list[list] = [[] for _ in header]
+    rows = 0
+
+    def parse(t: int):
+        with open(path, "rb") as fh:
+            fh.seek(cuts[t])
+            text = fh.read(cuts[t + 1] - cuts[t]).decode("utf-8")
+        return _parse_rows(_rows(path, io.StringIO(text, newline="")), header, kinds, impute)
+
+    def take(part) -> None:
+        nonlocal rows
+        part_blocks, part_levels, part_rows = part
+        for j, kind in enumerate(kinds):
+            if kind == "categorical":  # a gap's code -1 stays -1
+                codes = [levels[j].setdefault(level, len(levels[j])) for level in part_levels[j]]
+                codes = np.array(codes + [-1.0])
+                part_blocks[j] = [(codes[v.astype(np.intp)], gaps) for v, gaps in part_blocks[j]]
+            blocks[j] += part_blocks[j]
+        rows += part_rows
+
+    fork_map(parse, len(cuts) - 1, take)
+    return blocks, levels, rows
+
+
 def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -> Dataset:
     """Load a comma-separated UTF-8 file against a column-kind schema.
 
@@ -279,11 +344,17 @@ def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -
     gaps the column mode (mode ties break to the lowest level index). Missing
     label cells and non-finite numbers are always an error. Data rows are
     1-indexed in error messages; the first bad cell in row order is named.
+
+    A file with no ``"`` and no ``\\r`` byte is cut after a newline about every
+    ``_RANGE_BYTES``, and the ranges are parsed over the usable CPUs. A file of
+    one range, or one where some range fails, is parsed here in one range, so
+    the result and every error message are the same.
     """
     if missing_policy not in ("error", "impute"):
         raise DatasetError(f"unknown missing policy {missing_policy!r}")
     impute = missing_policy == "impute"
     try:
+        cuts = _cuts(path)
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
@@ -305,19 +376,11 @@ def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -
             repeated = next(name for name in header if header.count(name) > 1)
             raise DatasetError(f"{path}: column {repeated!r} appears twice in the header")
         kinds = [schema[name] for name in header]
-        levels: list[dict[str, int]] = [{} for _ in header]
-        blocks: list[list] = [[] for _ in header]  # (values, gaps) per block and column
-        n = 0
-        body = filter(None, reader)  # blank lines are not rows
-        while rows := list(islice(body, _BLOCK_ROWS)):
-            parsed = [None]
-            if set(map(len, rows)) == {len(header)}:
-                parsed = list(map(_parse_column, zip(*rows), kinds, levels, repeat(impute)))
-            if None in parsed:
-                raise _block_error(rows, n, header, kinds, impute)
-            for column, block in zip(blocks, parsed):
-                column.append(block)
-            n += len(rows)
+        try:  # a bad cell or row, or a non-UTF-8 byte, is named by the parse in one range
+            parsed = _parse_ranges(path, cuts, header, kinds, impute) if len(cuts) > 2 else None
+        except ValueError:
+            parsed = None
+        blocks, levels, n = parsed or _parse_rows(reader, header, kinds, impute)
 
     values = np.empty((n, sum(kind != "label" for kind in kinds)), dtype=np.float64)
     labels: dict[str, np.ndarray] = {}
@@ -348,6 +411,32 @@ def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -
         else:
             features.append(Feature(name, kind))
     return Dataset(features=tuple(features), values=values, labels=labels)
+
+
+def reads_back(ds: Dataset, schema: dict[str, str]) -> bool:
+    """True only if ``load_csv(write_csv(ds), schema)`` gives ``ds`` again bit
+    for bit: ``ds`` has rows and columns, whose distinct names have the kinds
+    of ``schema``; names and levels are nonempty, printable and unpadded; no
+    value is -0.0; binary cells are 0 or 1; and each categorical's distinct
+    levels are all used, by integral codes first seen in the order 0, 1, 2, ...
+    """
+    header = [*ds.feature_names, *ds.labels]
+    kinds = [f.kind for f in ds.features] + ["label"] * len(ds.labels)
+    texts = header + [level for f in ds.features for level in f.levels]
+    if not ds.rows or not header or len(set(header)) < len(header) or schema != dict(
+        zip(header, kinds)
+    ) or not all(t and t.isprintable() and t == t.strip() for t in texts):
+        return False
+    for f, col in zip(ds.features, ds.values.T):
+        codes, first = np.unique(col, return_index=True) if f.kind != "continuous" else ((), ())
+        if f.kind == "categorical":
+            ok = len(set(f.levels)) == len(f.levels) == len(codes) and (np.diff(first) > 0).all()
+            ok = ok and (codes == np.arange(len(codes))).all()
+        else:
+            ok = not f.levels and (f.kind != "binary" or np.isin(codes, (0, 1)).all())
+        if not ok or (np.signbit(col) & (col == 0)).any():  # -0.0 is written as 0
+            return False
+    return True
 
 
 def _float_cells(col: np.ndarray) -> list[str]:

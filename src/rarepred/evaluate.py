@@ -93,36 +93,22 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
     if total == 0:
         raise DatasetError("empty confusion matrix")
     undefined: list[str] = []
-    accuracy = (cm.tp + cm.tn) / total
 
+    def ratio(name: str, num: float, den: float) -> float:
+        if den > 0:
+            return num / den
+        undefined.append(name)
+        return math.nan
+
+    accuracy = (cm.tp + cm.tn) / total
     pos = cm.tp + cm.fn
     neg = cm.fp + cm.tn
-    if pos > 0:
-        sensitivity = cm.tp / pos
-    else:
-        sensitivity = math.nan
-        undefined.append("sensitivity")
-    if neg > 0:
-        specificity = cm.tn / neg
-    else:
-        specificity = math.nan
-        undefined.append("specificity")
-
+    sensitivity = ratio("sensitivity", cm.tp, pos)
+    specificity = ratio("specificity", cm.tn, neg)
     pred_pos = cm.tp + cm.fp
     p_e = (pos / total) * (pred_pos / total) + (neg / total) * ((total - pred_pos) / total)
-    if p_e < 1.0:
-        kappa = (accuracy - p_e) / (1.0 - p_e)
-    else:
-        kappa = math.nan
-        undefined.append("kappa")
-
-    return Metrics(
-        accuracy=accuracy,
-        kappa=kappa,
-        sensitivity=sensitivity,
-        specificity=specificity,
-        undefined=tuple(undefined),
-    )
+    kappa = ratio("kappa", accuracy - p_e, 1.0 - p_e)
+    return Metrics(accuracy, kappa, sensitivity, specificity, tuple(undefined))
 
 
 def roc(y_true: np.ndarray, scores: np.ndarray) -> np.ndarray:

@@ -60,13 +60,8 @@ class ScalerParams:
 
     def stats_for(self, name: str) -> dict[str, float]:
         i = self.feature_names.index(name)
-        return {
-            "mean": float(self.mean[i]),
-            "sd": float(self.sd[i]),
-            "min": float(self.min[i]),
-            "max": float(self.max[i]),
-            "constant": bool(self.constant[i]),
-        }
+        stats = {key: float(getattr(self, key)[i]) for key in ("mean", "sd", "min", "max")}
+        return {**stats, "constant": bool(self.constant[i])}
 
 
 def fit_scaler(
@@ -87,66 +82,50 @@ def fit_scaler(
     sd = block.std(axis=0, ddof=1) if ds.rows > 1 else np.zeros(len(names))
     lo = block.min(axis=0)
     hi = block.max(axis=0)
-    if method == "standardize":
-        constant = sd == 0.0
-    else:
-        constant = (hi - lo) == 0.0
-    return ScalerParams(
-        method=method,
-        feature_names=names,
-        mean=mean,
-        sd=sd,
-        min=lo,
-        max=hi,
-        constant=constant,
-    )
+    constant = sd == 0.0 if method == "standardize" else (hi - lo) == 0.0
+    return ScalerParams(method, names, mean, sd, lo, hi, constant)
 
 
 def _denominator(params: ScalerParams) -> np.ndarray:
-    if params.method == "standardize":
-        denom = params.sd.copy()
-    else:
-        denom = params.max - params.min
+    denom = params.sd.copy() if params.method == "standardize" else params.max - params.min
     denom[params.constant] = 1.0  # flagged columns bypass division
     return denom
 
 
 def _center(params: ScalerParams) -> np.ndarray:
-    if params.method == "minmax":
-        return params.min
-    return params.mean
+    return params.min if params.method == "minmax" else params.mean
+
+
+def _with_block(ds: Dataset, params: ScalerParams, transform) -> Dataset:
+    """``ds`` with its fitted columns replaced by ``transform`` of them."""
+    cols = np.array([ds.feature_index(n) for n in params.feature_names], dtype=np.int64)
+    values = ds.values.copy()
+    values[:, cols] = transform(values[:, cols])
+    return Dataset(features=ds.features, values=values, labels=ds.labels)
 
 
 def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
     """Transform the fitted columns; everything else passes through."""
-    cols = np.array([ds.feature_index(n) for n in params.feature_names], dtype=np.int64)
-    values = ds.values.copy()
-    block = values[:, cols]
-    scaled = (block - _center(params)) / _denominator(params)
-    scaled[:, params.constant] = 0.0
-    values[:, cols] = scaled
-    return Dataset(
-        features=ds.features,
-        values=values,
-        labels=ds.labels,
-    )
+
+    def scale(block):
+        scaled = (block - _center(params)) / _denominator(params)
+        scaled[:, params.constant] = 0.0
+        return scaled
+
+    return _with_block(ds, params, scale)
 
 
 def invert_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
     """Undo :func:`apply_scaler`; flagged constant columns restore their center."""
-    cols = np.array([ds.feature_index(n) for n in params.feature_names], dtype=np.int64)
-    values = ds.values.copy()
-    block = values[:, cols]
-    restored = block * _denominator(params) + _center(params)
-    restored[:, params.constant] = np.broadcast_to(
-        _center(params), block.shape
-    )[:, params.constant]
-    values[:, cols] = restored
-    return Dataset(
-        features=ds.features,
-        values=values,
-        labels=ds.labels,
-    )
+
+    def restore(block):
+        restored = block * _denominator(params) + _center(params)
+        restored[:, params.constant] = np.broadcast_to(_center(params), block.shape)[
+            :, params.constant
+        ]
+        return restored
+
+    return _with_block(ds, params, restore)
 
 
 def one_hot(ds: Dataset) -> Dataset:
@@ -167,11 +146,7 @@ def one_hot(ds: Dataset) -> Dataset:
         for idx, level in enumerate(feat.levels):
             features.append(Feature(f"{feat.name}={level}", "binary"))
             columns.append((col == idx).astype(np.float64))
-    return Dataset(
-        features=tuple(features),
-        values=np.column_stack(columns),
-        labels=ds.labels,
-    )
+    return Dataset(features=tuple(features), values=np.column_stack(columns), labels=ds.labels)
 
 
 DECILES = tuple(range(10, 100, 10))
@@ -191,17 +166,11 @@ def conditional_summary(ds: Dataset, label: str) -> list[dict[str, float | str |
         for cls in (0, 1):
             part = col[y == cls]
             rec: dict[str, float | str | int] = {"feature": feat.name, "class": cls}
-            if part.size == 0:
-                rec["mean"] = float("nan")
-                rec["sd"] = float("nan")
-                for d in DECILES:
-                    rec[f"d{d}"] = float("nan")
-            else:
-                rec["mean"] = float(part.mean())
-                rec["sd"] = float(part.std(ddof=1)) if part.size > 1 else float("nan")
-                qs = np.quantile(part, [d / 100 for d in DECILES])
-                for d, q in zip(DECILES, qs):
-                    rec[f"d{d}"] = float(q)
+            rec["mean"] = float(part.mean()) if part.size else float("nan")
+            rec["sd"] = float(part.std(ddof=1)) if part.size > 1 else float("nan")
+            probs = [d / 100 for d in DECILES]
+            qs = np.quantile(part, probs) if part.size else [np.nan] * len(probs)
+            rec.update((f"d{d}", float(q)) for d, q in zip(DECILES, qs))
             records.append(rec)
     return records
 

@@ -303,27 +303,17 @@ def grid_search(
     if not 0.0 < subset_frac <= 1.0:
         raise DatasetError("subset_frac must lie in (0, 1]")
     points = grid_expand(grid)
+    tune_ds = ds
     if subset_frac < 1.0:
-        tune_ds = stratified_split(
-            ds, subset_frac, label, child_seed(seed, "subset")
-        ).train
-    else:
-        tune_ds = ds
+        tune_ds = stratified_split(ds, subset_frac, label, child_seed(seed, "subset")).train
     rows: list[tuple] = []
     cell_values: list[list[float]] = [[] for _ in points]
     for r in range(repeats):
         cv_seed = child_seed(seed, "repeat", r)
         for pi, params in enumerate(points):
             result = cross_validate(
-                tune_ds,
-                label,
-                kind,
-                params=params,
-                k=k,
-                seed=cv_seed,
-                metric=metric,
-                scaler=scaler,
-                features=features,
+                tune_ds, label, kind, params=params, k=k, seed=cv_seed, metric=metric,
+                scaler=scaler, features=features,
             )
             for fold, value in enumerate(result.fold_values):
                 rows.append((pi, r, fold, float(value)))

@@ -23,8 +23,13 @@ from rarepred.config import (
     parse_value,
     parse_values,
 )
-from rarepred.dataset import load_csv, load_schema, synth_generate, write_csv, write_schema
+from rarepred.dataset import (
+    Dataset, Feature, load_csv, load_schema, stratified_split, synth_generate, write_csv,
+    write_schema,
+)
 from rarepred.preprocess import fit_scaler
+from rarepred.rng import child_seed
+from rarepred.serialize import load_model
 
 
 class TestValueGrammar:
@@ -305,6 +310,46 @@ class TestSectionTable:
         assert run_cli(["all", "--config", cfg]) == 1
         assert f"config error: [autoencoder] hidden: bottleneck {want}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ffn_grid_values_read_as_widths_and_rates(self, tmp_path):
+        text = set_key(BASE, "model:ffn", "hidden", "8, 16 8")
+        text = set_key(text, "model:ffn", "dropout", "0.2, 0 0.5, none")
+        grid = load_config(write_cfg(tmp_path, text)).models[-1].grid
+        assert grid == {"hidden": [(8,), (16, 8)], "dropout": [(0.2,), (0, 0.5), None]}
+
+    @pytest.mark.parametrize("key,value,want", [
+        ("hidden", "0", "widths must be positive integers"),
+        ("hidden", "8, 4 -1", "widths must be positive integers"),
+        ("hidden", "2.5", "widths must be positive integers"),
+        ("hidden", "true", "widths must be positive integers"),
+        ("hidden", "none", "widths must be positive integers"),
+        ("dropout", "1", "rates must be numbers in [0, 1)"),
+        ("dropout", "-0.1", "rates must be numbers in [0, 1)"),
+        ("dropout", "0.2 1.5", "rates must be numbers in [0, 1)"),
+        ("dropout", "nan", "rates must be numbers in [0, 1)"),
+        ("dropout", "high", "rates must be numbers in [0, 1)"),
+        ("hidden", "8,,4", "malformed value list '8,,4'"),
+    ])
+    def test_ffn_grid_value_refused_at_load(self, tmp_path, capsys, key, value, want):
+        out = tmp_path / "out"
+        text = set_key(BASE, "model:ffn", key, value)
+        assert run_cli(["all", "--config", write_cfg(tmp_path, text, out=str(out))]) == 1
+        assert f"config error: [model:ffn] {key}: {want}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_width_and_one_rate_run(self, tmp_path):
+        # the tuned point goes through best_params.txt, which writes (8,) as "8"
+        out = tmp_path / "out"
+        text = set_key(BASE, "model:ffn", "hidden", "8, 4")
+        text = set_key(text, "model:ffn", "dropout", "0.2")
+        text = set_key(text, "model:ffn", "epochs", "1")
+        assert run_cli(["all", "--config", write_cfg(tmp_path, text, out=str(out))]) == 0
+        best = (out / "tune" / "ffn" / "best_params.txt").read_text()
+        assert "dropout = 0.2\n" in best
+        model = load_model(str(out / "models" / "ffn.model"))
+        width = 8 if "hidden = 8\n" in best else 4
+        assert [layer.weights.shape[0] for layer in model.net.layers] == [width, 1]
+        assert model.net.dropout == (0.2, 0.0)
 
     def test_autoencoder_defaults_match_library(self):
         # the library's own keyword defaults must agree with the config table;
@@ -750,7 +795,7 @@ class TestDatasetMemo:
         monkeypatch.setattr(cli, "load_csv", counting)
         out = str(tmp_path / "out")
         assert main(["all", "--config", DEMO_CONFIG, "--out", out]) == 0
-        assert parsed == ["data.csv", "train.csv", "test.csv"]
+        assert parsed == ["data.csv"]  # split keeps the train and test sets it writes
 
     def test_rewrite_between_steps_refused(self, tmp_path, monkeypatch):
         cfg = load_config(write_cfg(tmp_path))
@@ -791,3 +836,56 @@ class TestDatasetMemo:
         assert memo[0].labels.keys() == fresh.labels.keys()
         for key, vec in fresh.labels.items():
             assert memo[0].labels[key].tobytes() == vec.tobytes()
+
+    def test_split_out_of_first_seen_order_is_parsed(self, tmp_path, monkeypatch):
+        # data.csv sees level a (row 0) before b (row 1); a seed that sends row 0
+        # to test and row 1 to train numbers train's levels out of first-seen order
+        rng = np.random.default_rng(3)
+        ds = Dataset(
+            (Feature("x", "continuous"), Feature("c", "categorical", ("a", "b"))),
+            np.column_stack([rng.normal(size=300), np.arange(300) % 2]),
+            {"y": (np.arange(300) % 10 == 3).astype(np.int64)},
+        )
+        write_csv(str(tmp_path / "d.csv"), ds)
+        write_schema(str(tmp_path / "s.txt"), ds)
+        seed = next(s for s in range(100) if list(stratified_split(
+            ds, 0.8, "y", child_seed(s, "split")).train.column("c")[:1]) == [1.0])
+        text = CSV_MEMO_CFG.format(seed=seed, out="{out}", csv=tmp_path / "d.csv",
+                                   schema=tmp_path / "s.txt")
+        parsed = []
+
+        def counting(path, *args, **kwargs):
+            parsed.append(os.path.basename(path))
+            return load_csv(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv", counting)
+        assert main(["all", "--config", write_cfg(tmp_path, text, out=str(tmp_path / "a"))]) == 0
+        assert parsed == ["d.csv", "train.csv"]
+        train = load_csv(str(tmp_path / "a" / "train.csv"), load_schema(str(tmp_path / "s.txt")))
+        assert train.features[1].levels == ("b", "a")
+        # the same run parsing every split file, as before split kept them
+        monkeypatch.setattr(cli, "reads_back", lambda ds, schema: False)
+        assert main(["all", "--config", write_cfg(tmp_path, text, out=str(tmp_path / "b"))]) == 0
+        assert parsed[2:] == ["d.csv", "train.csv", "test.csv"]
+        manifest = (tmp_path / "a" / "manifest.txt").read_text()
+        assert manifest == (tmp_path / "b" / "manifest.txt").read_text()
+
+
+CSV_MEMO_CFG = """
+[run]
+seed = {seed}
+out_dir = {out}
+label = y
+
+[data]
+csv = {csv}
+schema = {schema}
+
+[tuning]
+k = 2
+
+[model:logit]
+
+[model:cart]
+cp = 0.01
+"""

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import assert_no_child_left, report_cpus
+from rarepred import dataset
 from rarepred.dataset import (
     _BLOCK_ROWS,
     Dataset,
@@ -21,6 +23,7 @@ from rarepred.dataset import (
     SynthSpec,
     load_csv,
     load_schema,
+    reads_back,
     stratified_split,
     synth_generate,
     write_csv,
@@ -783,3 +786,244 @@ class TestStratifiedSplit:
         assert pair.fraction == 0.5
         assert pair.stratify_on == "outcome"
         assert math.isclose(pair.train.rows + pair.test.rows, 4)
+
+
+# ---------------------------------------------------------------------------
+# reads_back: when a Dataset is its own CSV round trip
+
+
+def round_trip(tmp_path, ds, schema):
+    """``load_csv`` of ``write_csv(ds)`` under ``schema``, or its error message."""
+    path = str(tmp_path / "round.csv")
+    write_csv(path, ds)
+    return _outcome(load_csv, path, schema, "error")
+
+
+def same_dataset(got, want) -> bool:
+    return (
+        not isinstance(got, str)
+        and got.features == want.features
+        and got.values.shape == want.values.shape
+        and got.values.tobytes() == want.values.tobytes()
+        and list(got.labels) == list(want.labels)
+        and all(got.labels[k].tobytes() == v.tobytes() for k, v in want.labels.items())
+    )
+
+
+def kinds_of(ds):
+    return {**{f.name: f.kind for f in ds.features}, **dict.fromkeys(ds.labels, "label")}
+
+
+def one_feature(feature, column, labels=None):
+    values = np.array(column, dtype=np.float64).reshape(-1, 1)
+    return Dataset((feature,), values, labels or {"y": np.arange(len(values)) % 2})
+
+
+CAT = "categorical"
+NOT_READ_BACK = {
+    "duplicate level": one_feature(Feature("c", CAT, ("a", "a")), [0, 1, 0]),
+    "unused level": one_feature(Feature("c", CAT, ("a", "b", "z")), [0, 1, 0]),
+    "codes out of first-seen order": one_feature(Feature("c", CAT, ("a", "b")), [1, 0, 1]),
+    "non-integral code": one_feature(Feature("c", CAT, ("a", "b")), [0, 0.5, 1]),
+    "negative zero": one_feature(Feature("x", "continuous"), [1.5, -0.0, 2.0]),
+    "binary 0.5": one_feature(Feature("b", "binary"), [0, 0.5, 1]),
+    "padded level": one_feature(Feature("c", CAT, (" a", "b")), [0, 1]),
+    "empty level": one_feature(Feature("c", CAT, ("", "b")), [0, 1]),
+    "padded name": one_feature(Feature(" x", "continuous"), [1, 2]),
+    "tab in a name": one_feature(Feature("x\t", "continuous"), [1, 2]),
+    "levels on a number": one_feature(Feature("x", "continuous", ("a",)), [1, 2]),
+    "label named like a feature": one_feature(Feature("y", "continuous"), [1, 2]),
+    "zero rows": Dataset((Feature("c", CAT, ("a",)),), np.zeros((0, 1)), {"y": []}),
+    "no columns": Dataset((), np.zeros((3, 0))),
+}
+
+
+class TestReadsBack:
+    """reads_back against the round trip it predicts."""
+
+    @pytest.mark.parametrize("case", sorted(NOT_READ_BACK))
+    def test_edge_case_does_not_read_back(self, tmp_path, case):
+        ds = NOT_READ_BACK[case]
+        schema = kinds_of(ds)
+        assert not reads_back(ds, schema)
+        assert not same_dataset(round_trip(tmp_path, ds, schema), ds)
+
+    def test_schema_kind_mismatch(self, tmp_path):
+        ds = one_feature(Feature("b", "binary"), [0, 1, 1])
+        for schema in ({"b": "continuous", "y": "label"}, {"b": "binary", "y": "binary"}):
+            assert not reads_back(ds, schema)
+            assert not same_dataset(round_trip(tmp_path, ds, schema), ds)
+        assert reads_back(ds, kinds_of(ds))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kinds=layouts,
+        n=st.sampled_from([1, 2, 7, 300]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_valid_dataset_reads_back(self, tmp_path_factory, kinds, n, seed):
+        ds = valid_dataset(np.random.Generator(np.random.PCG64(seed)), kinds, n)
+        assert reads_back(ds, kinds_of(ds))
+        assert same_dataset(round_trip(tmp_path_factory.mktemp("rb"), ds, kinds_of(ds)), ds)
+
+
+NAMES = ("x", "a,b", 'say "hi"', "ünï", "L0", "x y", "#1", "=", "1e3")
+LEVEL_TEXTS = ("a", "b,c", 'q"uote', "L0", "x y", ",", "1.5", "ÿ", '"', "-0.0")
+VALUES = np.array([0.0, 1.0, -3.0, 2.5, 1e15, -1e15, 999999999999999.0, 1e15 - 0.5, 1e300,
+                   -1e300, 5e-324, -5e-324, 2.2e-308, 2.0 ** 53 + 2, 0.1, 1e-300, 123456.75])
+
+
+def valid_dataset(rng, kinds, n):
+    """A Dataset of ``n`` rows and the given column kinds that reads_back holds for:
+    names with commas and quotes, |v| >= 1e15, subnormals, categorical codes
+    renumbered into first-seen order."""
+    names = list(rng.permutation(NAMES + tuple(f"c{j}" for j in range(len(kinds)))))
+    features, columns, labels = [], [], {}
+    for kind, name in zip(kinds, names):
+        if kind == "label":
+            labels[name] = rng.integers(0, 2, size=n)
+        elif kind == "categorical":
+            raw = rng.integers(0, int(rng.integers(1, len(LEVEL_TEXTS) + 1)), size=n)
+            _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+            columns.append(np.argsort(np.argsort(first))[inverse])
+            levels = rng.choice(LEVEL_TEXTS, size=len(first), replace=False)
+            features.append(Feature(name, kind, tuple(map(str, levels))))
+        else:
+            binary = kind == "binary"
+            col = rng.integers(0, 2, size=n) if binary else rng.choice(VALUES, size=n)
+            if not binary:
+                normal = rng.random(n) < 0.5
+                col[normal] = rng.normal(size=normal.sum()) * 10.0 ** rng.integers(-5, 18)
+            columns.append(col)
+            features.append(Feature(name, kind))
+    values = np.column_stack(columns) if columns else np.zeros((n, 0))
+    return Dataset(tuple(features), values, labels)
+
+
+# ---------------------------------------------------------------------------
+# ranges: load_csv cuts a file at newlines and parses the ranges over the CPUs
+
+
+def own_file(tmp_path):
+    """A file rarepred writes: continuous, binary and categorical features."""
+    ds = synth_generate(zero_signal_spec(n=300, rate=0.2, seed=5))
+    path = str(tmp_path / "own.csv")
+    write_csv(path, ds)
+    return path, kinds_of(ds), "error"
+
+
+def late_level(i):
+    if i == 0:
+        return "Z"
+    if i < 150:
+        return "AB"[i % 2]
+    return "MID" if i < 290 else ("LATE", "Z", "A")[i % 3]
+
+
+def late_level_file(tmp_path):
+    """Levels first seen in the middle and in the last rows, where Z is seen again."""
+    rows = [f"{i % 3},{late_level(i)},{i % 2}" for i in range(300)]
+    path = tmp_path / "late.csv"
+    path.write_text("b,c,y\n" + "\n".join(rows) + "\n")
+    return str(path), {"b": "continuous", "c": CAT, "y": "label"}, "error"
+
+
+def gap_file(tmp_path):
+    """Gaps in every range, and a categorical column with only gaps for a stretch."""
+    rng = np.random.default_rng(8)
+    lines = []
+    for i in range(300):
+        x = "" if rng.random() < 0.2 else repr(float(rng.normal()))
+        c = "" if 100 <= i < 200 or rng.random() < 0.1 else f"L{rng.integers(0, 4)}"
+        b = "" if rng.random() < 0.1 else str(i % 2)
+        lines.append(f"{x},{c},{b},{i % 2}")
+    path = tmp_path / "gaps.csv"
+    path.write_text("x,c,b,y\n" + "\n".join(lines) + "\n")
+    return str(path), {"x": "continuous", "c": CAT, "b": "binary", "y": "label"}, "impute"
+
+
+def blank_line_file(tmp_path):
+    """Blank lines anywhere: runs of them, at the start and at the end."""
+    lines = []
+    for i in range(200):
+        lines += [""] * (i % 7 == 0) * (1 + i % 3) + [f"{i}.5,L{i % 5},{i % 2}"]
+    path = tmp_path / "blank.csv"
+    path.write_text("x,c,y\n\n" + "\n".join(lines) + "\n\n\n")
+    return str(path), {"x": "continuous", "c": CAT, "y": "label"}, "error"
+
+
+RANGE_FILES = {
+    "own": own_file, "late level": late_level_file, "gaps": gap_file, "blank lines": blank_line_file,
+}
+
+
+def patch_ranges(monkeypatch, path, cpus):
+    """Set the range size so that the file is cut into many ranges, or into 3
+    at most at 64 CPUs (so that no test forks more than 2 helpers)."""
+    lines = open(path, "rb").read().split(b"\n")
+    body = sum(map(len, lines[1:])) + len(lines) - 1
+    monkeypatch.setattr(dataset, "_RANGE_BYTES", -(-body // 3) if cpus == 64 else 40)
+    report_cpus(monkeypatch, cpus)
+    return len(dataset._cuts(path)) - 1
+
+
+class TestRanges:
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    @pytest.mark.parametrize("name", sorted(RANGE_FILES))
+    def test_same_dataset_at_any_cpu_count(self, tmp_path, monkeypatch, forks, cpus, name):
+        path, schema, policy = RANGE_FILES[name](tmp_path)
+        assert len(dataset._cuts(path)) == 2  # one range at the shipped size: parsed whole
+        want = load_csv(path, schema, policy)
+        assert_same_load(want, load_csv_oracle(path, schema, policy))
+        ranges = patch_ranges(monkeypatch, path, cpus)
+        assert ranges >= (2 if cpus == 64 else 30)
+        assert_same_load(load_csv(path, schema, policy), want)
+        assert len(forks) == min(cpus, ranges) - 1 <= 2
+        assert_no_child_left()
+
+    def test_level_numbers_follow_the_whole_file(self, tmp_path, monkeypatch, forks):
+        path, schema, _ = late_level_file(tmp_path)
+        patch_ranges(monkeypatch, path, 2)
+        ds = load_csv(path, schema)
+        assert ds.features[1].levels == ("Z", "B", "A", "MID", "LATE")
+        assert ds.values[-3:, 1].tolist() == [4.0, 0.0, 2.0]  # LATE, Z, A
+
+    @pytest.mark.parametrize("body", [
+        b"x,y\r\n" + b"1.5,0\r\n2.5,1\r\n" * 40,
+        b'"x",y\n' + b"1.5,0\n2.5,1\n" * 40,
+        b"x,y\n" + b"1.5,0\n2.5,1\n" * 40 + b"3.5,0\r\n",
+    ])
+    def test_quote_or_carriage_return_is_one_range(self, tmp_path, monkeypatch, forks, body):
+        path = tmp_path / "one.csv"
+        path.write_bytes(body)
+        schema = {"x": "continuous", "y": "label"}
+        want = load_csv(str(path), schema)
+        patch_ranges(monkeypatch, str(path), 64)
+        assert dataset._cuts(str(path)) == []
+        assert_same_load(load_csv(str(path), schema), want)
+        assert forks == []
+
+    @pytest.mark.parametrize("cpus", [2, 64])
+    @pytest.mark.parametrize("last, want", [
+        (b"7.5,x,1\n", "row 200, column 'b': non-numeric cell 'x'"),
+        (b"7.5,1\n", "row 200: expected 3 cells, got 2"),
+        (b"7.5,1,\xff\n", "line 201: not UTF-8 (invalid start byte)"),
+        (b"7.5,1,0\n" + b"8" * 140_000 + b",1,0\n", "line 202: field larger than field limit (131072)"),
+    ])
+    def test_error_in_last_range_names_its_row(self, tmp_path, monkeypatch, forks, cpus, last,
+                                               want):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x,b,y\n" + b"".join(b"%d.5,1,0\n" % i for i in range(199)) + last)
+        schema = {"x": "continuous", "b": "binary", "y": "label"}
+        whole = _outcome(load_csv, str(path), schema, "error")
+        assert whole.endswith(want)
+        patch_ranges(monkeypatch, str(path), cpus)
+        assert _outcome(load_csv, str(path), schema, "error") == whole
+        assert len(forks) <= 2
+        assert_no_child_left()
+
+    def test_one_range_never_forks(self, tmp_path, monkeypatch, forks):
+        path, schema, policy = own_file(tmp_path)
+        report_cpus(monkeypatch, 64)
+        load_csv(path, schema, policy)
+        assert forks == []

@@ -311,7 +311,7 @@ class TestCrashedWriter:
         monkeypatch.setattr(dataset, "_float_cells", failing_float_cells)
         fds, made = open_fds(), len(forks)
         assert main(["split", "--config", str(cfg)]) != 0
-        assert len(forks) == made + 1
+        assert len(forks) == made + 2  # one parses data.csv's second range, one formats train.csv
         assert_no_child_left()
         assert open_fds() == fds
         want = "block formatter failed" if how == "raise" else "wait status 768"
