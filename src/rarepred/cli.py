@@ -20,8 +20,8 @@ missing, not recorded, or whose sha256 no longer matches the manifest is
 refused with exit 1, and so is one made from an input that has since been
 rewritten; ``report`` checks every artifact it lists. A split file that
 passes is parsed once per command run. ``split`` keeps the train and test
-sets it writes as their parse where parsing would give them back bit for
-bit, so ``rarepred all`` parses only data.csv.
+sets it writes where parsing would give them back bit for bit, and copies
+their lines out of a data.csv that ``generate`` wrote in the same run.
 
 The test split is written once by ``split`` and first read by ``evaluate``
 (then ``detect``); the manifest's per-artifact input lists make that
@@ -49,6 +49,7 @@ from .anomaly import (
 from .config import ConfigError, RunConfig, format_value, load_config, parse_param
 from .dataset import (
     Dataset,
+    gather_csv,
     load_csv,
     load_schema,
     reads_back,
@@ -110,6 +111,8 @@ class Workspace:
         self.entries: dict[str, str] = _read_pairs(path) if os.path.exists(path) else {}
         # parsed split files keyed by (rel, its sha256, schema.txt's sha256)
         self.datasets: dict[tuple[str, str, str], Dataset] = {}
+        # generate's (data.csv, schema.txt) sha256s if its dataset reads back; not saved
+        self.generated: tuple[str, str] | None = None
 
     def path(self, rel: str) -> str:
         full = os.path.join(self.out_dir, rel)
@@ -243,15 +246,23 @@ def cmd_generate(cfg: RunConfig, ws: Workspace) -> None:
     write_schema(ws.path("schema.txt"), ds)
     ws.record_artifact("data.csv", "generate", [])
     ws.record_artifact("schema.txt", "generate", [])
+    key = (ws.entries["artifact.data.csv.sha256"], ws.entries["artifact.schema.txt.sha256"])
+    ws.generated = key if reads_back(ds, load_schema(ws.path("schema.txt"))) else None
     print(f"generate: wrote data.csv ({ds.rows} rows, {len(ds.features)} features)")
 
 
 def cmd_split(cfg: RunConfig, ws: Workspace) -> None:
+    source = None  # data.csv's bytes, when its lines are the split files' lines
     if cfg.synth is not None:
-        # checked but not memoised: nothing reads data.csv again
+        # checked but not memoised: no other command reads data.csv
         data = ws.require_artifact("data.csv", "generate")
         ds = load_csv(data, load_schema(ws.require_artifact("schema.txt", "generate")))
         inputs = ["data.csv", "schema.txt"]
+        if ws.generated is not None:
+            with open(data, "rb") as fh:
+                source = fh.read()
+            key = (hashlib.sha256(source).hexdigest(), ws.entries["artifact.schema.txt.sha256"])
+            source = source if key == ws.generated else None
     else:
         ds = load_csv(cfg.csv, load_schema(cfg.schema), missing_policy=cfg.missing)
         write_schema(ws.path("schema.txt"), ds)
@@ -259,12 +270,16 @@ def cmd_split(cfg: RunConfig, ws: Workspace) -> None:
         inputs = ["schema.txt"]
     seed = child_seed(cfg.seed, "split")
     pair = stratified_split(ds, cfg.fraction, cfg.label, seed)
-    write_csv(ws.path("train.csv"), pair.train)
-    write_csv(ws.path("test.csv"), pair.test)
-    ws.record_artifact("train.csv", "split", inputs)
-    ws.record_artifact("test.csv", "split", inputs)
-    ws.keep_dataset("train.csv", pair.train)
-    ws.keep_dataset("test.csv", pair.test)
+    parts = {"train.csv": (pair.train, pair.train_rows), "test.csv": (pair.test, pair.test_rows)}
+    for rel, (part, rows) in parts.items():
+        if source is None:
+            write_csv(ws.path(rel), part)
+        else:  # ds is the dataset source was written from, bit for bit (reads_back)
+            gather_csv(ws.path(rel), source, rows)
+    del source
+    for rel, (part, _) in parts.items():
+        ws.record_artifact(rel, "split", inputs)
+        ws.keep_dataset(rel, part)
     ws.set("seed.split", seed)
     ws.set("split.train_rows", pair.train.rows)
     ws.set("split.test_rows", pair.test.rows)

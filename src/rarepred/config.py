@@ -33,7 +33,7 @@ from .anomaly import (
 )
 from .benchmarks import BENCHMARKS, benchmark_spec
 from .dataset import load_schema
-from .neural import ACTIVATIONS, LOSSES
+from .neural import ACTIVATIONS, DEFAULT_HIDDEN as FFN_HIDDEN, LOSSES
 from .preprocess import SCALER_METHODS
 from .tune import METRICS, _REGISTRY
 
@@ -354,6 +354,11 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
                 grid[key] = parse_values(parser.get(section, key), partial(parse_param, kind, key))
             except ConfigError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
+        if kind == "ffn":  # every (hidden, dropout) pair of the grid must fit
+            rates = max((len(r) for r in grid.get("dropout", ()) if r is not None), default=0)
+            if rates > min(map(len, grid.get("hidden", [FFN_HIDDEN]))):
+                raise ConfigError(f"[{section}] dropout: a candidate has {rates} rates but a"
+                                  " hidden candidate has fewer layers")
         models.append(ModelGrid(kind=kind, grid=grid))
     for required in ("run", "data"):
         if not parser.has_section(required):

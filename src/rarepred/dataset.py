@@ -32,6 +32,7 @@ __all__ = [
     "load_csv",
     "reads_back",
     "write_csv",
+    "gather_csv",
     "write_table",
     "synth_generate",
     "stratified_split",
@@ -192,7 +193,7 @@ def write_schema(path: str, ds: Dataset) -> None:
 # Rows per block: load_csv parses, and the writers format, one block of rows
 # at a time, column by column, so only one block of cell strings is alive.
 _BLOCK_ROWS = 4096
-# Bytes per range: load_csv parses a file in ranges cut about this far apart.
+# Bytes per range: load_csv parses, and gather_csv scans, a file in ranges about this long.
 _RANGE_BYTES = 1 << 20
 
 
@@ -497,6 +498,21 @@ def write_csv(path: str, ds: Dataset) -> None:
     _write_blocks(path, ",".join(_csv_field(name, alone) for name in header), ds.rows, block_cells)
 
 
+def gather_csv(path: str, source: bytes, rows: np.ndarray) -> None:
+    """Write what ``write_csv`` writes of rows ``rows`` of a dataset that :func:`reads_back`,
+    cut from ``source``, the ``write_csv`` file of the whole dataset, where each line is made
+    from its own row alone: the header, then one slice per run of consecutive rows."""
+    raw = np.frombuffer(source, np.uint8)
+    ends = np.concatenate([np.flatnonzero(raw[lo : lo + _RANGE_BYTES] == 10) + lo + 1
+                           for lo in range(0, len(raw), _RANGE_BYTES)])
+    first, last = np.diff(rows, prepend=-2) != 1, np.diff(rows, append=-2) != 1
+    view = memoryview(source)
+    with open(path, "wb") as fh:
+        fh.write(view[: ends[0]])  # row r is the line from ends[r] to ends[r + 1]
+        for lo, hi in zip(ends[rows[first]].tolist(), ends[rows[last] + 1].tolist()):
+            fh.write(view[lo:hi])
+
+
 def write_table(path: str, header: list[str], rows) -> None:
     """Write a small table as CSV: floats as their ``repr``, text quoted as
     ``csv.writer`` quotes it, other cells as ``str``."""
@@ -676,6 +692,8 @@ class SplitPair:
     test: Dataset
     fraction: float
     stratify_on: str
+    train_rows: np.ndarray
+    test_rows: np.ndarray
 
 
 def stratified_split(ds: Dataset, fraction: float, label: str, seed: int) -> SplitPair:
@@ -683,7 +701,9 @@ def stratified_split(ds: Dataset, fraction: float, label: str, seed: int) -> Spl
 
     Rows within each class are shuffled by the seed before the cut; both
     sides keep ascending source-row order so output is independent of class
-    processing order. Classes are processed in ascending label value.
+    processing order. Classes are processed in ascending label value. The
+    pair's ``train_rows`` and ``test_rows`` hold those source-row indices, so
+    ``ds.subset_rows(pair.train_rows)`` is ``pair.train``.
     """
     if not 0.0 < fraction < 1.0:
         raise DatasetError(f"fraction must lie strictly in (0, 1), got {fraction}")
@@ -701,9 +721,5 @@ def stratified_split(ds: Dataset, fraction: float, label: str, seed: int) -> Spl
         test_idx.append(shuffled[cut:])
     train_rows = np.sort(np.concatenate(train_idx))
     test_rows = np.sort(np.concatenate(test_idx))
-    return SplitPair(
-        train=ds.subset_rows(train_rows),
-        test=ds.subset_rows(test_rows),
-        fraction=fraction,
-        stratify_on=label,
-    )
+    return SplitPair(ds.subset_rows(train_rows), ds.subset_rows(test_rows), fraction, label,
+                     train_rows, test_rows)

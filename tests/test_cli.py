@@ -5,13 +5,14 @@ import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rarepred
 from conftest import with_blas_threads
-from rarepred import anomaly, cli, tune
+from rarepred import anomaly, cli, neural, tune
 from rarepred.benchmarks import benchmark_spec
 from rarepred.cli import PipelineError, main, run
 from rarepred.config import (
@@ -24,8 +25,8 @@ from rarepred.config import (
     parse_values,
 )
 from rarepred.dataset import (
-    Dataset, Feature, load_csv, load_schema, stratified_split, synth_generate, write_csv,
-    write_schema,
+    Dataset, Feature, gather_csv, load_csv, load_schema, reads_back, stratified_split,
+    synth_generate, write_csv, write_schema,
 )
 from rarepred.preprocess import fit_scaler
 from rarepred.rng import child_seed
@@ -312,10 +313,35 @@ class TestSectionTable:
         assert not out.exists()
 
     def test_ffn_grid_values_read_as_widths_and_rates(self, tmp_path):
-        text = set_key(BASE, "model:ffn", "hidden", "8, 16 8")
+        text = set_key(BASE, "model:ffn", "hidden", "8 4, 16 8")
         text = set_key(text, "model:ffn", "dropout", "0.2, 0 0.5, none")
         grid = load_config(write_cfg(tmp_path, text)).models[-1].grid
-        assert grid == {"hidden": [(8,), (16, 8)], "dropout": [(0.2,), (0, 0.5), None]}
+        assert grid == {"hidden": [(8, 4), (16, 8)], "dropout": [(0.2,), (0, 0.5), None]}
+
+    @pytest.mark.parametrize("hidden,dropout,rates", [
+        ("8", "0.1 0.2", 2),
+        ("8 4, 16", "0.2, 0 0.5", 2),
+        (None, "0.1 0.1 0.1 0.1", 4),
+    ])
+    def test_ffn_dropout_deeper_than_hidden_refused_at_load(
+        self, tmp_path, capsys, hidden, dropout, rates
+    ):
+        # any (hidden, dropout) pair of the grid counts; no hidden key means the
+        # library's default depth
+        out, text = tmp_path / "out", set_key(BASE, "model:ffn", "dropout", dropout)
+        if hidden is not None:
+            text = set_key(text, "model:ffn", "hidden", hidden)
+        assert run_cli(["all", "--config", write_cfg(tmp_path, text, out=str(out))]) == 1
+        want = f"a candidate has {rates} rates but a hidden candidate has fewer layers"
+        assert f"config error: [model:ffn] dropout: {want}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ffn_dropout_as_deep_as_hidden_loads(self, tmp_path):
+        text = set_key(BASE, "model:ffn", "dropout", "0.1 0.1 0.1, none")
+        assert len(neural.DEFAULT_HIDDEN) == 3
+        load_config(write_cfg(tmp_path, text))
+        text = set_key(text, "model:ffn", "hidden", "8 4 2, 16 8 4")
+        load_config(write_cfg(tmp_path, text))
 
     @pytest.mark.parametrize("key,value,want", [
         ("hidden", "0", "widths must be positive integers"),
@@ -869,6 +895,117 @@ class TestDatasetMemo:
         assert parsed[2:] == ["d.csv", "train.csv", "test.csv"]
         manifest = (tmp_path / "a" / "manifest.txt").read_text()
         assert manifest == (tmp_path / "b" / "manifest.txt").read_text()
+
+
+def spy_write_csv(monkeypatch):
+    """The base names of the files cli.write_csv writes from now on."""
+    written = []
+
+    def spying(path, ds):
+        written.append(os.path.basename(path))
+        write_csv(path, ds)
+
+    monkeypatch.setattr(cli, "write_csv", spying)
+    return written
+
+
+class TestSplitGather:
+    """split gathers train.csv and test.csv from data.csv only where generate wrote
+    that very file in this run from a dataset that reads back; else it formats them."""
+
+    def split_files(self, out):
+        return [Path(out, rel).read_bytes() for rel in ("train.csv", "test.csv")]
+
+    def test_gathered_files_are_write_csv_files(self, tmp_path, monkeypatch):
+        cfg = load_config(write_cfg(tmp_path))
+        ws = cli.Workspace(cfg.out_dir)
+        cli.cmd_generate(cfg, ws)
+        assert ws.generated is not None
+        written = spy_write_csv(monkeypatch)
+        cli.cmd_split(cfg, ws)
+        assert written == []
+        ds = synth_generate(benchmark_spec("interaction", n=600, seed=5))
+        pair = stratified_split(ds, 0.8, "outcome", child_seed(5, "split"))
+        for rel, part in (("want_train.csv", pair.train), ("want_test.csv", pair.test)):
+            write_csv(str(tmp_path / rel), part)
+        assert self.split_files(cfg.out_dir) == [
+            (tmp_path / rel).read_bytes() for rel in ("want_train.csv", "want_test.csv")
+        ]
+
+    def test_rewritten_data_csv_is_formatted(self, tmp_path, monkeypatch):
+        cfg = load_config(write_cfg(tmp_path))
+        ws = cli.Workspace(cfg.out_dir)
+        cli.cmd_generate(cfg, ws)
+        path = os.path.join(cfg.out_dir, "data.csv")
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines[:1] + lines[:0:-1]))  # rows reversed
+        ws.record_artifact("data.csv", "generate", [])
+        written = spy_write_csv(monkeypatch)
+        cli.cmd_split(cfg, ws)
+        assert written == ["train.csv", "test.csv"]
+        ws.dataset("train.csv", "split")
+
+    def test_separate_commands_format(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path)
+        written = spy_write_csv(monkeypatch)
+        assert main(["generate", "--config", cfg]) == 0
+        assert main(["split", "--config", cfg]) == 0
+        assert written == ["data.csv", "train.csv", "test.csv"]
+        formatted = self.split_files(str(tmp_path / "out"))
+        assert main(["all", "--config", cfg]) == 0
+        assert written[3:] == ["data.csv"]
+        assert self.split_files(str(tmp_path / "out")) == formatted
+
+    def test_demo_all_gathers(self, tmp_path, monkeypatch):
+        written = spy_write_csv(monkeypatch)
+        out = str(tmp_path / "out")
+        assert main(["all", "--config", DEMO_CONFIG, "--out", out]) == 0
+        assert written == ["data.csv"]
+
+    def test_negative_zero_is_not_noted(self, tmp_path, monkeypatch):
+        # -0.0 is written as 0, so data.csv does not read back as the dataset
+        cfg = load_config(write_cfg(tmp_path))
+        ds = synth_generate(benchmark_spec("interaction", n=600, seed=5))
+        values = ds.values.copy()
+        values[0, 0] = -0.0
+        ds = Dataset(ds.features, values, ds.labels)
+        assert not reads_back(ds, cfg.source_columns())
+        monkeypatch.setattr(cli, "synth_generate", lambda spec: ds)
+        ws = cli.Workspace(cfg.out_dir)
+        cli.cmd_generate(cfg, ws)
+        assert ws.generated is None
+        written = spy_write_csv(monkeypatch)
+        cli.cmd_split(cfg, ws)
+        assert written == ["train.csv", "test.csv"]
+
+    def test_crash_while_gathering_test_csv(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+
+        def failing(path, source, rows):
+            if path.endswith("test.csv"):
+                with open(path, "wb") as fh:
+                    fh.write(source[:100])
+                raise OSError("disk full")
+            gather_csv(path, source, rows)
+
+        monkeypatch.setattr(cli, "gather_csv", failing)
+        assert main(["all", "--config", cfg]) == 2
+        entries = manifest_entries(out)
+        assert "artifact.data.csv.sha256" in entries
+        assert not any(key.startswith(("artifact.train.csv", "artifact.test.csv"))
+                       for key in entries)
+        capsys.readouterr()
+        assert main(["preprocess", "--config", cfg]) == 1
+        assert "artifact train.csv is not in manifest.txt" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "gather_csv", gather_csv)
+        assert main(["split", "--config", cfg]) == 0
+        assert main(["preprocess", "--config", cfg]) == 0
+        recovered = self.split_files(out)
+        assert main(["all", "--config", cfg, "--out", str(tmp_path / "clean")]) == 0
+        assert self.split_files(str(tmp_path / "clean")) == recovered
 
 
 CSV_MEMO_CFG = """

@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rarepred.dataset import (
     Signal,
     SplitPair,
     SynthSpec,
+    gather_csv,
     load_csv,
     load_schema,
     reads_back,
@@ -779,6 +781,14 @@ class TestStratifiedSplit:
         with pytest.raises(DatasetError, match="class 0"):
             stratified_split(ds, 0.5, "y", seed=0)
 
+    def test_row_indices_give_the_sides(self):
+        ds = synth_generate(zero_signal_spec(n=1000, rate=0.1, seed=3))
+        pair = stratified_split(ds, 0.8, "outcome", seed=6)
+        for rows, side in ((pair.train_rows, pair.train), (pair.test_rows, pair.test)):
+            assert (np.diff(rows) > 0).all()
+            assert same_dataset(ds.subset_rows(rows), side)
+        assert sorted(np.concatenate([pair.train_rows, pair.test_rows])) == list(range(1000))
+
     def test_split_pair_metadata(self):
         ds = tiny_dataset()
         pair = stratified_split(ds, 0.5, "outcome", seed=1)
@@ -898,6 +908,62 @@ def valid_dataset(rng, kinds, n):
             features.append(Feature(name, kind))
     values = np.column_stack(columns) if columns else np.zeros((n, 0))
     return Dataset(tuple(features), values, labels)
+
+
+# ---------------------------------------------------------------------------
+# gather_csv: the lines of a written file, against write_csv of those rows
+
+
+def assert_gather_matches(tmp_path, ds, rows):
+    """gather_csv from write_csv(ds) writes what write_csv(ds.subset_rows(rows)) writes."""
+    whole, gathered, written = (str(tmp_path / name) for name in ("w.csv", "g.csv", "s.csv"))
+    write_csv(whole, ds)
+    with open(whole, "rb") as fh:
+        gather_csv(gathered, fh.read(), rows)
+    write_csv(written, ds.subset_rows(rows))
+    assert Path(gathered).read_bytes() == Path(written).read_bytes()
+
+
+def some_rows(rng, n):
+    """The empty index, the full index, runs, single rows and a random subset."""
+    runs = np.flatnonzero(np.arange(n) % 7 < 3)
+    return [np.arange(0), np.arange(n), runs, np.arange(n)[n - 1 :], np.arange(1),
+            np.flatnonzero(rng.random(n) < 0.8)]
+
+
+class TestGatherCsv:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kinds=layouts,
+        n=st.sampled_from([1, 2, 7, 300]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        range_bytes=st.sampled_from([1, 17, 1 << 20]),
+    )
+    def test_oracle(self, tmp_path_factory, kinds, n, seed, range_bytes):
+        # commas and quotes in names and levels, |v| >= 1e15, subnormals
+        rng = np.random.Generator(np.random.PCG64(seed))
+        ds = valid_dataset(rng, kinds, n)
+        assert reads_back(ds, kinds_of(ds))
+        tmp = tmp_path_factory.mktemp("gather")
+        with pytest.MonkeyPatch.context() as patch:  # newlines found across many ranges
+            patch.setattr(dataset, "_RANGE_BYTES", range_bytes)
+            for rows in some_rows(rng, n):
+                assert_gather_matches(tmp, ds, rows)
+
+    @pytest.mark.parametrize("kind", ["continuous", "binary", CAT, "label"])
+    def test_one_column(self, tmp_path, kind):
+        rng = np.random.default_rng(4)
+        ds = valid_dataset(rng, [kind], 50)
+        assert len(ds.features) + len(ds.labels) == 1 and reads_back(ds, kinds_of(ds))
+        for rows in some_rows(rng, 50):
+            assert_gather_matches(tmp_path, ds, rows)
+
+    def test_rarepred_file_in_many_ranges(self, tmp_path, monkeypatch):
+        ds = synth_generate(zero_signal_spec(n=3000, rate=0.2, seed=5))
+        monkeypatch.setattr(dataset, "_RANGE_BYTES", 4096)
+        pair = stratified_split(ds, 0.8, "outcome", seed=2)
+        for rows in (pair.train_rows, pair.test_rows):
+            assert_gather_matches(tmp_path, ds, rows)
 
 
 # ---------------------------------------------------------------------------
