@@ -85,9 +85,16 @@ class _UsageError(Exception):
     pass
 
 
-def _sha256(path: str) -> str:
+def _sha256(path: str, content: bytes | None = None) -> str:
+    """The sha256 of ``content``, the file's bytes when the caller holds them, or
+    else of the file, read 1 MiB at a time so that no file-sized buffer is held."""
+    if content is not None:
+        return hashlib.sha256(content).hexdigest()
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _read_pairs(path: str) -> dict[str, str]:
@@ -137,13 +144,14 @@ class Workspace:
     def has_artifact(self, rel: str) -> bool:
         return f"artifact.{rel}.sha256" in self.entries
 
-    def require_artifact(self, rel: str, producer: str) -> str:
-        """Path of ``rel`` once its bytes hash to the sha256 the manifest records."""
+    def require_artifact(self, rel: str, producer: str, content: bytes | None = None) -> str:
+        """Path of ``rel`` once its bytes hash to the sha256 the manifest records;
+        a caller that holds them passes them as ``content``, to be hashed in place of the file."""
         full = os.path.join(self.out_dir, rel)
         if not os.path.exists(full):
             raise PipelineError(f"missing artifact {rel}; run '{producer}' first")
         recorded = self.entries.get(f"artifact.{rel}.sha256")
-        if recorded is None or _sha256(full) != recorded:
+        if recorded is None or _sha256(full, content) != recorded:
             why = "is not in" if recorded is None else "no longer matches its sha256 in"
             raise PipelineError(
                 f"artifact {rel} {why} {MANIFEST_NAME}; run '{producer}' again"
@@ -255,13 +263,16 @@ def cmd_split(cfg: RunConfig, ws: Workspace) -> None:
     source = None  # data.csv's bytes, when its lines are the split files' lines
     if cfg.synth is not None:
         # checked but not memoised: no other command reads data.csv
-        data = ws.require_artifact("data.csv", "generate")
+        data = os.path.join(ws.out_dir, "data.csv")
+        if ws.generated is None or not os.path.exists(data):
+            ws.require_artifact("data.csv", "generate")
         ds = load_csv(data, load_schema(ws.require_artifact("schema.txt", "generate")))
         inputs = ["data.csv", "schema.txt"]
-        if ws.generated is not None:
+        if ws.generated is not None:  # bytes read after the parse, so never held with it
             with open(data, "rb") as fh:
                 source = fh.read()
-            key = (hashlib.sha256(source).hexdigest(), ws.entries["artifact.schema.txt.sha256"])
+            ws.require_artifact("data.csv", "generate", source)  # their one hash
+            key = (ws.entries["artifact.data.csv.sha256"], ws.entries["artifact.schema.txt.sha256"])
             source = source if key == ws.generated else None
     else:
         ds = load_csv(cfg.csv, load_schema(cfg.schema), missing_policy=cfg.missing)

@@ -16,9 +16,12 @@ row order; forests are deterministic in (data, seed). A forest's trees are
 made over the CPUs the process may use by ``shares.fork_map``; each tree draws
 only from its own seed, so the split cannot change a bit.
 
-Both also share one router. A call lays its trees end to end in one arena,
-where each leaf is its own child on both sides, and steps all (row, tree)
-pairs of a chunk of rows down one level at a time.
+Both also share one router: ``_arena`` lays trees end to end in one arena,
+where each leaf is its own child on both sides, and ``_walk`` steps all
+(row, tree) pairs of a chunk of rows down one level at a time. A ``Forest``
+builds its arena once; ``predict_tree`` builds one per call. The arena folds
+each subtree whose leaves all hold one value into a leaf with that value,
+which is exact because a walk sums only the values at the leaves it reaches.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def _binary_gini(pos: float, n: float) -> float:
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecisionTree:
     """Arena-encoded binary classification tree.
 
@@ -113,11 +116,26 @@ class ForestHyper:
             raise DatasetError(f"unknown split rule {self.split_rule!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Forest:
+    """Bagged trees, and the arena that routes their votes, built once here.
+
+    The arena folds each subtree whose leaves all vote alike into one leaf
+    with that vote: exact, as a row reaching any of them casts that vote. The
+    forest is frozen and its trees' node arrays read-only, so the two agree.
+    """
+
     feature_names: tuple[str, ...]
-    trees: list[DecisionTree]
+    trees: tuple[DecisionTree, ...]
     hyper: ForestHyper
+    arena: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "trees", tuple(self.trees))
+        for tree in self.trees:
+            for name in ("feature", "threshold", "left", "right", "n_rows", "prob", "gain"):
+                getattr(tree, name).flags.writeable = False
+        object.__setattr__(self, "arena", _arena(self.trees, [t.prob > 0.5 for t in self.trees]))
 
 
 def _best_midpoint_split(x: np.ndarray, y: np.ndarray, min_child: int):
@@ -226,13 +244,8 @@ def _grow(X, y, sample, mtry, min_rows, min_child, admit, rng, extratrees):
     return feature, threshold, left, right, n_rows, pos / np.maximum(n_rows, 1), gain
 
 
-def fit_cart(
-    ds: Dataset,
-    label: str,
-    features: list[str] | tuple[str, ...] | None = None,
-    cp: float = 0.001,
-    min_split_obs: int = 2,
-) -> DecisionTree:
+def fit_cart(ds: Dataset, label: str, features: list[str] | tuple[str, ...] | None = None,
+             cp: float = 0.001, min_split_obs: int = 2) -> DecisionTree:
     """Grow a classification tree by greedy gini split search.
 
     A split is accepted when its training-share-weighted impurity decrease
@@ -249,43 +262,57 @@ def fit_cart(
     y = ds.label(label)
     root_gini = _binary_gini(float(y.sum()), float(y.size))
     nodes = _grow(
-        X,
-        y,
-        sample=np.arange(y.size, dtype=np.int64),
-        mtry=len(names),
-        min_rows=2 * min_split_obs,
-        min_child=min_split_obs,
-        admit=lambda gain: root_gini != 0.0 and gain / root_gini >= cp,
-        rng=None,
-        extratrees=False,
+        X, y, np.arange(y.size, dtype=np.int64), len(names), min_rows=2 * min_split_obs,
+        min_child=min_split_obs, admit=lambda gain: root_gini != 0.0 and gain / root_gini >= cp,
+        rng=None, extratrees=False,
     )
     return DecisionTree(names, *nodes, root_gini, cp, min_split_obs)
 
 
 _CHUNK_PAIRS = 1 << 15  # (row, tree) pairs routed at once: bounds the transient arrays
-_SWEEP = 6  # levels stepped between drops of the pairs that are at a leaf
+_SWEEP = 8  # levels stepped between drops of the pairs that are at a leaf
 
 
-def _route(trees: list[DecisionTree], values: list[np.ndarray], X: np.ndarray) -> np.ndarray:
-    """Per row of ``X``, the sum over trees ``t`` of ``values[t]`` at the row's leaf.
+def _arena(trees, values: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """``trees`` end to end for ``_walk``, with ``values[t]`` at tree ``t``'s leaves.
 
-    Pairs ``row * T + t`` go left on ties and right on NaN; leaves have feature
-    0. Sums are exact for integer values and for one tree.
+    A node whose leaves all hold the same value bits becomes a leaf (bottom up,
+    a level per pass). Kept nodes keep their order, so children follow parents.
+    Returns the roots, the leaf mask, and per node the feature (0 at a leaf),
+    threshold, value and ``children[2 * node + went_left]`` (a leaf: itself).
     """
     sizes = [tree.n_nodes for tree in trees]
     roots = np.cumsum([0] + sizes[:-1])
+    left, right = (np.concatenate(links) + np.repeat(roots, sizes)
+                   for links in zip(*((tree.left, tree.right) for tree in trees)))
     feature = np.concatenate([tree.feature for tree in trees], dtype=np.intp)
-    threshold = np.concatenate([tree.threshold for tree in trees])
     value = np.concatenate(values)
-    children = np.empty(2 * feature.size, dtype=np.intp)  # [2 * node + went_left]
-    children[0::2] = np.concatenate([tree.right for tree in trees])
-    children[1::2] = np.concatenate([tree.left for tree in trees])
-    children += np.repeat(roots, np.multiply(sizes, 2))
-    at_leaf = feature == -1
-    leaves = np.flatnonzero(at_leaf)  # index arrays: far faster than masks here
-    feature[leaves] = 0
-    children[2 * leaves] = children[2 * leaves + 1] = leaves
-    flat, (n, k), T = X.ravel(), X.shape, len(trees)
+    bits = value.view(f"u{value.itemsize}")  # 0.0 and -0.0 never fold together
+    same = feature == -1  # every leaf under the node holds the node's value
+    parent, inner = np.arange(feature.size), np.flatnonzero(~same)
+    parent[left[inner]] = parent[right[inner]] = inner
+    while inner.size:  # the inner nodes that may fold now
+        lo, hi = left[inner], right[inner]
+        inner = inner[same[lo] & same[hi] & (bits[lo] == bits[hi])]
+        same[inner], bits[inner] = True, bits[left[inner]]
+        inner = np.unique(parent[inner])  # a root is its own parent, and now the same
+        inner = inner[~same[inner]]
+    keep = np.zeros(feature.size, dtype=bool)  # a root, or a child of a split that stays
+    keep[roots] = keep[left[~same]] = keep[right[~same]] = True
+    kept, index = np.flatnonzero(keep), np.cumsum(keep) - 1
+    at_leaf, links = same[kept], index[np.stack((right[kept], left[kept]), axis=1)]
+    children = np.where(at_leaf[:, None], np.arange(kept.size)[:, None], links).ravel()
+    threshold = np.concatenate([tree.threshold for tree in trees])[kept]
+    return index[roots], at_leaf, np.where(at_leaf, 0, feature[kept]), threshold, value[kept], children
+
+
+def _walk(arena: tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
+    """Per row of ``X``, the sum over trees of the value at the row's leaf.
+
+    Pairs ``row * T + t`` go left on ties and right on NaN. Sums are exact for
+    integer values and for one tree."""
+    roots, at_leaf, feature, threshold, value, children = arena
+    flat, (n, k), T = X.ravel(), X.shape, roots.size
     sums = np.zeros(n, np.result_type(value, np.int64))
     for rows in np.array_split(np.arange(n), max(1, -(-n * T // _CHUNK_PAIRS))):
         pair, node = np.arange(rows.size * T), np.tile(roots, rows.size)
@@ -302,15 +329,11 @@ def _route(trees: list[DecisionTree], values: list[np.ndarray], X: np.ndarray) -
 
 def predict_tree(tree: DecisionTree, ds: Dataset) -> np.ndarray:
     """Per-row positive probability: the training positive share at the leaf."""
-    return _route([tree], [tree.prob], ds.columns(tree.feature_names)[1])
+    return _walk(_arena([tree], [tree.prob]), ds.columns(tree.feature_names)[1])
 
 
-def fit_forest(
-    ds: Dataset,
-    label: str,
-    hyper: ForestHyper,
-    features: list[str] | tuple[str, ...] | None = None,
-) -> Forest:
+def fit_forest(ds: Dataset, label: str, hyper: ForestHyper,
+               features: list[str] | tuple[str, ...] | None = None) -> Forest:
     """Fit a bagged forest of unpruned trees.
 
     Tree t draws its bootstrap sample and split randomness from a child
@@ -351,10 +374,10 @@ def predict_forest(forest: Forest, ds: Dataset) -> np.ndarray:
     A tree votes positive when its leaf's positive share exceeds one half
     (an exactly split leaf votes negative). Classify at 0.5 downstream for
     strict-majority semantics with forest-level ties going negative. All
-    trees are routed together, and votes are counted as exact integers.
+    trees are routed together through the forest's arena, and votes are
+    counted as exact integers.
     """
-    votes = [tree.prob > 0.5 for tree in forest.trees]
-    return _route(forest.trees, votes, ds.columns(forest.feature_names)[1]) / len(forest.trees)
+    return _walk(forest.arena, ds.columns(forest.feature_names)[1]) / len(forest.trees)
 
 
 def _tree_gain_by_feature(tree: DecisionTree, k: int) -> np.ndarray:
@@ -373,15 +396,9 @@ def variable_importance(model) -> dict[str, float]:
     with nothing to attribute (no splits, all-zero coefficients) falls back
     to uniform weights so the weights always form a distribution.
     """
-    if isinstance(model, DecisionTree):
-        names = model.feature_names
-        raw = _tree_gain_by_feature(model, len(names))
-    elif isinstance(model, Forest):
-        names = model.feature_names
-        raw = np.zeros(len(names))
-        for tree in model.trees:
-            raw += _tree_gain_by_feature(tree, len(names))
-        raw /= len(model.trees)
+    if isinstance(model, (DecisionTree, Forest)):
+        names, trees = model.feature_names, getattr(model, "trees", (model,))
+        raw = sum(_tree_gain_by_feature(tree, len(names)) for tree in trees) / len(trees)
     elif hasattr(model, "coef") and hasattr(model, "feature_scales"):
         names = model.feature_names
         raw = np.abs(np.asarray(model.coef) * np.asarray(model.feature_scales))
@@ -403,9 +420,8 @@ def render_tree(tree: DecisionTree, max_depth: int | None = None) -> str:
             lines.append(f"{pad}{prefix}...")
             return
         n = int(tree.n_rows[node])
-        p = tree.prob[node]
         if tree.feature[node] == -1:
-            lines.append(f"{pad}{prefix}leaf n={n} p={p:.4f}")
+            lines.append(f"{pad}{prefix}leaf n={n} p={tree.prob[node]:.4f}")
             return
         name = tree.feature_names[int(tree.feature[node])]
         lines.append(f"{pad}{prefix}{name} <= {tree.threshold[node]:.6g} n={n}")

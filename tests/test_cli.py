@@ -1007,6 +1007,70 @@ class TestSplitGather:
         assert main(["all", "--config", cfg, "--out", str(tmp_path / "clean")]) == 0
         assert self.split_files(str(tmp_path / "clean")) == recovered
 
+    def test_data_csv_is_hashed_once_when_gathering(self, tmp_path, monkeypatch):
+        cfg = load_config(write_cfg(tmp_path))
+        ws = cli.Workspace(cfg.out_dir)
+        cli.cmd_generate(cfg, ws)
+        spy = DigestSpy()
+        monkeypatch.setattr(cli, "hashlib", spy)
+        written = spy_write_csv(monkeypatch)
+        cli.cmd_split(cfg, ws)
+        assert written == []
+        assert spy.digests.count(ws.entries["artifact.data.csv.sha256"]) == 1
+
+    def test_changed_or_missing_data_csv_is_refused(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path))
+        ws = cli.Workspace(cfg.out_dir)
+        cli.cmd_generate(cfg, ws)
+        data = os.path.join(cfg.out_dir, "data.csv")
+        flip_digit(data)
+        with pytest.raises(PipelineError, match="data.csv no longer matches its sha256"):
+            cli.cmd_split(cfg, ws)
+        assert not os.path.exists(os.path.join(cfg.out_dir, "train.csv"))
+        os.remove(data)
+        with pytest.raises(PipelineError, match="missing artifact data.csv; run 'generate' first"):
+            cli.cmd_split(cfg, ws)
+
+    def test_held_bytes_are_what_is_checked(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path))
+        ws = cli.Workspace(cfg.out_dir)
+        cli.cmd_generate(cfg, ws)
+        data = Path(cfg.out_dir, "data.csv").read_bytes()
+        assert ws.require_artifact("data.csv", "generate", data).endswith("data.csv")
+        with pytest.raises(PipelineError, match="data.csv no longer matches its sha256"):
+            ws.require_artifact("data.csv", "generate", data[:-1])
+
+
+class DigestSpy:
+    """hashlib as cli sees it, noting every hex digest it hands out."""
+
+    def __init__(self):
+        self.digests = []
+
+    def sha256(self, data=b""):
+        spy, digest = self, hashlib.sha256(data)
+
+        class Noted:
+            update = digest.update
+
+            def hexdigest(self):
+                spy.digests.append(digest.hexdigest())
+                return spy.digests[-1]
+
+        return Noted()
+
+
+class TestSha256:
+    """Artifact hashes read files in 1 MiB blocks and equal one-shot hashes."""
+
+    @pytest.mark.parametrize("size", [0, (1 << 20) - 1, 1 << 20, (1 << 20) + 1])
+    def test_matches_hash_of_the_bytes(self, tmp_path, size):
+        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        assert cli._sha256(str(path)) == hashlib.sha256(data).hexdigest()
+        assert cli._sha256(str(path), data) == hashlib.sha256(data).hexdigest()
+
 
 CSV_MEMO_CFG = """
 [run]

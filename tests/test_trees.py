@@ -1,5 +1,6 @@
 """CART growth, forest bagging, importance, and determinism guarantees."""
 
+import dataclasses
 import math
 import os
 import signal
@@ -31,7 +32,7 @@ from rarepred.trees import (
 )
 from rarepred.serialize import load_model, save_model
 from rarepred.trees import (
-    _best_midpoint_split, _binary_gini, _grow, _route, _uniform_cut_split,
+    _arena, _best_midpoint_split, _binary_gini, _grow, _uniform_cut_split, _walk,
 )
 
 
@@ -132,7 +133,7 @@ def leaf_codes(model_trees, X):
     codes = [np.arange(tree.n_nodes) * s for tree, s in zip(model_trees, scale)]
     per_node = sum(route_per_node(t, X) * s for t, s in zip(model_trees, scale))
     depthwise = sum(route_depthwise(t, X) * s for t, s in zip(model_trees, scale))
-    return _route(model_trees, codes, X), per_node, depthwise
+    return _walk(_arena(model_trees, codes), X), per_node, depthwise
 
 
 def assert_routes_like_oracle(model, X):
@@ -152,6 +153,18 @@ def assert_routes_like_oracle(model, X):
             assert predict_forest(model, ds).tobytes() == want.tobytes()
         else:
             assert predict_tree(model, ds).tobytes() == model.prob[leaves].tobytes()
+
+
+nan = float("nan")
+
+
+def hand_tree(names, feature, threshold, left, right, prob):
+    """A tree from literal node arrays, with unit row counts and gains."""
+    return DecisionTree(
+        names, np.array(feature, dtype=np.int32), np.array(threshold),
+        np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
+        np.ones(len(feature), dtype=np.int64), np.array(prob), np.ones(len(feature)), 0.5, 0.0, 1,
+    )
 
 
 def edge_rows(model, X, rng):
@@ -829,7 +842,7 @@ class TestRouterOracle:
     def test_ties_go_left_and_nan_goes_right(self):
         tree = fit_cart(array_dataset([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1]), "y", min_split_obs=1)
         X = np.array([[2.5], [np.nan], [np.nextafter(2.5, 3.0)]])
-        leaves = _route([tree], [np.arange(tree.n_nodes)], X)
+        leaves = _walk(_arena([tree], [np.arange(tree.n_nodes)]), X)
         np.testing.assert_array_equal(leaves, [tree.left[0], tree.right[0], tree.right[0]])
         assert_routes_like_oracle(tree, X)
 
@@ -847,7 +860,7 @@ class TestRouterOracle:
         assert stump.n_nodes == 1
         check_against_oracle(stump, ds)
         nan_rows = np.full((2, 1), np.nan)
-        np.testing.assert_array_equal(_route([stump], [np.arange(1)], nan_rows), [0, 0])
+        np.testing.assert_array_equal(_walk(_arena([stump], [np.arange(1)]), nan_rows), [0, 0])
         no_features = fit_cart(ds, "y", features=())
         check_against_oracle(no_features, ds)
 
@@ -866,9 +879,59 @@ class TestRouterOracle:
     def test_leaf_thresholds_are_ignored(self):
         ds = blob_dataset(29, n=300)
         forest = fit_forest(ds, "y", ForestHyper(n_trees=3, min_node=20, seed=8))
-        for tree in forest.trees:
-            tree.threshold[tree.feature == -1] = np.inf  # would send every finite row left
-        check_against_oracle(forest, ds)
+        rigged = [  # inf at every leaf would send every finite row left
+            dataclasses.replace(tree, threshold=np.where(tree.feature == -1, np.inf, tree.threshold))
+            for tree in forest.trees
+        ]
+        check_against_oracle(Forest(forest.feature_names, rigged, forest.hyper), ds)
+
+    def test_same_vote_subtrees_fold(self):
+        names = ("x0", "x1", "x2")
+        # node 1's leaves both vote yes and node 5's both vote no (0.5 votes no);
+        # node 2 keeps its split, as its children vote no and yes
+        mixed = hand_tree(names, [0, 1, 1, -1, -1, 2, -1, -1, -1],
+                          [0.0, 0.5, -0.5, nan, nan, 0.0, nan, nan, nan],
+                          [1, 3, 5, -1, -1, 7, -1, -1, -1], [2, 4, 6, -1, -1, 8, -1, -1, -1],
+                          [0.5, 0.8, 0.4, 0.9, 0.7, 0.2, 0.6, 0.1, 0.5])
+        # every leaf votes no, two levels down: the whole tree folds to its root
+        no = hand_tree(names, [1, 0, -1, -1, -1], [0.0, 1.0, nan, nan, nan],
+                       [1, 3, -1, -1, -1], [2, 4, -1, -1, -1], [0.2, 0.1, 0.3, 0.0, 0.45])
+        yes = hand_tree(names, [-1], [nan], [-1], [-1], [0.9])
+        forest = Forest(names, [mixed, no, yes, mixed], ForestHyper(n_trees=4))
+        assert sum(tree.n_nodes for tree in forest.trees) == 24
+        assert forest.arena[1].size == 5 + 1 + 1 + 5
+        X = generator(30).normal(size=(300, 3))
+        on_threshold, with_nan = edge_rows(forest, X, generator(31))
+        for rows in (X, on_threshold, with_nan):
+            got = _walk(forest.arena, rows) / len(forest.trees)
+            for router in (route_per_node, route_depthwise):
+                votes = sum((t.prob[router(t, rows)] > 0.5).astype(np.int64) for t in forest.trees)
+                assert got.tobytes() == (votes / len(forest.trees)).tobytes()
+        check_against_oracle(forest, array_dataset(X, np.zeros(300), names))
+
+    def test_leaf_codes_and_signed_zeros_never_fold(self):
+        ds = blob_dataset(32, n=400)
+        forest = fit_forest(ds, "y", ForestHyper(n_trees=4, min_node=5, seed=9))
+        n_nodes = sum(tree.n_nodes for tree in forest.trees)
+        assert forest.arena[1].size < n_nodes
+        codes = [np.arange(tree.n_nodes) for tree in forest.trees]
+        assert _arena(forest.trees, codes)[1].size == n_nodes
+        stump = fit_cart(array_dataset([1.0, 2.0], [0, 1]), "y", min_split_obs=1)
+        assert _arena([stump], [np.array([0.0, 0.0, -0.0])])[1].size == 3  # equal, not same bits
+        assert _arena([stump], [np.zeros(3)])[1].size == 1
+
+    def test_forest_is_immutable(self):
+        ds = blob_dataset(33, n=300)
+        forest = fit_forest(ds, "y", ForestHyper(n_trees=2, min_node=20, seed=10))
+        assert isinstance(forest.trees, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            forest.trees = ()
+        with pytest.raises(ValueError, match="read-only"):
+            forest.trees[0].threshold[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            forest.trees[0].threshold = np.zeros(forest.trees[0].n_nodes)
+        with pytest.raises(ValueError, match="read-only"):
+            forest.trees[1].prob[:] = 1.0
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_rows_around_one_chunk(self, extra):
