@@ -295,15 +295,18 @@ def _parse_rows(reader, header: list[str], kinds: list[str], impute: bool):
 def _cuts(path: str) -> list[int]:
     """Where the file's ranges start and end: after the header line, then
     after the line that reaches ``_RANGE_BYTES`` past the last cut, up to the
-    size; none when a quote or a carriage return may put a newline in a row."""
+    size; none when a quote or a carriage return may put a newline in a row.
+    The file is scanned one ``_RANGE_BYTES`` slice at a time."""
+    cuts, target, offset = [], 0, 0  # the next cut follows the first newline at or past target
     with open(path, "rb") as fh:
-        data = fh.read()
-    if b'"' in data or b"\r" in data:
-        return []
-    cuts = [data.find(b"\n") + 1 or len(data)]
-    while cuts[-1] < len(data):
-        cuts.append(data.find(b"\n", cuts[-1] + _RANGE_BYTES - 1) + 1 or len(data))
-    return cuts
+        while data := fh.read(_RANGE_BYTES):
+            if b'"' in data or b"\r" in data:
+                return []
+            while end := data.find(b"\n", max(target - offset, 0)) + 1:
+                cuts.append(offset + end)
+                target = offset + end + _RANGE_BYTES - 1
+            offset += len(data)
+    return cuts if cuts and cuts[-1] == offset else cuts + [offset]
 
 
 def _parse_ranges(path: str, cuts: list[int], header: list[str], kinds: list[str], impute: bool):

@@ -7,7 +7,10 @@ single tree needs the decrease, as a fraction of the root impurity, to reach
 the complexity threshold ``cp``; forest trees need it to be positive and grow
 unpruned to a minimum node size over bootstrap resamples and per-split
 feature subsets. Both children are numbered when their parent splits, and
-the left subtree grows first.
+the left subtree grows first. The split search sorts integer keys, not values:
+each fit builds one table of a rank and a label bit per (feature, row), and a
+node sorts its drawn features' keys as one block; ``_grow`` says why the splits
+are a value sort's, bit for bit.
 
 Tie-breaking is fully specified so fits are reproducible down to the bit:
 among equal-gain splits the lowest feature index wins, then the lowest
@@ -138,43 +141,6 @@ class Forest:
         object.__setattr__(self, "arena", _arena(self.trees, [t.prob > 0.5 for t in self.trees]))
 
 
-def _best_midpoint_split(x: np.ndarray, y: np.ndarray, min_child: int):
-    """Best (gain_fraction_threshold) midpoint split of one feature.
-
-    Returns (mean-impurity decrease at the node, threshold) or None. The
-    decrease is node-local: g_node - weighted child ginis. Candidates whose
-    children would fall below ``min_child`` rows are skipped. On tied gains
-    the lowest threshold wins (first argmax over ascending candidates).
-    """
-    n = x.size
-    order = np.argsort(x)  # ties may land in any order: cuts fall only between runs
-    xs = x[order]
-    ys = y[order]
-    cut = np.flatnonzero(xs[:-1] != xs[1:])  # split after these positions
-    if cut.size == 0:
-        return None
-    n_left = cut + 1
-    n_right = n - n_left
-    if min_child > 1:  # else every cut between runs has a row on each side
-        keep = (n_left >= min_child) & (n_right >= min_child)
-        if not keep.any():
-            return None
-        cut, n_left, n_right = cut[keep], n_left[keep], n_right[keep]
-    pos_prefix = np.cumsum(ys)
-    pos_left = pos_prefix[cut]
-    pos_total = pos_prefix[-1]
-    pos_right = pos_total - pos_left
-    pl = pos_left / n_left
-    pr = pos_right / n_right
-    g_left = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
-    g_right = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
-    g_node = _binary_gini(float(pos_total), float(n))
-    gains = g_node - (n_left * g_left + n_right * g_right) / n
-    best = int(np.argmax(gains))
-    threshold = 0.5 * (xs[cut[best]] + xs[cut[best] + 1])
-    return float(gains[best]), float(threshold)
-
-
 def _uniform_cut_split(x: np.ndarray, y: np.ndarray, rng: np.random.Generator):
     """Gain of one uniform random cutpoint in [min, max) of the feature."""
     lo = float(x.min())
@@ -194,17 +160,83 @@ def _uniform_cut_split(x: np.ndarray, y: np.ndarray, rng: np.random.Generator):
     return gain, threshold
 
 
-def _grow(X, y, sample, mtry, min_rows, min_child, admit, rng, extratrees):
+_SPLIT_CELLS = 1 << 15  # (feature, row) keys searched at once: bounds the split buffers
+
+
+def _key_table(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per (feature, row) the key ``(rank + offset) << 1 | label``, and the distinct values:
+    a rank orders a feature's distinct values and the offset counts earlier features',
+    so ``values[key >> 1]`` is the cell. The table is written a feature at a time."""
+    keys = np.empty(X.shape[::-1], np.int32 if 2 * X.size < 2 ** 31 else np.int64)
+    distinct, offset = [np.empty(0)], 0
+    for j, column in enumerate(X.T):
+        values, ranks = np.unique(column, return_inverse=True)  # -0.0 and 0.0: one rank
+        keys[j] = (ranks + offset) << 1 | y
+        distinct.append(values)
+        offset += values.size
+    return keys, np.concatenate(distinct)
+
+
+def _share_gini(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 - p * p - (1 - p) * (1 - p)`` into ``out``, as ``_binary_gini`` has it; spends ``p``."""
+    np.subtract(1.0, np.multiply(p, p, out=out), out=out)
+    out -= np.square(np.subtract(1.0, p, out=p), out=p)
+    return out
+
+
+def _best_split(table, buffers, rows, pos, feats, min_child, scale):
+    """The best (scaled gain, feature, threshold) midpoint split of a node; feature None if none.
+
+    The keys of ``feats`` at ``rows`` are sorted as one block, ``_SPLIT_CELLS`` at
+    most at a time. A cut falls where the rank changes, ``min_child`` rows or more a
+    side; its positives left are a running sum of label bits. The first best cut of
+    the first feature with the best scaled gain wins."""
+    (keys, values), n = table, rows.size
+    lo, hi = min_child - 1, n - min_child  # a cut after position c, for lo <= c < hi
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    n_right, g_node = n - n_left, _binary_gini(float(pos), float(n))
+    best, step = (-math.inf, None, None), max(1, _SPLIT_CELLS // n)
+    for start in range(0, len(feats), step):
+        chunk = feats[start:start + step]
+        block, bits, left, a, b = (buf[:len(chunk) * width].reshape(len(chunk), width)
+                                   for buf, width in zip(buffers, (n, hi, hi, hi - lo, hi - lo)))
+        for i, feat in enumerate(chunk):
+            block[i] = keys[feat][rows]
+        block.sort(axis=1)
+        np.bitwise_and(block[:, :hi], 1, out=bits)
+        left = np.cumsum(bits, axis=1, dtype=np.float64, out=left)[:, lo:]  # positives left of cuts
+        np.multiply(_share_gini(np.divide(left, n_left, out=a), b), n_left, out=b)
+        np.subtract(pos, left, out=a)
+        np.multiply(_share_gini(np.divide(a, n_right, out=a), left), n_right, out=left)
+        np.subtract(g_node, np.divide(np.add(b, left, out=b), n, out=b), out=b)
+        step_up = np.bitwise_xor(block[:, lo + 1:hi + 1], block[:, lo:hi], out=bits[:, :hi - lo])
+        np.copyto(b, -math.inf, where=step_up <= 1)  # the same rank on both sides: no cut
+        gains = scale * b.max(axis=1)
+        i = int(gains.argmax())
+        if gains[i] > best[0]:
+            pair = values[block[i, lo + int(b[i].argmax()):][:2] >> 1]
+            best = (float(gains[i]), chunk[i], float(0.5 * (pair[0] + pair[1])))
+    return best
+
+
+def _grow(X, y, sample, mtry, min_rows, min_child, admit, rng, table):
     """Grow one tree over the rows ``sample`` of ``X``; return its seven node arrays.
 
-    Nodes under ``min_rows`` rows, and pure ones, stay leaves. Others split
-    where ``admit`` takes the best share-weighted gain (the first on ties) of
-    ``mtry`` drawn features (all, with no draw, when ``mtry == k``), each cut
-    at its best midpoint with ``min_child`` rows a side or, with
-    ``extratrees``, at one uniform cutpoint.
+    Nodes under ``min_rows`` rows, and pure ones, stay leaves. Others split on
+    ``X[rows, feature] <= threshold`` where ``admit`` takes the best share-weighted
+    gain (the first on ties) of ``mtry`` drawn features (all, with no draw, when
+    ``mtry == k``), each cut at its best midpoint with ``min_child`` rows a side,
+    by ``_best_split`` in ``table``, or with no table (extratrees) at a uniform one.
+
+    Sorting ``_key_table`` keys finds the splits a value sort does, bit for bit:
+    ranks change where sorted finite values do, ``-0.0`` and ``0.0`` share a rank
+    and give any other value the same midpoint, and row counts are exact in
+    float64, so each gain is the same arithmetic on the same numbers.
     """
     n_train, k = sample.size, X.shape[1]
     nodes = []  # per node: feature, threshold, left, right, rows, positives, gain
+    dtypes = (table[0].dtype,) * 2 + (np.float64,) * 3 if table else ()
+    buffers = [np.empty(max(_SPLIT_CELLS, n_train), dtype) for dtype in dtypes]
 
     def leaf(rows, y_rows):
         nodes.append([-1, math.nan, -1, -1, rows.size, int(y_rows.sum()), 0.0])
@@ -217,19 +249,14 @@ def _grow(X, y, sample, mtry, min_rows, min_child, admit, rng, extratrees):
         if n < min_rows or pos == 0 or pos == n:
             continue
         feats = range(k) if mtry == k else np.sort(rng.choice(k, size=mtry, replace=False))
-        best = None
-        for feat in feats:
-            x = X[rows, feat]
-            if extratrees:
-                found = _uniform_cut_split(x, y_node, rng)
-            else:
-                found = _best_midpoint_split(x, y_node, min_child)
-            if found is None:
-                continue
-            gain = (n / n_train) * found[0]
-            if best is None or gain > best[0]:
-                best = (gain, feat, found[1])
-        if best is None or not admit(best[0]):
+        best = (-math.inf, None, None)
+        if table:
+            best = _best_split(table, buffers, rows, pos, feats, min_child, n / n_train)
+        for feat in () if table else feats:
+            found = _uniform_cut_split(X[rows, feat], y_node, rng)
+            if found is not None and (n / n_train) * found[0] > best[0]:
+                best = ((n / n_train) * found[0], feat, found[1])
+        if best[1] is None or not admit(best[0]):
             continue
         gain, feat, threshold = best
         go_left = X[rows, feat] <= threshold
@@ -264,7 +291,7 @@ def fit_cart(ds: Dataset, label: str, features: list[str] | tuple[str, ...] | No
     nodes = _grow(
         X, y, np.arange(y.size, dtype=np.int64), len(names), min_rows=2 * min_split_obs,
         min_child=min_split_obs, admit=lambda gain: root_gini != 0.0 and gain / root_gini >= cp,
-        rng=None, extratrees=False,
+        rng=None, table=_key_table(X, y),
     )
     return DecisionTree(names, *nodes, root_gini, cp, min_split_obs)
 
@@ -352,13 +379,14 @@ def fit_forest(ds: Dataset, label: str, hyper: ForestHyper,
     mtry = hyper.mtry if hyper.mtry is not None else max(1, int(math.isqrt(k)))
     if mtry > k:
         raise DatasetError(f"mtry {mtry} exceeds feature count {k}")
+    table = _key_table(X, y) if hyper.split_rule == "gini" else None
 
     def fit(t: int) -> DecisionTree:
         rng = generator(child_seed(hyper.seed, "tree", t))
         sample = np.sort(rng.integers(0, n, size=n)) if hyper.bootstrap else np.arange(n)
         nodes = _grow(
             X, y, sample, mtry, min_rows=max(2, hyper.min_node), min_child=1,
-            admit=lambda gain: gain > 0.0, rng=rng, extratrees=hyper.split_rule == "extratrees",
+            admit=lambda gain: gain > 0.0, rng=rng, table=table,
         )
         root_gini = _binary_gini(float(y[sample].sum()), sample.size)
         return DecisionTree(names, *nodes, root_gini, 0.0, 1)

@@ -1,6 +1,7 @@
 """Dataset container, CSV round-trips, synthetic generation, splitting."""
 
 import csv
+import io
 import math
 import re
 from pathlib import Path
@@ -1033,7 +1034,56 @@ def patch_ranges(monkeypatch, path, cpus):
     return len(dataset._cuts(path)) - 1
 
 
+def cuts_whole_file(path: str) -> list[int]:
+    """``dataset._cuts`` as it was, reading the whole file at once; the oracle
+    for the slice-at-a-time scan."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b'"' in data or b"\r" in data:
+        return []
+    cuts = [data.find(b"\n") + 1 or len(data)]
+    while cuts[-1] < len(data):
+        cuts.append(data.find(b"\n", cuts[-1] + dataset._RANGE_BYTES - 1) + 1 or len(data))
+    return cuts
+
+
+def cut_files():
+    """Bodies for the range scan: marks in the first, a middle and the last
+    slice, newlines on slice edges, no final newline, a header only, nothing."""
+    rows = b"x,y\n" + b"".join(b"%d.25,%d\n" % (i * 37 % 1000, i % 2) for i in range(12))
+    bodies = {"rows": rows, "no final newline": rows[:-1], "header only": b"x,y\n",
+              "header without newline": b"x,y", "empty": b"", "newline only": b"\n"}
+    for mark, name in ((b'"', "quote"), (b"\r", "carriage return")):
+        for at, where in ((1, "first"), (len(rows) // 2, "middle"), (len(rows) - 1, "last")):
+            bodies[f"{name} in the {where} slice"] = rows[:at] + mark + rows[at:]
+    for edge in (16, 17, 33, 34):  # a newline ending, or starting, a 17-byte slice
+        line = b"1," + b"5" * (edge - 6) + b"\n"
+        bodies[f"newline at byte {edge}"] = b"x,y\n" + line + line[::-1][1:] + b"\n" + rows[4:]
+    rng = np.random.default_rng(18)
+    for i in range(6):
+        lines = [b"7" * int(rng.integers(0, 40)) + b",1\n" for _ in range(int(rng.integers(1, 30)))]
+        bodies[f"random lines {i}"] = b"x,y\n" + b"".join(lines)
+    return bodies
+
+
 class TestRanges:
+    @pytest.mark.parametrize("range_bytes", [1, 17, 1 << 20])
+    @pytest.mark.parametrize("name", sorted(cut_files()))
+    def test_cuts_scan_slices_like_the_whole_file(self, tmp_path, monkeypatch, range_bytes, name):
+        path = tmp_path / "cuts.csv"
+        path.write_bytes(cut_files()[name])
+        monkeypatch.setattr(dataset, "_RANGE_BYTES", range_bytes)
+        reads = []
+
+        class Recorded(io.FileIO):
+            def read(self, size=-1):
+                reads.append(len(data := super().read(size)))
+                return data
+
+        monkeypatch.setattr(dataset, "open", lambda file, mode: Recorded(file), raising=False)
+        assert dataset._cuts(str(path)) == cuts_whole_file(str(path))
+        assert max(reads) <= range_bytes  # never the whole file at once
+
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     @pytest.mark.parametrize("name", sorted(RANGE_FILES))
     def test_same_dataset_at_any_cpu_count(self, tmp_path, monkeypatch, forks, cpus, name):

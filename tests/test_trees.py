@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import signal
+import sys
 import time
 from unittest import mock
 
@@ -31,9 +32,7 @@ from rarepred.trees import (
     variable_importance,
 )
 from rarepred.serialize import load_model, save_model
-from rarepred.trees import (
-    _arena, _best_midpoint_split, _binary_gini, _grow, _uniform_cut_split, _walk,
-)
+from rarepred.trees import _arena, _binary_gini, _uniform_cut_split, _walk
 
 
 def array_dataset(X, y, names=None):
@@ -192,6 +191,97 @@ def check_against_oracle(model, ds, seed=0):
         assert_routes_like_oracle(model, rows)
 
 
+# The split search and grow function that the key-table search replaced, kept
+# verbatim as the oracle: one value argsort per (node, drawn feature).
+
+def best_midpoint_split(x: np.ndarray, y: np.ndarray, min_child: int):
+    """Best (gain_fraction_threshold) midpoint split of one feature.
+
+    Returns (mean-impurity decrease at the node, threshold) or None. The
+    decrease is node-local: g_node - weighted child ginis. Candidates whose
+    children would fall below ``min_child`` rows are skipped. On tied gains
+    the lowest threshold wins (first argmax over ascending candidates).
+    """
+    n = x.size
+    order = np.argsort(x)  # ties may land in any order: cuts fall only between runs
+    xs = x[order]
+    ys = y[order]
+    cut = np.flatnonzero(xs[:-1] != xs[1:])  # split after these positions
+    if cut.size == 0:
+        return None
+    n_left = cut + 1
+    n_right = n - n_left
+    if min_child > 1:  # else every cut between runs has a row on each side
+        keep = (n_left >= min_child) & (n_right >= min_child)
+        if not keep.any():
+            return None
+        cut, n_left, n_right = cut[keep], n_left[keep], n_right[keep]
+    pos_prefix = np.cumsum(ys)
+    pos_left = pos_prefix[cut]
+    pos_total = pos_prefix[-1]
+    pos_right = pos_total - pos_left
+    pl = pos_left / n_left
+    pr = pos_right / n_right
+    g_left = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
+    g_right = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
+    g_node = _binary_gini(float(pos_total), float(n))
+    gains = g_node - (n_left * g_left + n_right * g_right) / n
+    best = int(np.argmax(gains))
+    threshold = 0.5 * (xs[cut[best]] + xs[cut[best] + 1])
+    return float(gains[best]), float(threshold)
+
+
+def grow_oracle(X, y, sample, mtry, min_rows, min_child, admit, rng, extratrees):
+    """Grow one tree over the rows ``sample`` of ``X``; return its seven node arrays.
+
+    Nodes under ``min_rows`` rows, and pure ones, stay leaves. Others split
+    where ``admit`` takes the best share-weighted gain (the first on ties) of
+    ``mtry`` drawn features (all, with no draw, when ``mtry == k``), each cut
+    at its best midpoint with ``min_child`` rows a side or, with
+    ``extratrees``, at one uniform cutpoint.
+    """
+    n_train, k = sample.size, X.shape[1]
+    nodes = []  # per node: feature, threshold, left, right, rows, positives, gain
+
+    def leaf(rows, y_rows):
+        nodes.append([-1, math.nan, -1, -1, rows.size, int(y_rows.sum()), 0.0])
+        return len(nodes) - 1, rows, y_rows
+
+    stack = [leaf(sample, y[sample])]
+    while stack:
+        node, rows, y_node = stack.pop()
+        n, pos = rows.size, nodes[node][5]
+        if n < min_rows or pos == 0 or pos == n:
+            continue
+        feats = range(k) if mtry == k else np.sort(rng.choice(k, size=mtry, replace=False))
+        best = None
+        for feat in feats:
+            x = X[rows, feat]
+            if extratrees:
+                found = _uniform_cut_split(x, y_node, rng)
+            else:
+                found = best_midpoint_split(x, y_node, min_child)
+            if found is None:
+                continue
+            gain = (n / n_train) * found[0]
+            if best is None or gain > best[0]:
+                best = (gain, feat, found[1])
+        if best is None or not admit(best[0]):
+            continue
+        gain, feat, threshold = best
+        go_left = X[rows, feat] <= threshold
+        if not 0 < np.count_nonzero(go_left) < n:
+            continue
+        left = leaf(rows[go_left], y_node[go_left])
+        right = leaf(rows[~go_left], y_node[~go_left])
+        nodes[node] = [feat, threshold, left[0], right[0], n, pos, gain]
+        stack += [right, left]
+    feature, threshold, left, right, n_rows, pos, gain = map(np.array, zip(*nodes))
+    feature, left, right = (links.astype(np.int32) for links in (feature, left, right))
+    return feature, threshold, left, right, n_rows, pos / np.maximum(n_rows, 1), gain
+
+
+
 # The tree growth that one grow function replaced, kept verbatim as the oracle.
 
 class _Builder:
@@ -325,7 +415,7 @@ def fit_cart_oracle(
         root_rows=np.arange(n, dtype=np.int64),
         accept=accept,
         candidates=lambda rows: feature_range,
-        splitter=lambda x, y_node, feat: _best_midpoint_split(x, y_node, min_split_obs),
+        splitter=lambda x, y_node, feat: best_midpoint_split(x, y_node, min_split_obs),
         attempt=lambda rows: rows.size >= 2 * min_split_obs,
     )
     return builder.finish(root_gini, cp, min_split_obs)
@@ -370,7 +460,7 @@ def fit_forest_oracle(
 
         if hyper.split_rule == "gini":
             def splitter(x, y_node, feat):
-                return _best_midpoint_split(x, y_node, 1)
+                return best_midpoint_split(x, y_node, 1)
         else:
             def splitter(x, y_node, feat, rng=rng):
                 return _uniform_cut_split(x, y_node, rng)
@@ -410,7 +500,7 @@ def fit_forest_serial(
             sample = np.sort(rng.integers(0, n, size=n))
         else:
             sample = np.arange(n, dtype=np.int64)
-        nodes = _grow(
+        nodes = grow_oracle(
             X,
             y,
             sample,
@@ -424,6 +514,19 @@ def fit_forest_serial(
         root_gini = _binary_gini(float(y[sample].sum()), sample.size)
         trees.append(DecisionTree(names, *nodes, root_gini, 0.0, 1))
     return Forest(feature_names=names, trees=trees, hyper=hyper)
+
+
+def fit_cart_serial(ds, label, features=None, cp=0.001, min_split_obs=2) -> DecisionTree:
+    """fit_cart as it was before the key-table split search."""
+    names, X = ds.columns(features)
+    y = ds.label(label)
+    root_gini = _binary_gini(float(y.sum()), float(y.size))
+    nodes = grow_oracle(
+        X, y, np.arange(y.size, dtype=np.int64), len(names), min_rows=2 * min_split_obs,
+        min_child=min_split_obs, admit=lambda gain: root_gini != 0.0 and gain / root_gini >= cp,
+        rng=None, extratrees=False,
+    )
+    return DecisionTree(names, *nodes, root_gini, cp, min_split_obs)
 
 
 def tie_heavy_dataset(rng):
@@ -614,39 +717,137 @@ class TestForest:
 
 
 class TestSplitSortOracle:
-    """The quicksort split search against the stable-sort one it replaced."""
+    """The key-table split search against the value argsort it replaced, in its
+    quicksort form and in the stable-sort form before that."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_trees_match_on_heavy_ties(self, seed):
         rng = generator(seed)
-        n = int(rng.integers(20, 300))
-        X = np.column_stack([
-            rng.integers(0, 4, n),  # integer-valued
-            rng.integers(0, 2, n),  # binary
-            rng.integers(-3, 4, n) * 0.25,
-            rng.normal(size=n).round(1),
-        ]).astype(np.float64)
-        y = (rng.random(n) < 0.2 + 0.5 * X[:, 1]).astype(np.int64)
-        again = rng.integers(0, n, int(rng.integers(0, 2 * n)))  # duplicated rows
-        ds = array_dataset(np.vstack([X, X[again]]), np.concatenate([y, y[again]]))
+        ds = tie_heavy_dataset(rng)
         hyper = ForestHyper(
             n_trees=2, mtry=int(rng.integers(1, 5)), min_node=int(rng.integers(1, 20)), seed=seed
         )
         min_split_obs = int(rng.integers(1, 10))
+        keyed = [fit_cart(ds, "y", cp=0.0, min_split_obs=min_split_obs),
+                 *fit_forest(ds, "y", hyper).trees]
 
-        def fit():
-            return [fit_cart(ds, "y", cp=0.0, min_split_obs=min_split_obs),
-                    *fit_forest(ds, "y", hyper).trees]
+        def oracle():
+            return [fit_cart_serial(ds, "y", cp=0.0, min_split_obs=min_split_obs),
+                    *fit_forest_serial(ds, "y", hyper).trees]
 
-        quick = fit()
+        assert_same_trees(keyed, oracle())
         stable_split = mock.Mock(wraps=best_midpoint_split_stable)
-        with mock.patch.object(trees, "_best_midpoint_split", stable_split):
-            stable = fit()
+        with mock.patch.object(sys.modules[__name__], "best_midpoint_split", stable_split):
+            stable = oracle()
         assert stable_split.called
-        for a, b in zip(quick, stable, strict=True):
-            for name in ("feature", "threshold", "left", "right", "n_rows", "prob", "gain"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert_same_trees(keyed, stable)
+
+
+def odd_double(rng):
+    """A normal draw with its last mantissa bit set: its midpoint with the next
+    double up rounds to that next double, so a cut there empties the right side."""
+    return float((np.array([rng.normal()]).view(np.uint64) | np.uint64(1)).view(np.float64)[0])
+
+
+EDGE_KINDS = ("ties", "signed zeros", "adjacent", "huge", "subnormal", "rounded")
+
+
+def edge_column(rng, n, kind):
+    if kind == "ties":
+        return rng.integers(0, 3, n).astype(np.float64)
+    if kind == "signed zeros":
+        return rng.choice([-0.0, 0.0, -1.5, 2.0], n)
+    if kind == "adjacent":
+        a, c = odd_double(rng), odd_double(rng)
+        return rng.choice([a, np.nextafter(a, np.inf), c, np.nextafter(c, np.inf)], n)
+    if kind == "huge":  # the midpoint of two of these overflows
+        return rng.choice([1.7e308, 1.79e308, -1.79e308, 1.75e308, -1.6e308], n)
+    if kind == "subnormal":
+        return rng.integers(-4, 5, n) * 5e-324
+    return rng.normal(size=n).round(1)
+
+
+def edge_dataset(rng, n, kinds):
+    X = np.column_stack([edge_column(rng, n, kind) for kind in kinds] or [np.zeros((n, 0))])
+    y = (rng.random(n) < 0.3 + 0.4 * (X[:, 0] > 0 if kinds else 0)).astype(np.int64)
+    return array_dataset(X, y, [f"x{j}" for j in range(len(kinds))])
+
+
+def assert_keyed_like_oracle(ds, rng, seed):
+    """fit_cart and fit_forest against the grow function they replaced, bit for bit."""
+    k = len(ds.feature_names)
+    for cp, min_split_obs in ((0.0, 1), (0.0, int(rng.integers(2, 6))), (0.01, 1)):
+        assert_same_trees([fit_cart(ds, "y", cp=cp, min_split_obs=min_split_obs)],
+                          [fit_cart_serial(ds, "y", cp=cp, min_split_obs=min_split_obs)])
+    for mtry in sorted({1, int(rng.integers(1, k + 1)), k}) if k else ():
+        hyper = ForestHyper(
+            n_trees=2, mtry=mtry, min_node=int(rng.integers(1, 12)), seed=seed,
+            split_rule=("gini", "extratrees")[int(rng.integers(2))], bootstrap=bool(rng.integers(2)),
+        )
+        try:
+            want = fit_forest_serial(ds, "y", hyper).trees
+        except OverflowError:  # extratrees on a column whose range overflows, as before
+            with pytest.raises(OverflowError):
+                fit_forest(ds, "y", hyper)
+            continue
+        assert_same_trees(fit_forest(ds, "y", hyper).trees, want)
+
+
+class TestKeyedSplitOracle:
+    """The key-table split search against the value argsort it replaced, on
+    columns that stress ranks, midpoints and the partition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from(EDGE_KINDS), max_size=4))
+    def test_edge_columns(self, seed, kinds):
+        rng = generator(seed)
+        n = int(rng.integers(1, 120))
+        assert_keyed_like_oracle(edge_dataset(rng, n, kinds), rng, seed)
+
+    @pytest.mark.parametrize("kind", EDGE_KINDS)
+    def test_each_edge_kind(self, kind):
+        rng = generator(EDGE_KINDS.index(kind))
+        for n in (1, 2, 3, 40, 200):
+            assert_keyed_like_oracle(edge_dataset(rng, n, (kind, kind, "rounded")), rng, n)
+
+    def test_one_row_and_no_features(self):
+        for ds in (edge_dataset(generator(1), 1, ("rounded", "ties")),
+                   edge_dataset(generator(2), 50, ()),
+                   array_dataset(np.zeros((0, 2)), np.zeros(0))):
+            assert_keyed_like_oracle(ds, generator(3), 3)
+            assert fit_cart(ds, "y", cp=0.0, min_split_obs=1).n_nodes == 1
+        assert fit_cart(blob_dataset(1, n=50), "y", features=()).n_nodes == 1
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, 150, 1000])
+    def test_feature_chunks(self, monkeypatch, cells):
+        """Nodes searched a few features at a time pick the same splits."""
+        monkeypatch.setattr(trees, "_SPLIT_CELLS", cells)
+        rng = generator(cells)
+        ds = tie_heavy_dataset(rng)
+        assert_keyed_like_oracle(ds, rng, cells)
+        hyper = ForestHyper(n_trees=2, mtry=4, min_node=2, seed=cells, bootstrap=False)
+        assert_same_trees(fit_forest(ds, "y", hyper).trees, fit_forest_serial(ds, "y", hyper).trees)
+
+    def test_scaled_gain_ties_keep_the_lower_feature(self):
+        """Node 1's two splits differ in gain by an ulp, but not once scaled by
+        its share 8/18 of the rows: the first feature wins, as it did before."""
+        node = [[0, 0, 0]] * 3 + [[0, 1, 0]] * 2 + [[1, 1, 0]] * 3
+        ds = array_dataset(node + [[0, 0, 1]] * 10, [1] * 4 + [0] * 14)
+        x, y = ds.values[:8], ds.label("y")[:8]
+        g0, g1 = (best_midpoint_split(x[:, j], y, 1)[0] for j in (0, 1))
+        assert g0 < g1 and (8 / 18) * g0 == (8 / 18) * g1
+        tree = fit_cart(ds, "y", cp=0.0, min_split_obs=1)
+        assert tree.n_rows[1] == 8 and tree.feature[1] == 0
+        assert_same_trees([tree], [fit_cart_serial(ds, "y", cp=0.0, min_split_obs=1)])
+
+    def test_key_table(self):
+        X = np.array([[0.5, -0.0], [-2.0, 0.0], [0.5, 1e-320], [3.0, -0.0]])
+        keys, values = trees._key_table(X, np.array([1, 0, 0, 1]))
+        assert keys.dtype == np.int32 and keys.shape == (2, 4)
+        np.testing.assert_array_equal(keys >> 1, [[1, 0, 1, 2], [3, 3, 4, 3]])
+        np.testing.assert_array_equal(keys & 1, [[1, 0, 0, 1]] * 2)
+        assert values[keys >> 1].T.tobytes() == np.where(X == 0, values[3], X).tobytes()
 
 
 class TestGrowOracle:
