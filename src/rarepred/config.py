@@ -13,6 +13,7 @@ field, default, and the parser that types and bounds it. One reader applies
 the table, so an unknown key, an empty or a bad value fails with a
 ``ConfigError`` that starts ``[section] key:``; ``load_config`` spells out
 only the rules that tie keys together. README's config reference lists it.
+``_MODELS`` types and bounds each model kind's grid candidates the same way.
 
 Values are typed by shape: integers, floats, ``true``/``false``, bare
 strings, and space-separated tuples. ``format_value`` is the exact inverse
@@ -26,7 +27,6 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
 
 from .anomaly import (
     DEFAULT_ACTIVATIONS, DEFAULT_AUTOENCODER_FEATURES, DEFAULT_HIDDEN, ERROR_KINDS, OBJECTIVES,
@@ -35,7 +35,8 @@ from .benchmarks import BENCHMARKS, benchmark_spec
 from .dataset import load_schema
 from .neural import ACTIVATIONS, DEFAULT_HIDDEN as FFN_HIDDEN, LOSSES
 from .preprocess import SCALER_METHODS
-from .tune import METRICS, _REGISTRY
+from .trees import SPLIT_RULES
+from .tune import METRICS
 
 __all__ = [
     "ConfigError", "ModelGrid", "AutoencoderConfig", "RunConfig", "parse_scalar",
@@ -82,15 +83,15 @@ def parse_value(text: str):
 
 def parse_values(text: str, parse=parse_value) -> list:
     """A comma-separated candidate list of values, each typed by ``parse``."""
-    parts = [part for part in text.split(",")]
-    if not parts or any(part.strip() == "" for part in parts):
+    parts = [part.strip() for part in text.split(",")]
+    if not all(parts):
         raise ConfigError(f"malformed value list {text!r}")
     return [parse(part) for part in parts]
 
 
 def parse_param(kind: str, key: str, text: str):
     """One value of hyperparameter ``key`` of ``[model:<kind>]``, as its grid reads it."""
-    return _GRID_VALUES.get((kind, key), parse_value)(text)
+    return _MODELS[kind][key](text)
 
 
 def format_value(value) -> str:
@@ -110,17 +111,16 @@ def format_value(value) -> str:
 # returns its value or raises a ConfigError that _section prefixes.
 
 
-def _number(want: type, bound: str = "", ok=lambda value: True):
-    """An ``int`` or ``float`` (an int is accepted as a float) passing ``ok``."""
+def _number(want: type, bound: str = "", ok=lambda value: True, cast: bool = True):
+    """A ``want`` passing ``ok``; an int is accepted as a float, and made one when ``cast``."""
     expected = f"expected {want.__name__} {bound}".rstrip()
 
     def parse(text: str):
         value = parse_scalar(text)
-        if want is float and type(value) is int:
-            value = float(value)
-        if type(value) is not want or not ok(value):
+        number = float(value) if want is float and type(value) is int else value
+        if type(number) is not want or not ok(number):
             raise ConfigError(f"{expected}, got {text!r}")
-        return value
+        return number if cast else value
 
     return parse
 
@@ -173,8 +173,24 @@ def _edge(text: str) -> float:
 
 _REQUIRED = object()  # default of a key that must be given
 
-# (model kind, hyperparameter) -> parser of one grid candidate; parse_value by default
-_GRID_VALUES = {("ffn", "hidden"): _widths, ("ffn", "dropout"): _rates}
+_COUNT = _number(int, ">= 1", lambda v: v >= 1)
+_NONNEGATIVE = _number(float, ">= 0", lambda v: v >= 0, cast=False)
+
+# model kind -> {hyperparameter: parser of one grid candidate}, in tune._REGISTRY's
+# order; a float keeps an int candidate an int, as best_params.txt echoes it
+_MODELS = {
+    "logit": {"tol": _NONNEGATIVE, "max_iter": _COUNT},
+    "elastic_net": {"lam": _NONNEGATIVE,
+                    "alpha": _number(float, "in [0, 1]", lambda v: 0 <= v <= 1, cast=False),
+                    "tol": _NONNEGATIVE, "max_sweeps": _COUNT},
+    "cart": {"cp": _NONNEGATIVE, "min_split_obs": _COUNT},
+    "forest": {"n_trees": _COUNT,
+               "mtry": lambda text: None if parse_scalar(text) is None else _COUNT(text),
+               "min_node": _COUNT, "split_rule": _choice(SPLIT_RULES), "bootstrap": _number(bool)},
+    "ffn": {"hidden": _widths, "dropout": _rates, "epochs": _COUNT, "batch_size": _COUNT,
+            "lr": _number(float, "> 0", lambda v: v > 0, cast=False)},
+}
+_REQUIRED_PARAMS = {"elastic_net": ("lam", "alpha")}  # the others take the fit's default
 
 # section -> {key: (field, default, parse)}; the fields of every section but
 # [autoencoder] are RunConfig's, those of [autoencoder] AutoencoderConfig's
@@ -186,7 +202,7 @@ _SECTIONS = {
     },
     "data": {
         "synth": ("synth", None, _choice(tuple(BENCHMARKS))),
-        "n": ("synth_n", None, _number(int, ">= 1", lambda v: v >= 1)),
+        "n": ("synth_n", None, _COUNT),
         "csv": ("csv", None, str),
         "schema": ("schema", None, str),
         "missing": ("missing", "error", _choice(("error", "impute"))),
@@ -200,7 +216,7 @@ _SECTIONS = {
     },
     "tuning": {
         "k": ("k", 5, _number(int, ">= 2", lambda v: v >= 2)),
-        "repeats": ("repeats", 1, _number(int, ">= 1", lambda v: v >= 1)),
+        "repeats": ("repeats", 1, _COUNT),
         "subset_frac": ("subset_frac", 1.0, _number(float, "in (0, 1]", lambda v: 0 < v <= 1)),
         "metric": ("metric", "auc", _choice(METRICS)),
     },
@@ -210,8 +226,8 @@ _SECTIONS = {
         "activations": ("activations", DEFAULT_ACTIVATIONS, _names(ACTIVATIONS)),
         "loss": ("loss", "cosine_proximity", _choice(LOSSES)),
         "activity_l2": ("activity_l2", 1e-4, _number(float, ">= 0", lambda v: v >= 0)),
-        "epochs": ("epochs", 10, _number(int, ">= 1", lambda v: v >= 1)),
-        "batch_size": ("batch_size", 512, _number(int, ">= 1", lambda v: v >= 1)),
+        "epochs": ("epochs", 10, _COUNT),
+        "batch_size": ("batch_size", 512, _COUNT),
         "learning_rate": ("learning_rate", 0.001, _number(float, "> 0", lambda v: v > 0)),
         "scaler": ("scaler", "minmax", _choice(SCALER_METHODS)),
         "objective": ("objective", "youden", _choice(OBJECTIVES)),
@@ -337,13 +353,13 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
                 raise ConfigError(f"unknown section [{section}]")
             continue
         kind = section.split(":", 1)[1]
-        if kind not in _REGISTRY:
+        if kind not in _MODELS:
             raise ConfigError(
-                f"[{section}] unknown model kind {kind!r} (have {', '.join(_REGISTRY)})"
+                f"[{section}] unknown model kind {kind!r} (have {', '.join(_MODELS)})"
             )
         if any(m.kind == kind for m in models):
             raise ConfigError(f"[{section}] duplicate model section")
-        params = _REGISTRY[kind].params
+        params = _MODELS[kind]
         grid: dict[str, list] = {}
         for key in parser.options(section):
             if key not in params:
@@ -351,9 +367,12 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
                     f"[{section}] unknown hyperparameter {key!r} (have {', '.join(params)})"
                 )
             try:
-                grid[key] = parse_values(parser.get(section, key), partial(parse_param, kind, key))
+                grid[key] = parse_values(parser.get(section, key), params[key])
             except ConfigError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
+        for key in _REQUIRED_PARAMS.get(kind, ()):
+            if key not in grid:
+                raise ConfigError(f"[{section}] {key}: required key is missing")
         if kind == "ffn":  # every (hidden, dropout) pair of the grid must fit
             rates = max((len(r) for r in grid.get("dropout", ()) if r is not None), default=0)
             if rates > min(map(len, grid.get("hidden", [FFN_HIDDEN]))):
@@ -424,6 +443,10 @@ def _check_columns(cfg: RunConfig) -> None:
     for name in cfg.scale_features or ():
         if name not in feature_names:
             raise ConfigError(f"[preprocess] features: unknown feature {name!r}")
+    for mtry in (m for mg in cfg.models for m in mg.grid.get("mtry", ()) if m is not None):
+        if mtry > len(feature_names):
+            raise ConfigError(f"[model:forest] mtry: candidate {mtry} exceeds the"
+                              f" {len(feature_names)} features")
     if cfg.autoencoder is not None:
         for name in cfg.autoencoder.features:
             if name not in feature_names:

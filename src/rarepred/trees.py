@@ -43,6 +43,8 @@ __all__ = [
     "predict_forest", "variable_importance", "render_tree",
 ]
 
+SPLIT_RULES = ("gini", "extratrees")
+
 
 def gini(counts: np.ndarray) -> float:
     """Gini impurity 1 - sum(p^2) from per-class counts."""
@@ -115,7 +117,7 @@ class ForestHyper:
             raise DatasetError("mtry must be >= 1")
         if self.min_node < 1:
             raise DatasetError("min_node must be >= 1")
-        if self.split_rule not in ("gini", "extratrees"):
+        if self.split_rule not in SPLIT_RULES:
             raise DatasetError(f"unknown split rule {self.split_rule!r}")
 
 
@@ -147,7 +149,8 @@ def _uniform_cut_split(x: np.ndarray, y: np.ndarray, rng: np.random.Generator):
     hi = float(x.max())
     if lo == hi:
         return None
-    threshold = float(rng.uniform(lo, hi))
+    u = rng.random()  # rng.uniform(lo, hi)'s draw; it fails where hi - lo overflows
+    threshold = lo + (hi - lo) * u if math.isfinite(hi - lo) else lo * (1.0 - u) + hi * u
     go_left = x <= threshold
     n_left = int(go_left.sum())
     n = x.size

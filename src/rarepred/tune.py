@@ -113,15 +113,11 @@ def grid_expand(grid: dict[str, list]) -> list[dict]:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Uniform fit/predict adapter for one model family.
-
-    ``params`` names the hyperparameters a config grid may set for it.
-    """
+    """Uniform fit/predict adapter for one model family."""
 
     kind: str
     fit: Callable[[Dataset, str, tuple[str, ...] | None, dict, int], object]
     predict: Callable[[object, Dataset], np.ndarray]
-    params: tuple[str, ...]
 
 
 def _fit_logit(ds, label, features, params, seed):
@@ -145,18 +141,11 @@ def _fit_ffn(ds, label, features, params, seed):
 
 
 _REGISTRY: dict[str, ModelSpec] = {
-    "logit": ModelSpec("logit", _fit_logit, predict_proba, ("tol", "max_iter")),
-    "elastic_net": ModelSpec(
-        "elastic_net", _fit_enet, predict_proba, ("lam", "alpha", "tol", "max_sweeps")
-    ),
-    "cart": ModelSpec("cart", _fit_cart, predict_tree, ("cp", "min_split_obs")),
-    "forest": ModelSpec(
-        "forest", _fit_forest, predict_forest,
-        ("n_trees", "mtry", "min_node", "split_rule", "bootstrap"),
-    ),
-    "ffn": ModelSpec(
-        "ffn", _fit_ffn, predict_ffn, ("hidden", "dropout", "epochs", "batch_size", "lr")
-    ),
+    "logit": ModelSpec("logit", _fit_logit, predict_proba),
+    "elastic_net": ModelSpec("elastic_net", _fit_enet, predict_proba),
+    "cart": ModelSpec("cart", _fit_cart, predict_tree),
+    "forest": ModelSpec("forest", _fit_forest, predict_forest),
+    "ffn": ModelSpec("ffn", _fit_ffn, predict_ffn),
 }
 
 

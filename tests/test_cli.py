@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from rarepred.config import (
     ConfigError,
     format_value,
     load_config,
+    parse_param,
     parse_scalar,
     parse_value,
     parse_values,
@@ -30,7 +32,7 @@ from rarepred.dataset import (
 )
 from rarepred.preprocess import fit_scaler
 from rarepred.rng import child_seed
-from rarepred.serialize import load_model
+from rarepred.serialize import load_model, model_from_text, model_to_text
 
 
 class TestValueGrammar:
@@ -431,6 +433,114 @@ class TestSectionTable:
         ):
             if isinstance(default, (int, float, str)):
                 assert rows[(section, key)] == format_value(default), (section, key)
+
+
+N_FEATURES = len(benchmark_spec("interaction").feature_marginals)  # BASE's source
+
+# (kind, grid keys set, key the refusal names, rest of its message): every row
+# is refused by the grid table, the bad candidate last where there are two
+INT_0 = "expected int >= 1, got '0'"
+BAD_GRIDS = [
+    ("logit", {"max_iter": "0"}, "max_iter", INT_0),
+    ("logit", {"tol": "1e-8, -1"}, "tol", "expected float >= 0, got '-1'"),
+    ("elastic_net", {"alpha": "0.5"}, "lam", "required key is missing"),
+    ("elastic_net", {"lam": "0.01"}, "alpha", "required key is missing"),
+    ("elastic_net", {"lam": "0.01", "alpha": "0.5, 1.5"}, "alpha",
+     "expected float in [0, 1], got '1.5'"),
+    ("elastic_net", {"lam": "0.01", "alpha": "0.5", "max_sweeps": "0"}, "max_sweeps", INT_0),
+    ("cart", {"cp": "0.01, -1"}, "cp", "expected float >= 0, got '-1'"),
+    ("cart", {"min_split_obs": "true"}, "min_split_obs", "expected int >= 1, got 'true'"),
+    ("forest", {"mtry": "50"}, "mtry", f"candidate 50 exceeds the {N_FEATURES} features"),
+    ("forest", {"mtry": f"3, {N_FEATURES + 1}"}, "mtry",
+     f"candidate {N_FEATURES + 1} exceeds the {N_FEATURES} features"),
+    ("forest", {"mtry": "0"}, "mtry", INT_0),
+    ("forest", {"split_rule": "gini, bogus"}, "split_rule",
+     "unknown value 'bogus' (have gini, extratrees)"),
+    ("forest", {"n_trees": "2.5"}, "n_trees", "expected int >= 1, got '2.5'"),
+    ("forest", {"n_trees": "true"}, "n_trees", "expected int >= 1, got 'true'"),
+    ("forest", {"bootstrap": "1"}, "bootstrap", "expected bool, got '1'"),
+    ("ffn", {"lr": "-1"}, "lr", "expected float > 0, got '-1'"),
+    ("ffn", {"epochs": "0"}, "epochs", INT_0),
+    ("ffn", {"batch_size": "0"}, "batch_size", INT_0),
+]
+
+# kind -> (grid keys set, the grid they load as): accepted edge values, each
+# typed as parse_value types it, so a float key keeps an int candidate an int
+GOOD_GRIDS = {
+    "logit": ({"tol": "0, 1e-8, 1", "max_iter": "1, 100"},
+              {"tol": [0, 1e-8, 1], "max_iter": [1, 100]}),
+    "elastic_net": ({"lam": "0, 0.01", "alpha": "0, 1, 0.5, 1.0", "tol": "0", "max_sweeps": "1"},
+                    {"lam": [0, 0.01], "alpha": [0, 1, 0.5, 1.0], "tol": [0], "max_sweeps": [1]}),
+    "cart": ({"cp": "0, 0.002, 1e-3", "min_split_obs": "1, 5"},
+             {"cp": [0, 0.002, 0.001], "min_split_obs": [1, 5]}),
+    "forest": ({"n_trees": "1, 2", "mtry": f"1, none, {N_FEATURES}", "min_node": "1",
+                "split_rule": "gini, extratrees", "bootstrap": "true, false"},
+               {"n_trees": [1, 2], "mtry": [1, None, N_FEATURES], "min_node": [1],
+                "split_rule": ["gini", "extratrees"], "bootstrap": [True, False]}),
+    "ffn": ({"hidden": "8 4, 3", "dropout": "none, 0, 0.5", "epochs": "1", "batch_size": "1",
+             "lr": "1, 0.5"},
+            {"hidden": [(8, 4), (3,)], "dropout": [None, (0,), (0.5,)], "epochs": [1],
+             "batch_size": [1], "lr": [1, 0.5]}),
+}
+
+
+def typed(value):
+    """``value`` with the type of every entry beside it, so 0 and 0.0 differ."""
+    if isinstance(value, dict):
+        return {key: typed(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value), [typed(v) for v in value]
+    return type(value), value
+
+
+class TestModelTable:
+    """config._MODELS: every grid candidate is typed and bounded when the config loads."""
+
+    @pytest.mark.parametrize("kind,settings,key,want", BAD_GRIDS)
+    def test_bad_grid_value_refused_at_load(self, tmp_path, capsys, kind, settings, key, want):
+        out, text = tmp_path / "out", BASE
+        for name, value in settings.items():
+            text = set_key(text, f"model:{kind}", name, value)
+        path = write_cfg(tmp_path, text, out=str(out))
+        message = f"[model:{kind}] {key}: {want}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert run_cli(["all", "--config", path]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "manifest.txt").exists() and not out.exists()
+
+    @pytest.mark.parametrize("kind", list(GOOD_GRIDS))
+    def test_edge_grid_loads_with_its_types(self, tmp_path, kind):
+        settings, want = GOOD_GRIDS[kind]
+        text = BASE
+        for name, value in settings.items():
+            text = set_key(text, f"model:{kind}", name, value)
+        (grid,) = [m.grid for m in load_config(write_cfg(tmp_path, text)).models if m.kind == kind]
+        assert typed(grid) == typed(want)
+        for key, values in grid.items():  # as best_params.txt echoes and reads a point
+            for value in values:
+                assert typed(parse_param(kind, key, format_value(value))) == typed(value)
+        # every accepted point fits, and its model file loads back
+        ds = synth_generate(benchmark_spec("interaction", n=60, seed=3))
+        spec = tune.get_model_spec(kind)
+        for point in tune.grid_expand(grid):
+            model = spec.fit(ds, "outcome", ds.feature_names, point, 3)
+            assert model_to_text(model_from_text(model_to_text(model))) == model_to_text(model)
+
+    @pytest.mark.parametrize("config,want", [
+        ("demos/demo.ini", {"logit": {}, "cart": {"cp": [0.002, 0.01]},
+                            "forest": {"n_trees": [30], "min_node": [100]}}),
+        ("perfbench/configs/pipeline_forest.ini",
+         {"cart": {"cp": [0.002, 0.01]}, "forest": {"n_trees": [30], "min_node": [100]}}),
+        ("perfbench/configs/pipeline_rare.ini",
+         {"logit": {}, "elastic_net": {"lam": [0.001, 0.01], "alpha": [0.5]}}),
+    ])
+    def test_shipped_configs_load_unchanged(self, config, want):
+        # the benchmark loads these configs before it times anything; read only
+        path = os.path.join(os.path.dirname(__file__), os.pardir, config)
+        models = load_config(path).models
+        assert typed({m.kind: m.grid for m in models}) == typed(want)
+        assert [m.kind for m in models] == list(want)
 
 
 def run_cli(args):

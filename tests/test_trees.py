@@ -785,12 +785,7 @@ def assert_keyed_like_oracle(ds, rng, seed):
             n_trees=2, mtry=mtry, min_node=int(rng.integers(1, 12)), seed=seed,
             split_rule=("gini", "extratrees")[int(rng.integers(2))], bootstrap=bool(rng.integers(2)),
         )
-        try:
-            want = fit_forest_serial(ds, "y", hyper).trees
-        except OverflowError:  # extratrees on a column whose range overflows, as before
-            with pytest.raises(OverflowError):
-                fit_forest(ds, "y", hyper)
-            continue
+        want = fit_forest_serial(ds, "y", hyper).trees
         assert_same_trees(fit_forest(ds, "y", hyper).trees, want)
 
 
@@ -840,6 +835,39 @@ class TestKeyedSplitOracle:
         tree = fit_cart(ds, "y", cp=0.0, min_split_obs=1)
         assert tree.n_rows[1] == 8 and tree.feature[1] == 0
         assert_same_trees([tree], [fit_cart_serial(ds, "y", cp=0.0, min_split_obs=1)])
+
+    def test_uniform_cut_is_rng_uniform(self):
+        """One draw, and rng.uniform's cut bit for bit wherever max - min is finite."""
+        rng = generator(11)
+        for _ in range(2000):
+            x = rng.normal(size=2) * 10.0 ** rng.integers(-300, 300)
+            lo, hi = float(x.min()), float(x.max())
+            seed = int(rng.integers(2 ** 63))
+            ours, twin = generator(seed), generator(seed)
+            threshold = _uniform_cut_split(x, np.array([0, 1]), ours)[1]
+            assert np.float64(threshold).tobytes() == np.float64(twin.uniform(lo, hi)).tobytes()
+            assert ours.random() == twin.random()
+
+    def test_uniform_cut_where_the_range_overflows(self):
+        """-1.79e308 to 1.7e308 overflows max - min: the cut is finite, inside the
+        range, and takes the one draw; forests split there as the serial fit does."""
+        rng = generator(12)
+        for _ in range(200):
+            seed = int(rng.integers(2 ** 63))
+            ours, twin = generator(seed), generator(seed)
+            x = np.array([-1.79e308, 1.7e308, 0.0])
+            threshold = _uniform_cut_split(x, np.array([0, 1, 1]), ours)[1]
+            assert math.isfinite(threshold) and -1.79e308 <= threshold <= 1.7e308
+            twin.random()
+            assert ours.random() == twin.random()
+        x = rng.choice([-1.79e308, -1.0e308, 1.5e308, 1.7e308], 300)
+        ds = array_dataset(np.column_stack([x, rng.normal(size=300)]), (x > 0).astype(np.int64))
+        for bootstrap in (False, True):
+            hyper = ForestHyper(n_trees=3, mtry=2, min_node=2, split_rule="extratrees", seed=12,
+                                bootstrap=bootstrap)
+            got = fit_forest(ds, "y", hyper).trees
+            assert_same_trees(got, fit_forest_serial(ds, "y", hyper).trees)
+            assert any(np.any(tree.feature == 0) for tree in got)
 
     def test_key_table(self):
         X = np.array([[0.5, -0.0], [-2.0, 0.0], [0.5, 1e-320], [3.0, -0.0]])

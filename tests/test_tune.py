@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rarepred.config import _MODELS, _REQUIRED_PARAMS, format_value
 from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.evaluate import auc
 from rarepred.linear import fit_elastic_net, fit_logit, predict_proba
@@ -38,17 +39,45 @@ def sample(seed=0, n=200, k_features=3, rate_signal=1.5):
     )
 
 
+FITS = {"logit": fit_logit, "elastic_net": fit_elastic_net, "cart": fit_cart, "ffn": train_ffn}
+
+
+def fit_defaults(kind):
+    """Hyperparameter -> default of the fit behind ``kind`` (``inspect.Parameter.empty``
+    when it has none), without the arguments that tune supplies itself."""
+    if kind == "forest":
+        defaults = {f.name: inspect.Parameter.empty if f.default is dataclasses.MISSING
+                    else f.default for f in dataclasses.fields(ForestHyper)}
+    else:
+        params = inspect.signature(FITS[kind]).parameters.values()
+        defaults = {p.name: p.default for p in params}
+    return {key: value for key, value in defaults.items()
+            if key not in ("ds", "label", "features", "seed")}
+
+
 class TestRegistry:
+    """config._MODELS, the one table of grid keys, against the registry and the fits."""
+
+    def test_kinds_follow_the_registry(self):
+        # in the same order: the "have" list of an unknown kind's message reads it
+        assert list(_MODELS) == list(_REGISTRY)
+
     def test_params_are_the_fit_keywords(self):
-        fits = {"logit": fit_logit, "elastic_net": fit_elastic_net, "cart": fit_cart,
-                "ffn": train_ffn}
-        fixed = {"ds", "label", "features", "seed"}
-        for kind, spec in _REGISTRY.items():
-            if kind == "forest":
-                accepted = {f.name for f in dataclasses.fields(ForestHyper)}
-            else:
-                accepted = set(inspect.signature(fits[kind]).parameters)
-            assert set(spec.params) == accepted - fixed, kind
+        for kind, parsers in _MODELS.items():
+            assert list(parsers) == list(fit_defaults(kind)), kind
+
+    def test_required_params_are_those_without_a_default(self):
+        for kind in _MODELS:
+            required = [key for key, default in fit_defaults(kind).items()
+                        if default is inspect.Parameter.empty]
+            assert required == list(_REQUIRED_PARAMS.get(kind, ())), kind
+
+    def test_fit_defaults_round_trip(self):
+        for kind, parsers in _MODELS.items():
+            for key, default in fit_defaults(kind).items():
+                if default is not None and default is not inspect.Parameter.empty:
+                    value = parsers[key](format_value(default))
+                    assert (type(value), value) == (type(default), default), (kind, key)
 
 
 class TestKfold:
