@@ -174,7 +174,7 @@ def _edge(text: str) -> float:
 _REQUIRED = object()  # default of a key that must be given
 
 _COUNT = _number(int, ">= 1", lambda v: v >= 1)
-_NONNEGATIVE = _number(float, ">= 0", lambda v: v >= 0, cast=False)
+_NONNEGATIVE = _number(float, ">= 0", lambda v: 0 <= v < math.inf, cast=False)
 
 # model kind -> {hyperparameter: parser of one grid candidate}, in tune._REGISTRY's
 # order; a float keeps an int candidate an int, as best_params.txt echoes it
@@ -188,7 +188,7 @@ _MODELS = {
                "mtry": lambda text: None if parse_scalar(text) is None else _COUNT(text),
                "min_node": _COUNT, "split_rule": _choice(SPLIT_RULES), "bootstrap": _number(bool)},
     "ffn": {"hidden": _widths, "dropout": _rates, "epochs": _COUNT, "batch_size": _COUNT,
-            "lr": _number(float, "> 0", lambda v: v > 0, cast=False)},
+            "lr": _number(float, "> 0", lambda v: 0 < v < math.inf, cast=False)},
 }
 _REQUIRED_PARAMS = {"elastic_net": ("lam", "alpha")}  # the others take the fit's default
 
@@ -225,10 +225,10 @@ _SECTIONS = {
         "hidden": ("hidden", DEFAULT_HIDDEN, _widths),
         "activations": ("activations", DEFAULT_ACTIVATIONS, _names(ACTIVATIONS)),
         "loss": ("loss", "cosine_proximity", _choice(LOSSES)),
-        "activity_l2": ("activity_l2", 1e-4, _number(float, ">= 0", lambda v: v >= 0)),
+        "activity_l2": ("activity_l2", 1e-4, _number(float, ">= 0", lambda v: 0 <= v < math.inf)),
         "epochs": ("epochs", 10, _COUNT),
         "batch_size": ("batch_size", 512, _COUNT),
-        "learning_rate": ("learning_rate", 0.001, _number(float, "> 0", lambda v: v > 0)),
+        "learning_rate": ("learning_rate", 0.001, _number(float, "> 0", lambda v: 0 < v < math.inf)),
         "scaler": ("scaler", "minmax", _choice(SCALER_METHODS)),
         "objective": ("objective", "youden", _choice(OBJECTIVES)),
         "band_lo": ("band_lo", None, _edge),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["child_seed", "generator"]
+__all__ = ["child_seed", "generator", "subsets"]
 
 
 def child_seed(master: int, *keys: int | str) -> int:
@@ -37,3 +37,44 @@ def child_seed(master: int, *keys: int | str) -> int:
 def generator(seed: int) -> np.random.Generator:
     """A fresh PCG64 generator for the given seed."""
     return np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+
+
+def subsets(rng: np.random.Generator, block: int):
+    """A function ``draw(k, m)`` giving, for ``k < 2 ** 32``, the sorted list that
+    ``np.sort(rng.choice(k, size=m, replace=False))`` would, from the same uint32 words:
+    Floyd's algorithm then the shuffle, or past numpy's cutoff a tail shuffle, each step
+    a Lemire-bounded draw (of no word for a bound of 0). Words come ``block`` at a time
+    from ``rng.integers(0, 2 ** 32, size=block, dtype=np.uint32)``, so with ``block > 1``
+    ``draw`` must be the last reader of ``rng``; ``block = 1`` keeps it in step."""
+    words = iter(())
+
+    def word() -> int:
+        nonlocal words
+        for value in words:
+            return value
+        if block == 1:  # the scalar form of the same read costs a third of size=1's
+            return int(rng.integers(0, 2 ** 32, dtype=np.uint32))
+        words = iter(rng.integers(0, 2 ** 32, size=block, dtype=np.uint32).tolist())
+        return next(words)
+
+    def bounded(top: int) -> int:  # in [0, top]; numpy skips the modulo when it can
+        span, x = top + 1, word() * (top + 1) if top else 0
+        while x & 0xFFFFFFFF < span and x & 0xFFFFFFFF < (0x100000000 - span) % span:
+            x = word() * span
+        return x >> 32
+
+    def draw(k: int, m: int) -> list[int]:
+        if k > 10000 and m > k // 50:  # shuffle the tail of range(k), swaps held in a dict
+            swaps = {}
+            for i in range(k - 1, max(k - m, 1) - 1, -1):
+                j = bounded(i)
+                swaps[i], swaps[j] = swaps.get(j, j), swaps.get(i, i)
+            return sorted(swaps.get(i, i) for i in range(k - m, k))
+        chosen = set()
+        for j in range(k - m, k):
+            chosen.add(j if (v := bounded(j)) in chosen else v)
+        for i in range(m - 1, 0, -1):  # the shuffle's draws: its swaps keep the set
+            bounded(i)
+        return sorted(chosen)
+
+    return draw

@@ -28,7 +28,7 @@ def _floats(arr) -> str:
 
 
 def _ints(arr) -> str:
-    return " ".join(str(int(v)) for v in np.asarray(arr).ravel())
+    return " ".join(map(str, arr.tolist()))
 
 
 def _names(names: tuple[str, ...]) -> str:
@@ -40,15 +40,11 @@ def _names(names: tuple[str, ...]) -> str:
 
 
 def _parse_floats(text: str) -> np.ndarray:
-    if not text:
-        return np.zeros(0)
-    return np.array([float(tok) for tok in text.split(" ")], dtype=np.float64)
+    return np.fromiter(map(float, text.split(" ")) if text else (), np.float64)
 
 
 def _parse_ints(text: str, dtype=np.int64) -> np.ndarray:
-    if not text:
-        return np.zeros(0, dtype=dtype)
-    return np.array([int(tok) for tok in text.split(" ")], dtype=dtype)
+    return np.fromiter(map(int, text.split(" ")) if text else (), dtype)
 
 
 # --- field codecs: (format the attribute, parse the text back) ---------------

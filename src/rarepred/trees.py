@@ -5,9 +5,10 @@ node splits on the best gini decrease, weighted by the node's share of the
 training data, among its candidate features, when the learner admits it: the
 single tree needs the decrease, as a fraction of the root impurity, to reach
 the complexity threshold ``cp``; forest trees need it to be positive and grow
-unpruned to a minimum node size over bootstrap resamples and per-split
-feature subsets. Both children are numbered when their parent splits, and
-the left subtree grows first. The split search sorts integer keys, not values:
+unpruned to a minimum node size over bootstrap resamples and per-split feature
+subsets, drawn by ``rng.subsets``: ``Generator.choice``'s subsets, from the
+same generator. Both children are numbered when their parent splits, and the
+left subtree grows first. The split search sorts integer keys, not values:
 each fit builds one table of a rank and a label bit per (feature, row), and a
 node sorts its drawn features' keys as one block; ``_grow`` says why the splits
 are a value sort's, bit for bit.
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, DatasetError
-from .rng import child_seed, generator
+from .rng import child_seed, generator, subsets
 from .shares import fork_map
 
 __all__ = [
@@ -204,7 +205,7 @@ def _best_split(table, buffers, rows, pos, feats, min_child, scale):
         block, bits, left, a, b = (buf[:len(chunk) * width].reshape(len(chunk), width)
                                    for buf, width in zip(buffers, (n, hi, hi, hi - lo, hi - lo)))
         for i, feat in enumerate(chunk):
-            block[i] = keys[feat][rows]
+            keys[feat].take(rows, out=block[i], mode="clip")  # rows are in range: no copy
         block.sort(axis=1)
         np.bitwise_and(block[:, :hi], 1, out=bits)
         left = np.cumsum(bits, axis=1, dtype=np.float64, out=left)[:, lo:]  # positives left of cuts
@@ -245,24 +246,25 @@ def _grow(X, y, sample, mtry, min_rows, min_child, admit, rng, table):
         nodes.append([-1, math.nan, -1, -1, rows.size, int(y_rows.sum()), 0.0])
         return len(nodes) - 1, rows, y_rows
 
+    draw = subsets(rng, 1 if table is None else 512)  # extratrees reads rng between draws
     stack = [leaf(sample, y[sample])]
     while stack:
         node, rows, y_node = stack.pop()
         n, pos = rows.size, nodes[node][5]
         if n < min_rows or pos == 0 or pos == n:
             continue
-        feats = range(k) if mtry == k else np.sort(rng.choice(k, size=mtry, replace=False))
+        feats = range(k) if mtry == k else draw(k, mtry)
         best = (-math.inf, None, None)
         if table:
             best = _best_split(table, buffers, rows, pos, feats, min_child, n / n_train)
         for feat in () if table else feats:
-            found = _uniform_cut_split(X[rows, feat], y_node, rng)
+            found = _uniform_cut_split(X[:, feat].take(rows), y_node, rng)
             if found is not None and (n / n_train) * found[0] > best[0]:
                 best = ((n / n_train) * found[0], feat, found[1])
         if best[1] is None or not admit(best[0]):
             continue
         gain, feat, threshold = best
-        go_left = X[rows, feat] <= threshold
+        go_left = X[:, feat].take(rows) <= threshold
         if not 0 < np.count_nonzero(go_left) < n:
             continue
         left = leaf(rows[go_left], y_node[go_left])
@@ -348,12 +350,13 @@ def _walk(arena: tuple[np.ndarray, ...], X: np.ndarray) -> np.ndarray:
         pair, node = np.arange(rows.size * T), np.tile(roots, rows.size)
         base, leaf = np.repeat(rows * k, T), np.empty_like(node)
         while pair.size:
-            done = at_leaf[node]
+            done = at_leaf.take(node)
             leaf[pair[done]] = node[done]
             pair, node, base = pair[~done], node[~done], base[~done]
             for _ in range(_SWEEP if pair.size else 0):  # no steps once every pair is at a leaf
-                node = children[2 * node + (flat[base + feature[node]] <= threshold[node])]
-        sums[rows] = value[leaf].reshape(rows.size, T).sum(axis=1)
+                went_left = flat.take(base + feature.take(node)) <= threshold.take(node)
+                node = children.take(2 * node + went_left)
+        sums[rows] = value.take(leaf).reshape(rows.size, T).sum(axis=1)
     return sums
 
 

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from conftest import assert_no_child_left, open_fds, report_cpus
 
 from rarepred import trees
-from rarepred.dataset import Dataset, DatasetError, Feature
+from rarepred.benchmarks import benchmark_spec
+from rarepred.dataset import Dataset, DatasetError, Feature, synth_generate
 from rarepred.evaluate import auc
 from rarepred.rng import child_seed, generator
 from rarepred.trees import (
@@ -868,6 +869,16 @@ class TestKeyedSplitOracle:
             got = fit_forest(ds, "y", hyper).trees
             assert_same_trees(got, fit_forest_serial(ds, "y", hyper).trees)
             assert any(np.any(tree.feature == 0) for tree in got)
+
+    @pytest.mark.parametrize("split_rule", ["gini", "extratrees"])
+    def test_benchmark_shape(self, split_rule):
+        """Twelve features, mtry 3 and min_node 100, as the benchmark's forests are
+        fitted: every node's drawn subset is ``Generator.choice``'s."""
+        ds = synth_generate(benchmark_spec("interaction", n=3000, seed=20))
+        hyper = ForestHyper(n_trees=3, mtry=3, min_node=100, split_rule=split_rule, seed=20)
+        got = fit_forest(ds, "outcome", hyper).trees
+        assert len(ds.feature_names) == 12 and sum(tree.n_nodes for tree in got) > 100
+        assert_same_trees(got, fit_forest_serial(ds, "outcome", hyper).trees)
 
     def test_key_table(self):
         X = np.array([[0.5, -0.0], [-2.0, 0.0], [0.5, 1e-320], [3.0, -0.0]])
