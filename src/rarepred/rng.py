@@ -43,7 +43,7 @@ def subsets(rng: np.random.Generator, block: int):
     """A function ``draw(k, m)`` giving, for ``k < 2 ** 32``, the sorted list that
     ``np.sort(rng.choice(k, size=m, replace=False))`` would, from the same uint32 words:
     Floyd's algorithm then the shuffle, or past numpy's cutoff a tail shuffle, each step
-    a Lemire-bounded draw (of no word for a bound of 0). Words come ``block`` at a time
+    a Lemire-bounded draw that takes no word for a bound of 0. Words come ``block`` at a time
     from ``rng.integers(0, 2 ** 32, size=block, dtype=np.uint32)``, so with ``block > 1``
     ``draw`` must be the last reader of ``rng``; ``block = 1`` keeps it in step."""
     words = iter(())

@@ -445,17 +445,12 @@ INT_0 = "expected int >= 1, got '0'"
 BAD_GRIDS = [
     ("logit", {"max_iter": "0"}, "max_iter", INT_0),
     ("logit", {"tol": "1e-8, -1"}, "tol", "expected float >= 0, got '-1'"),
-    ("logit", {"tol": "inf"}, "tol", "expected float >= 0, got 'inf'"),
     ("elastic_net", {"alpha": "0.5"}, "lam", "required key is missing"),
     ("elastic_net", {"lam": "0.01"}, "alpha", "required key is missing"),
     ("elastic_net", {"lam": "0.01", "alpha": "0.5, 1.5"}, "alpha",
      "expected float in [0, 1], got '1.5'"),
     ("elastic_net", {"lam": "0.01", "alpha": "0.5", "max_sweeps": "0"}, "max_sweeps", INT_0),
-    ("elastic_net", {"lam": "0.01, inf", "alpha": "0.5"}, "lam", "expected float >= 0, got 'inf'"),
-    ("elastic_net", {"lam": "0.01", "alpha": "0.5", "tol": "inf"}, "tol",
-     "expected float >= 0, got 'inf'"),
     ("cart", {"cp": "0.01, -1"}, "cp", "expected float >= 0, got '-1'"),
-    ("cart", {"cp": "inf"}, "cp", "expected float >= 0, got 'inf'"),
     ("cart", {"min_split_obs": "true"}, "min_split_obs", "expected int >= 1, got 'true'"),
     ("forest", {"mtry": "50"}, "mtry", f"candidate 50 exceeds the {N_FEATURES} features"),
     ("forest", {"mtry": f"3, {N_FEATURES + 1}"}, "mtry",
@@ -467,10 +462,16 @@ BAD_GRIDS = [
     ("forest", {"n_trees": "true"}, "n_trees", "expected int >= 1, got 'true'"),
     ("forest", {"bootstrap": "1"}, "bootstrap", "expected bool, got '1'"),
     ("ffn", {"lr": "-1"}, "lr", "expected float > 0, got '-1'"),
-    ("ffn", {"lr": "0.01, inf"}, "lr", "expected float > 0, got 'inf'"),
-    ("ffn", {"lr": "nan"}, "lr", "expected float > 0, got 'nan'"),
     ("ffn", {"epochs": "0"}, "epochs", INT_0),
     ("ffn", {"batch_size": "0"}, "batch_size", INT_0),
+    # inf passes a bare >= 0 or > 0 test
+    ("logit", {"tol": "inf"}, "tol", "expected float >= 0, got 'inf'"),
+    ("elastic_net", {"lam": "0.01, inf", "alpha": "0.5"}, "lam", "expected float >= 0, got 'inf'"),
+    ("elastic_net", {"lam": "0.01", "alpha": "0.5", "tol": "inf"}, "tol",
+     "expected float >= 0, got 'inf'"),
+    ("cart", {"cp": "inf"}, "cp", "expected float >= 0, got 'inf'"),
+    ("ffn", {"lr": "0.01, inf"}, "lr", "expected float > 0, got 'inf'"),
+    ("ffn", {"lr": "nan"}, "lr", "expected float > 0, got 'nan'"),
 ]
 
 # kind -> (grid keys set, the grid they load as): accepted edge values, each
