@@ -135,16 +135,6 @@ class Dataset:
             labels={k: v[idx] for k, v in self.labels.items()},
         )
 
-    def select_features(self, names: list[str] | tuple[str, ...]) -> "Dataset":
-        """A new Dataset restricted to the named features, in the given order;
-        it shares the frozen label vectors."""
-        cols = [self.feature_index(n) for n in names]
-        return Dataset(
-            features=tuple(self.features[c] for c in cols),
-            values=self.values[:, cols],
-            labels=self.labels,
-        )
-
 
 # ---------------------------------------------------------------------------
 # schema files
@@ -155,7 +145,7 @@ def load_schema(path: str) -> dict[str, str]:
 
     Blank lines and ``#`` comments are ignored. Kinds are the feature kinds
     plus ``label`` for outcome columns; a line splits at its last ``=``, so a
-    column name may hold one (``one_hot`` names columns ``feature=level``).
+    column name may hold one (such as ``feature=level``).
     """
     schema: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:

@@ -309,7 +309,7 @@ def fit_network(
     Rows are reshuffled every epoch; the final short batch is kept. The
     reported per-epoch value is the training loss (with dropout and the
     activity penalty) averaged over that epoch's batches, weighted by
-    batch size.
+    batch size; the first epoch whose value is not finite ends the fit.
     """
     if epochs < 1 or batch_size < 1:
         raise DatasetError("epochs and batch_size must be >= 1")
@@ -339,6 +339,8 @@ def fit_network(
             accum += value * rows.size
             seen += rows.size
         path.append(accum / seen)
+        if not math.isfinite(path[-1]):
+            raise DatasetError(f"training diverged: epoch {len(path)}'s mean loss is {path[-1]}")
     return path
 
 
@@ -375,7 +377,8 @@ def train_ffn(
     ``dropout`` gives rates for the leading hidden layers (unlisted layers
     get 0; the output layer never drops); ``None`` takes the default rates
     trimmed to the hidden depth. Weights start Glorot-uniform from a child
-    seed, and each epoch reshuffles the rows.
+    seed, and each epoch reshuffles the rows. A fit whose outputs on the
+    training rows are not finite has diverged and is refused.
     """
     names, X = ds.columns(features)
     y = ds.label(label).astype(np.float64).reshape(-1, 1)
@@ -389,6 +392,8 @@ def train_ffn(
     rates = tuple(dropout) + (0.0,) * (len(widths) - 1 - len(dropout))
     net = glorot_init(widths, activations, rates, rng)
     path = fit_network(net, X, y, "bce", epochs, batch_size, lr, rng)
+    if not np.isfinite(forward(net, X)).all():
+        raise DatasetError(f"training diverged: the last update left outputs not finite (lr = {lr})")
     return FFNModel(
         feature_names=names,
         net=net,

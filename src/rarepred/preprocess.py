@@ -1,4 +1,4 @@
-"""Feature scaling, one-hot expansion, and per-class summary tables.
+"""Feature scaling and per-class summary tables.
 
 Scalers are fit on one dataset (the training split) and applied to any
 dataset sharing the feature layout, which keeps test-set statistics out of
@@ -11,14 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, Feature, write_table
+from .dataset import Dataset, DatasetError, write_table
 
 __all__ = [
     "ScalerParams",
     "fit_scaler",
     "apply_scaler",
     "invert_scaler",
-    "one_hot",
     "conditional_summary",
     "write_conditional_summary",
 ]
@@ -126,27 +125,6 @@ def invert_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
         return restored
 
     return _with_block(ds, params, restore)
-
-
-def one_hot(ds: Dataset) -> Dataset:
-    """Expand categorical features into full-level indicator columns.
-
-    Each categorical feature with L levels becomes L binary columns named
-    ``feature=level``, replacing the original column in place (no reference
-    level is dropped). Other features pass through untouched.
-    """
-    features: list[Feature] = []
-    columns: list[np.ndarray] = []
-    for j, feat in enumerate(ds.features):
-        col = ds.values[:, j]
-        if feat.kind != "categorical":
-            features.append(feat)
-            columns.append(col)
-            continue
-        for idx, level in enumerate(feat.levels):
-            features.append(Feature(f"{feat.name}={level}", "binary"))
-            columns.append((col == idx).astype(np.float64))
-    return Dataset(features=tuple(features), values=np.column_stack(columns), labels=ds.labels)
 
 
 DECILES = tuple(range(10, 100, 10))

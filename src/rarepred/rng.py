@@ -9,6 +9,8 @@ streams that do not depend on execution order.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["child_seed", "generator", "subsets"]
@@ -39,23 +41,15 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed) & 0xFFFFFFFFFFFFFFFF))
 
 
-def subsets(rng: np.random.Generator, block: int):
+def subsets(rng: np.random.Generator):
     """A function ``draw(k, m)`` giving, for ``k < 2 ** 32``, the sorted list that
     ``np.sort(rng.choice(k, size=m, replace=False))`` would, from the same uint32 words:
     Floyd's algorithm then the shuffle, or past numpy's cutoff a tail shuffle, each step
-    a Lemire-bounded draw that takes no word for a bound of 0. Words come ``block`` at a time
-    from ``rng.integers(0, 2 ** 32, size=block, dtype=np.uint32)``, so with ``block > 1``
-    ``draw`` must be the last reader of ``rng``; ``block = 1`` keeps it in step."""
-    words = iter(())
-
-    def word() -> int:
-        nonlocal words
-        for value in words:
-            return value
-        if block == 1:  # the scalar form of the same read costs a third of size=1's
-            return int(rng.integers(0, 2 ** 32, dtype=np.uint32))
-        words = iter(rng.integers(0, 2 ** 32, size=block, dtype=np.uint32).tolist())
-        return next(words)
+    a Lemire-bounded draw that takes no word for a bound of 0. Each word is read through
+    the bit generator's own ``next_uint32``, the function ``integers`` and ``choice`` call,
+    so after every ``draw`` ``rng`` is where ``choice`` would leave it."""
+    bits = rng.bit_generator.ctypes
+    word = functools.partial(bits.next_uint32, bits.state)
 
     def bounded(top: int) -> int:  # in [0, top]; numpy skips the modulo when it can
         span, x = top + 1, word() * (top + 1) if top else 0
@@ -77,4 +71,5 @@ def subsets(rng: np.random.Generator, block: int):
             bounded(i)
         return sorted(chosen)
 
+    draw.rng = rng  # the C state that word reads lives as long as rng
     return draw

@@ -6,12 +6,13 @@ training data, among its candidate features, when the learner admits it: the
 single tree needs the decrease, as a fraction of the root impurity, to reach
 the complexity threshold ``cp``; forest trees need it to be positive and grow
 unpruned to a minimum node size over bootstrap resamples and per-split feature
-subsets, drawn by ``rng.subsets``: ``Generator.choice``'s subsets, from the
-same generator. Both children are numbered when their parent splits, and the
-left subtree grows first. The split search sorts integer keys, not values:
-each fit builds one table of a rank and a label bit per (feature, row), and a
-node sorts its drawn features' keys as one block; ``_grow`` says why the splits
-are a value sort's, bit for bit.
+subsets, drawn by ``rng.subsets``: ``Generator.choice``'s subsets, read in
+step from the tree's generator, so extratrees' cutpoints draw from the same
+stream between them. Both children are numbered when their parent splits,
+and the left subtree grows first. The split search sorts integer keys, not
+values: each fit builds one table of a rank and a label bit per (feature,
+row), and a node sorts its drawn features' keys as one block; ``_grow`` says
+why the splits are a value sort's, bit for bit.
 
 Tie-breaking is fully specified so fits are reproducible down to the bit:
 among equal-gain splits the lowest feature index wins, then the lowest
@@ -246,7 +247,7 @@ def _grow(X, y, sample, mtry, min_rows, min_child, admit, rng, table):
         nodes.append([-1, math.nan, -1, -1, rows.size, int(y_rows.sum()), 0.0])
         return len(nodes) - 1, rows, y_rows
 
-    draw = subsets(rng, 1 if table is None else 512)  # extratrees reads rng between draws
+    draw = subsets(rng) if rng else None
     stack = [leaf(sample, y[sample])]
     while stack:
         node, rows, y_node = stack.pop()

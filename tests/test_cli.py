@@ -381,6 +381,14 @@ class TestSectionTable:
         assert [layer.weights.shape[0] for layer in model.net.layers] == [width, 1]
         assert model.net.dropout == (0.2, 0.0)
 
+    def test_diverging_ffn_named_at_tune(self, tmp_path, capsys):
+        # lr passes the finite bound at load; the blow-up is reported by name, not as bad scores
+        text = set_key(BASE, "model:ffn", "lr", "1e300")
+        text = set_key(text, "model:ffn", "epochs", "1")
+        with np.errstate(all="ignore"):
+            assert run_cli(["all", "--config", write_cfg(tmp_path, text)]) == 2
+        assert "runtime failure: training diverged:" in capsys.readouterr().err
+
     def test_autoencoder_defaults_match_library(self):
         # the library's own keyword defaults must agree with the config table;
         # features is left out: the library's None means every feature column

@@ -33,7 +33,7 @@ from rarepred.dataset import (
     write_schema,
     write_table,
 )
-from rarepred.preprocess import apply_scaler, fit_scaler, invert_scaler, one_hot
+from rarepred.preprocess import apply_scaler, fit_scaler, invert_scaler
 
 
 def tiny_dataset():
@@ -99,14 +99,6 @@ class TestDataset:
         assert sub.values[0, 0] == -2.25
         assert list(sub.labels["outcome"]) == [0, 1]
 
-    def test_select_features(self):
-        ds = tiny_dataset()
-        sub = ds.select_features(["flag", "x"])
-        assert sub.feature_names == ("flag", "x")
-        assert sub.values[1, 1] == 1.5
-        # labels carried through
-        assert "outcome" in sub.labels
-
     def test_columns(self):
         ds = tiny_dataset()
         names, X = ds.columns(["flag", "x"])
@@ -123,10 +115,8 @@ class TestDataset:
         params = fit_scaler(ds, "standardize", ["x"])
         derived = [
             ds.subset_rows(np.array([3, 0, 0])),
-            ds.select_features(["flag", "x"]),
             apply_scaler(ds, params),
             invert_scaler(apply_scaler(ds, params), params),
-            one_hot(ds),
         ]
         split = stratified_split(ds, 0.5, "outcome", seed=1)
         derived += [split.train, split.test]
@@ -167,9 +157,13 @@ class TestSchemaAndCsv:
         assert load_schema(str(path)) == {"x": "continuous"}
 
     def test_one_hot_names_round_trip(self, tmp_path):
-        # one_hot names its columns "feature=level"; a schema line splits at its last "="
-        ds = one_hot(tiny_dataset())
-        assert "color=red" in ds.feature_names
+        # indicator columns named "feature=level"; a schema line splits at its last "="
+        names = ("x", "color=red", "color=green", "color=blue", "flag")
+        ds = Dataset(
+            features=tuple(Feature(n, "binary" if "=" in n else "continuous") for n in names),
+            values=np.array([[0.5, 1, 0, 0, 1], [1.5, 0, 0, 1, 0], [-2.25, 0, 1, 0, 1]], float),
+            labels={"outcome": np.array([1, 0, 1])},
+        )
         csv_path, schema_path = tmp_path / "data.csv", tmp_path / "schema.txt"
         write_csv(str(csv_path), ds)
         write_schema(str(schema_path), ds)

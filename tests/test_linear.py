@@ -126,7 +126,7 @@ class TestLogit:
         model = fit_logit(ds, "y", features=["x1"])
         assert model.feature_names == ("x1",)
         # prediction looks the feature up by name even in reordered data
-        swapped = ds.select_features(["x1", "x0"])
+        swapped = Dataset(features=ds.features[::-1], values=ds.values[:, ::-1], labels=ds.labels)
         np.testing.assert_allclose(
             predict_proba(model, ds), predict_proba(model, swapped)
         )

@@ -277,6 +277,14 @@ class TestFitNetworkOracle:
         for got, exp in zip(_net_params(nets[0]), _net_params(nets[1])):
             assert got.tobytes() == exp.tobytes()
 
+    def test_first_epoch_with_loss_not_finite_is_named(self):
+        rng = generator(53)
+        X = rng.normal(size=(200, 5))
+        net = small_net(54, (5, 4, 5), ("relu", "linear"))
+        want = "^training diverged: epoch 1's mean loss is nan$"
+        with np.errstate(all="ignore"), pytest.raises(DatasetError, match=want):
+            fit_network(net, X, X, "mse", 5, 16, 1e300, generator(55))
+
 
 class TestStructure:
     def test_param_count_oracle(self):
@@ -479,3 +487,10 @@ class TestTrainFFN:
         ds = blob(25, n=50)
         with pytest.raises(DatasetError, match="dropout"):
             train_ffn(ds, "y", hidden=(4,), dropout=(0.3, 0.2), epochs=1)
+
+    def test_divergence_in_the_last_update_named_with_lr(self):
+        # one batch per epoch: the loss path stays finite while the update blows up
+        ds = blob(26, n=200)
+        want = r"^training diverged: .*\(lr = 1e\+300\)$"
+        with np.errstate(all="ignore"), pytest.raises(DatasetError, match=want):
+            train_ffn(ds, "y", hidden=(4,), epochs=1, batch_size=200, lr=1e300)

@@ -1,4 +1,4 @@
-"""Scaler fit/apply/invert, one-hot expansion, conditional summaries."""
+"""Scaler fit/apply/invert, conditional summaries."""
 
 import csv
 import math
@@ -14,7 +14,6 @@ from rarepred.preprocess import (
     conditional_summary,
     fit_scaler,
     invert_scaler,
-    one_hot,
     write_conditional_summary,
 )
 
@@ -113,34 +112,6 @@ class TestScaler:
         params = fit_scaler(ds, method)
         back = invert_scaler(apply_scaler(ds, params), params)
         assert np.max(np.abs(back.values - ds.values)) < 1e-10
-
-
-class TestOneHot:
-    def test_expansion_in_place(self):
-        ds = make_ds(
-            [[1.0, 0.0, 4.0], [0.0, 2.0, 5.0]],
-            kinds=["binary", "categorical", "continuous"],
-            labels={"y": np.array([0, 1])},
-        )
-        out = one_hot(ds)
-        assert out.feature_names == ("f0", "f1=a", "f1=b", "f1=c", "f2")
-        np.testing.assert_array_equal(out.values[0], [1.0, 1.0, 0.0, 0.0, 4.0])
-        np.testing.assert_array_equal(out.values[1], [0.0, 0.0, 0.0, 1.0, 5.0])
-        assert all(f.kind == "binary" for f in out.features[1:4])
-        np.testing.assert_array_equal(out.labels["y"], ds.labels["y"])
-
-    def test_full_level_expansion_rows_sum_to_one(self):
-        rng = np.random.Generator(np.random.PCG64(3))
-        col = rng.integers(0, 3, size=50).astype(np.float64)
-        ds = make_ds(col.reshape(-1, 1), kinds=["categorical"])
-        out = one_hot(ds)
-        np.testing.assert_array_equal(out.values.sum(axis=1), 1.0)
-
-    def test_no_categoricals_identity(self):
-        ds = make_ds([[1.0, 2.0]], kinds=["continuous", "binary"])
-        out = one_hot(ds)
-        assert out.feature_names == ds.feature_names
-        np.testing.assert_array_equal(out.values, ds.values)
 
 
 class TestConditionalSummary:
