@@ -67,7 +67,7 @@ from .serialize import load_model, save_model
 from .trees import variable_importance
 from .tune import get_model_spec, grid_search, write_tuning_report
 
-__all__ = ["console_main", "main", "PipelineError", "COMMANDS"]
+__all__ = ["main", "PipelineError", "COMMANDS"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -118,8 +118,8 @@ class Workspace:
         self.entries: dict[str, str] = _read_pairs(path) if os.path.exists(path) else {}
         # parsed split files keyed by (rel, its sha256, schema.txt's sha256)
         self.datasets: dict[tuple[str, str, str], Dataset] = {}
-        # generate's (data.csv, schema.txt) sha256s if its dataset reads back; not saved
-        self.generated: tuple[str, str] | None = None
+        # generate's _dataset_key("data.csv") if its dataset reads back; not saved
+        self.generated: tuple[str, str, str] | None = None
 
     def path(self, rel: str) -> str:
         full = os.path.join(self.out_dir, rel)
@@ -254,8 +254,8 @@ def cmd_generate(cfg: RunConfig, ws: Workspace) -> None:
     write_schema(ws.path("schema.txt"), ds)
     ws.record_artifact("data.csv", "generate", [])
     ws.record_artifact("schema.txt", "generate", [])
-    key = (ws.entries["artifact.data.csv.sha256"], ws.entries["artifact.schema.txt.sha256"])
-    ws.generated = key if reads_back(ds, load_schema(ws.path("schema.txt"))) else None
+    reads = reads_back(ds, load_schema(ws.path("schema.txt")))
+    ws.generated = ws._dataset_key("data.csv") if reads else None
     print(f"generate: wrote data.csv ({ds.rows} rows, {len(ds.features)} features)")
 
 
@@ -272,8 +272,7 @@ def cmd_split(cfg: RunConfig, ws: Workspace) -> None:
             with open(data, "rb") as fh:
                 source = fh.read()
             ws.require_artifact("data.csv", "generate", source)  # their one hash
-            key = (ws.entries["artifact.data.csv.sha256"], ws.entries["artifact.schema.txt.sha256"])
-            source = source if key == ws.generated else None
+            source = source if ws._dataset_key("data.csv") == ws.generated else None
     else:
         ds = load_csv(cfg.csv, load_schema(cfg.schema), missing_policy=cfg.missing)
         write_schema(ws.path("schema.txt"), ds)
@@ -570,10 +569,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
-
-
-def console_main() -> int:
-    return main()
 
 
 if __name__ == "__main__":

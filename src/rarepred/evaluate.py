@@ -212,9 +212,6 @@ def _slug(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
 
 
-METRIC_ROWS = ("Accuracy", "Kappa", "Sensitivity", "Specificity", "AUC")
-
-
 def write_report(out_dir: str, evaluations: list[ModelEvaluation]) -> list[str]:
     """Write the evaluation bundle; returns the relative file names written.
 
@@ -244,7 +241,7 @@ def write_report(out_dir: str, evaluations: list[ModelEvaluation]) -> list[str]:
     write_table(
         os.path.join(out_dir, "metrics.csv"),
         ["metric", *names],
-        ([metric, *rows[metric]] for metric in METRIC_ROWS),
+        ([metric, *values] for metric, values in rows.items()),
     )
     written.append("metrics.csv")
 

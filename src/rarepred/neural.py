@@ -321,7 +321,6 @@ def fit_network(
     path: list[float] = []
     for _ in range(epochs):
         order = rng.permutation(n)
-        seen = 0.0
         accum = 0.0
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
@@ -337,8 +336,7 @@ def fit_network(
             step += 1
             _adam_step(params, [g for pair in grads for g in pair], m, v, step, lr)
             accum += value * rows.size
-            seen += rows.size
-        path.append(accum / seen)
+        path.append(accum / n)
         if not math.isfinite(path[-1]):
             raise DatasetError(f"training diverged: epoch {len(path)}'s mean loss is {path[-1]}")
     return path

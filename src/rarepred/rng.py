@@ -44,10 +44,11 @@ def generator(seed: int) -> np.random.Generator:
 def subsets(rng: np.random.Generator):
     """A function ``draw(k, m)`` giving, for ``k < 2 ** 32``, the sorted list that
     ``np.sort(rng.choice(k, size=m, replace=False))`` would, from the same uint32 words:
-    Floyd's algorithm then the shuffle, or past numpy's cutoff a tail shuffle, each step
-    a Lemire-bounded draw that takes no word for a bound of 0. Each word is read through
-    the bit generator's own ``next_uint32``, the function ``integers`` and ``choice`` call,
-    so after every ``draw`` ``rng`` is where ``choice`` would leave it."""
+    Floyd's algorithm then the shuffle, each step a Lemire-bounded draw that takes no
+    word for a bound of 0. Each word is read through the bit generator's own
+    ``next_uint32``, the function ``integers`` and ``choice`` call, so after every
+    ``draw`` ``rng`` is where ``choice`` would leave it. Past numpy's cutoff, where
+    ``choice`` shuffles a tail of ``range(k)`` instead, ``draw`` calls ``choice``."""
     bits = rng.bit_generator.ctypes
     word = functools.partial(bits.next_uint32, bits.state)
 
@@ -58,12 +59,8 @@ def subsets(rng: np.random.Generator):
         return x >> 32
 
     def draw(k: int, m: int) -> list[int]:
-        if k > 10000 and m > k // 50:  # shuffle the tail of range(k), swaps held in a dict
-            swaps = {}
-            for i in range(k - 1, max(k - m, 1) - 1, -1):
-                j = bounded(i)
-                swaps[i], swaps[j] = swaps.get(j, j), swaps.get(i, i)
-            return sorted(swaps.get(i, i) for i in range(k - m, k))
+        if k > 10000 and m > k // 50:
+            return np.sort(rng.choice(k, size=m, replace=False)).tolist()
         chosen = set()
         for j in range(k - m, k):
             chosen.add(j if (v := bounded(j)) in chosen else v)

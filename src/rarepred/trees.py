@@ -219,8 +219,9 @@ def _best_split(table, buffers, rows, pos, feats, min_child, scale):
         gains = scale * b.max(axis=1)
         i = int(gains.argmax())
         if gains[i] > best[0]:
-            pair = values[block[i, lo + int(b[i].argmax()):][:2] >> 1]
-            best = (float(gains[i]), chunk[i], float(0.5 * (pair[0] + pair[1])))
+            u, v = map(float, values[block[i, lo + int(b[i].argmax()):][:2] >> 1])
+            mid = 0.5 * (u + v)  # halving first would change subnormal midpoints
+            best = (float(gains[i]), chunk[i], mid if math.isfinite(mid) else 0.5 * u + 0.5 * v)
     return best
 
 

@@ -13,7 +13,7 @@ with ``child_seed(s, "refit")``.
 
 from __future__ import annotations
 
-import time
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,12 +45,8 @@ METRICS = ("auc", "accuracy", "kappa", "sensitivity", "specificity")
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Row-to-fold assignment for one k-fold pass."""
+    """Row-to-fold assignment for one k-fold pass: ``assignment[i]`` is row i's fold."""
 
-    n: int
-    k: int
-    seed: int
-    stratified: bool
     assignment: np.ndarray
 
     def test_rows(self, fold: int) -> np.ndarray:
@@ -79,7 +75,7 @@ def kfold_partition(
     if stratify_labels is None:
         perm = rng.permutation(n)
         assignment[perm] = np.arange(n) % k
-        return FoldPlan(n=n, k=k, seed=seed, stratified=False, assignment=assignment)
+        return FoldPlan(assignment)
     y = np.asarray(stratify_labels)
     if y.shape != (n,):
         raise DatasetError("stratify labels must align with n")
@@ -89,7 +85,7 @@ def kfold_partition(
         shuffled = members[rng.permutation(members.size)]
         assignment[shuffled] = (cursor + np.arange(members.size)) % k
         cursor = (cursor + members.size) % k
-    return FoldPlan(n=n, k=k, seed=seed, stratified=True, assignment=assignment)
+    return FoldPlan(assignment)
 
 
 def grid_expand(grid: dict[str, list]) -> list[dict]:
@@ -101,10 +97,7 @@ def grid_expand(grid: dict[str, list]) -> list[dict]:
     for key in keys:
         if not isinstance(grid[key], (list, tuple)) or len(grid[key]) == 0:
             raise DatasetError(f"grid entry {key!r} must be a nonempty list")
-    points: list[dict] = [{}]
-    for key in keys:
-        points = [dict(p, **{key: v}) for p in points for v in grid[key]]
-    return points
+    return [dict(zip(keys, values)) for values in itertools.product(*map(grid.get, keys))]
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +106,8 @@ def grid_expand(grid: dict[str, list]) -> list[dict]:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Uniform fit/predict adapter for one model family."""
+    """Uniform fit/predict adapter for one model family; ``_REGISTRY`` keys it by kind."""
 
-    kind: str
     fit: Callable[[Dataset, str, tuple[str, ...] | None, dict, int], object]
     predict: Callable[[object, Dataset], np.ndarray]
 
@@ -141,11 +133,11 @@ def _fit_ffn(ds, label, features, params, seed):
 
 
 _REGISTRY: dict[str, ModelSpec] = {
-    "logit": ModelSpec("logit", _fit_logit, predict_proba),
-    "elastic_net": ModelSpec("elastic_net", _fit_enet, predict_proba),
-    "cart": ModelSpec("cart", _fit_cart, predict_tree),
-    "forest": ModelSpec("forest", _fit_forest, predict_forest),
-    "ffn": ModelSpec("ffn", _fit_ffn, predict_ffn),
+    "logit": ModelSpec(_fit_logit, predict_proba),
+    "elastic_net": ModelSpec(_fit_enet, predict_proba),
+    "cart": ModelSpec(_fit_cart, predict_tree),
+    "forest": ModelSpec(_fit_forest, predict_forest),
+    "ffn": ModelSpec(_fit_ffn, predict_ffn),
 }
 
 
@@ -187,18 +179,13 @@ def _scale_on(
 
 @dataclass
 class CVResult:
-    """Per-fold metric values for one (model, params) cell.
-
-    ``fit_seconds`` carries wall-clock fit times for profiling; report
-    writers leave them out so artifacts stay deterministic.
-    """
+    """Per-fold metric values for one (model, params) cell, and the folds they came from."""
 
     kind: str
     params: dict
     metric: str
     fold_values: np.ndarray
     mean_value: float
-    fit_seconds: list[float]
     plan: FoldPlan
 
 
@@ -227,14 +214,11 @@ def cross_validate(
     names = tuple(features) if features is not None else ds.feature_names
     plan = kfold_partition(ds.rows, k, seed, stratify_labels=ds.label(label))
     values = np.empty(k)
-    times: list[float] = []
     for fold in range(k):
         train = ds.subset_rows(plan.train_rows(fold))
         test = ds.subset_rows(plan.test_rows(fold))
         train, test = _scale_on(train, scaler, names, test)
-        started = time.perf_counter()
         model = spec.fit(train, label, names, params, child_seed(seed, "fit", fold))
-        times.append(time.perf_counter() - started)
         values[fold] = _metric_value(metric, test.label(label), spec.predict(model, test))
     return CVResult(
         kind=kind,
@@ -242,7 +226,6 @@ def cross_validate(
         metric=metric,
         fold_values=values,
         mean_value=float(values.mean()),
-        fit_seconds=times,
         plan=plan,
     )
 

@@ -107,7 +107,8 @@ def best_midpoint_split_stable(x: np.ndarray, y: np.ndarray, min_child: int):
     g_node = _binary_gini(float(pos_total), float(n))
     gains = g_node - (n_left * g_left + n_right * g_right) / n
     best = int(np.argmax(gains))
-    threshold = 0.5 * (xs[cut[best]] + xs[cut[best] + 1])
+    a, b = float(xs[cut[best]]), float(xs[cut[best] + 1])
+    threshold = 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
     return float(gains[best]), float(threshold)
 
 
@@ -228,7 +229,8 @@ def best_midpoint_split(x: np.ndarray, y: np.ndarray, min_child: int):
     g_node = _binary_gini(float(pos_total), float(n))
     gains = g_node - (n_left * g_left + n_right * g_right) / n
     best = int(np.argmax(gains))
-    threshold = 0.5 * (xs[cut[best]] + xs[cut[best] + 1])
+    a, b = float(xs[cut[best]]), float(xs[cut[best] + 1])
+    threshold = 0.5 * (a + b) if math.isfinite(a + b) else 0.5 * a + 0.5 * b
     return float(gains[best]), float(threshold)
 
 
@@ -806,6 +808,14 @@ class TestKeyedSplitOracle:
         rng = generator(EDGE_KINDS.index(kind))
         for n in (1, 2, 3, 40, 200):
             assert_keyed_like_oracle(edge_dataset(rng, n, (kind, kind, "rounded")), rng, n)
+
+    def test_split_between_values_whose_sum_overflows(self):
+        """1.7e308 + 1.79e308 is inf, yet the two values split at a finite threshold between them."""
+        ds = array_dataset([1.7e308] * 4 + [1.79e308] * 4, [0] * 4 + [1] * 4)
+        tree = fit_cart(ds, "y", cp=0.0, min_split_obs=1)
+        assert tree.n_nodes == 3
+        assert 1.7e308 < tree.threshold[0] < 1.79e308
+        np.testing.assert_array_equal(predict_tree(tree, ds), [0.0] * 4 + [1.0] * 4)
 
     def test_one_row_and_no_features(self):
         for ds in (edge_dataset(generator(1), 1, ("rounded", "ties")),

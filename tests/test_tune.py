@@ -187,12 +187,6 @@ class TestCrossValidate:
         result = cross_validate(ds, "y", "cart", {"cp": 0.01}, k=4, seed=3, metric="accuracy")
         assert np.all((result.fold_values >= 0) & (result.fold_values <= 1))
 
-    def test_fit_seconds_recorded(self):
-        ds = sample(8, n=100)
-        result = cross_validate(ds, "y", "logit", k=5, seed=1)
-        assert len(result.fit_seconds) == 5
-        assert all(t >= 0 for t in result.fit_seconds)
-
     def test_unknown_kind_and_metric(self):
         ds = sample(9, n=60)
         with pytest.raises(DatasetError, match="model kind"):
