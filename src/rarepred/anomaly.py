@@ -142,8 +142,8 @@ def score_dataset(ae: Autoencoder, ds: Dataset, kind: str = "l2") -> np.ndarray:
     if kind not in ERROR_KINDS:
         raise DatasetError(f"unknown error kind {kind!r}")
     X = ds.columns(ae.feature_names)[1]
-    recon = forward(ae.net, X)
-    sq = np.sum((X - recon) ** 2, axis=1)
+    residual = X - forward(ae.net, X)
+    sq = np.sum(np.square(residual, out=residual), axis=1)
     return np.sqrt(sq) if kind == "l2" else sq
 
 

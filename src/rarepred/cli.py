@@ -326,6 +326,7 @@ def cmd_tune(cfg: RunConfig, ws: Workspace) -> None:
             repeats=cfg.repeats,
             refit=False,
             scaler=cfg.scaler,
+            scale_features=cfg.scale_features,
         )
         rel_dir = f"tune/{mg.kind}"
         names = write_tuning_report(ws.path(rel_dir), result)

@@ -101,22 +101,25 @@ def _column_sds(X: np.ndarray) -> np.ndarray:
 _TSQR_ROWS = 512
 
 
-def _tsqr_lstsq(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``M @ x = b`` by blocked TSQR.
+def _tsqr_lstsq(A: np.ndarray, z: np.ndarray, sw: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of ``M @ x = b`` by blocked TSQR,
+    where ``M = A * sw[:, None]`` and ``b = z * sw`` are never built whole.
 
-    The rows are folded in fixed blocks of ``_TSQR_ROWS``: each block is
-    stacked under the running triangle of ``[M b]`` and refactored, so the
-    order of every reduction over rows is fixed by the code and not by the
-    BLAS thread pool (Demmel et al., SIAM J. Sci. Comput. 2012). ``lstsq``
-    on the final triangle, with the cutoff a solve on all of ``M`` would
-    use, has the same minimisers and so tolerates collinear and constant
-    columns (the minimum-norm solution zeroes the slack).
+    The rows are folded in fixed blocks of ``_TSQR_ROWS``: each block of
+    ``[M b]`` is weighted when it is stacked under the running triangle and
+    refactored, so the order of every reduction over rows is fixed by the
+    code and not by the BLAS thread pool (Demmel et al., SIAM J. Sci.
+    Comput. 2012). ``lstsq`` on the final triangle, with the cutoff a solve
+    on all of ``M`` would use, has the same minimisers and so tolerates
+    collinear and constant columns (the minimum-norm solution zeroes the
+    slack).
     """
-    n, k = M.shape
-    Mb = np.column_stack([M, b])
+    n, k = A.shape
     R = np.zeros((0, k + 1))
     for start in range(0, n, _TSQR_ROWS):
-        R = np.linalg.qr(np.vstack([R, Mb[start : start + _TSQR_ROWS]]), mode="r")
+        r = slice(start, start + _TSQR_ROWS)
+        block = np.column_stack([A[r] * sw[r, None], z[r] * sw[r]])
+        R = np.linalg.qr(np.vstack([R, block]), mode="r")
     rcond = np.finfo(np.float64).eps * max(n, k)
     return np.linalg.lstsq(R[:k, :k], R[:k, k], rcond=rcond)[0]
 
@@ -138,8 +141,8 @@ def fit_logit(
     on rare-outcome data near-separation is a finding, not a crash.
     """
     names, X, y = _design(ds, label, features)
-    n = X.shape[0]
-    A = np.column_stack([np.ones(n), X])
+    scales = _column_sds(X)  # before A exists, so its temporary never sits beside A
+    A = np.column_stack([np.ones(X.shape[0]), X])
     beta = np.zeros(A.shape[1])
     eta = A @ beta
     loglik = float(np.sum(y * eta - _log1pexp(eta)))
@@ -149,8 +152,7 @@ def fit_logit(
         p = _sigmoid(eta)
         w = np.clip(p * (1.0 - p), 1e-10, None)
         z = eta + (y - p) / w
-        sw = np.sqrt(w)
-        beta = _tsqr_lstsq(A * sw[:, None], z * sw)
+        beta = _tsqr_lstsq(A, z, np.sqrt(w))
         eta = A @ beta
         new_loglik = float(np.sum(y * eta - _log1pexp(eta)))
         done = abs(new_loglik - loglik) < tol
@@ -163,7 +165,7 @@ def fit_logit(
         feature_names=names,
         intercept=float(beta[0]),
         coef=beta[1:].copy(),
-        feature_scales=_column_sds(X),
+        feature_scales=scales,
         converged=converged and not separated,
         n_iter=n_iter,
         loglik=loglik,
@@ -201,7 +203,7 @@ def fit_elastic_net(
     sds = _column_sds(X)
     live = sds > 0.0  # constant columns carry no information, pin to 0
     scale = np.where(live, sds, 1.0)
-    Z = (X - means) / scale
+    Z = np.divide(np.subtract(X, means, out=X), scale, out=X)  # _design's X is a copy
 
     l1 = lam * (1.0 - alpha)
     l2 = lam * alpha

@@ -4,7 +4,7 @@ Everything is plain numpy on (batch, dim) matrices. Gradients are exact
 derivatives of the mean batch loss (verified against finite differences in
 the test suite); each loss gives its value and its gradient from one pass.
 Dropout is the inverted kind and only active during training steps, Adam
-updates the layer arrays and its moment arrays in place, and all
+updates one parameter vector and its moment vectors in place, and all
 randomness flows through seeded generators.
 """
 
@@ -125,11 +125,16 @@ def _activation_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return np.ones_like(z)
 
 
-def _trace(net: Network, X: np.ndarray, training: bool, rng):
-    """Forward pass keeping pre-activations and applying dropout masks."""
+def _input(net: Network, X: np.ndarray) -> np.ndarray:
     a = np.asarray(X, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != net.n_in:
         raise DatasetError(f"input must be (batch, {net.n_in})")
+    return a
+
+
+def _trace(net: Network, X: np.ndarray, training: bool, rng):
+    """Forward pass keeping pre-activations and applying dropout masks."""
+    a = _input(net, X)
     inputs = []
     zs = []
     acts = []
@@ -160,9 +165,16 @@ def forward(
     """Network output for a (batch, n_in) matrix.
 
     Dropout fires only with ``training=True`` (which then requires ``rng``);
-    inference is deterministic and mask-free.
+    inference is deterministic and mask-free, and walks the layers holding
+    only the current activation, so its working set beyond ``X`` is about
+    two of the widest layer's (batch, width) matrices.
     """
-    return _trace(net, X, training, rng)[4]
+    if training:
+        return _trace(net, X, training, rng)[4]
+    a = _input(net, X)
+    for layer in net.layers:
+        a = _activate(a @ layer.weights.T + layer.bias, layer.activation)
+    return a
 
 
 def _loss(name: str, pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -189,12 +201,13 @@ def _loss(name: str, pred: np.ndarray, target: np.ndarray) -> tuple[float, np.nd
     pn = np.linalg.norm(p, axis=1, keepdims=True)
     tn = np.linalg.norm(t, axis=1, keepdims=True)
     ok = ((pn >= _EPS_NORM) & (tn >= _EPS_NORM)).ravel()
-    po, to, pno, tno = p[ok], t[ok], pn[ok], tn[ok]
+    rows = slice(None) if ok.all() else ok  # a slice takes views, not masked copies
+    po, to, pno, tno = p[rows], t[rows], pn[rows], tn[rows]
     dot = np.sum(po * to, axis=1, keepdims=True)
     cos = np.zeros(b)
-    cos[ok] = (dot / (pno * tno)).ravel()
+    cos[rows] = (dot / (pno * tno)).ravel()
     g = np.zeros_like(p)
-    g[ok] = -(to / (pno * tno) - po * dot / (pno ** 3 * tno)) / b
+    g[rows] = -(to / (pno * tno) - po * dot / (pno ** 3 * tno)) / b
     return float(-np.mean(cos)), g
 
 
@@ -248,17 +261,14 @@ def backprop(
     return grads, total
 
 
-def _adam_step(params, grads, m, v, t: int, lr: float) -> None:
-    """Bias-corrected Adam update number ``t`` (from 1), in place on
-    ``params`` and their first and second moments ``m`` and ``v``."""
-    c1 = 1.0 - _BETA1 ** t
-    c2 = 1.0 - _BETA2 ** t
-    for p, g, mp, vp in zip(params, grads, m, v):
-        mp *= _BETA1
-        mp += (1.0 - _BETA1) * g
-        vp *= _BETA2
-        vp += (1.0 - _BETA2) * g * g
-        p -= lr * (mp / c1) / (np.sqrt(vp / c2) + _EPS_ADAM)
+def _adam_step(p, g, m, v, t: int, lr: float) -> None:
+    """Bias-corrected Adam update number ``t`` (from 1) with gradient ``g``,
+    in place on the array ``p`` and its first and second moments ``m``, ``v``."""
+    m *= _BETA1
+    m += (1.0 - _BETA1) * g
+    v *= _BETA2
+    v += (1.0 - _BETA2) * g * g
+    p -= lr * (m / (1.0 - _BETA1 ** t)) / (np.sqrt(v / (1.0 - _BETA2 ** t)) + _EPS_ADAM)
 
 
 def glorot_init(
@@ -310,13 +320,18 @@ def fit_network(
     reported per-epoch value is the training loss (with dropout and the
     activity penalty) averaged over that epoch's batches, weighted by
     batch size; the first epoch whose value is not finite ends the fit.
+    Adam updates one vector of every parameter: after training, each
+    layer's weights and bias are views of that vector.
     """
     if epochs < 1 or batch_size < 1:
         raise DatasetError("epochs and batch_size must be >= 1")
     n = X.shape[0]
     params = _net_params(net)
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    theta = np.concatenate([p.ravel() for p in params])
+    views = np.split(theta, np.cumsum([p.size for p in params])[:-1])
+    for layer, w, b in zip(net.layers, views[::2], views[1::2]):
+        layer.weights, layer.bias = w.reshape(layer.weights.shape), b
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     step = 0
     path: list[float] = []
     for _ in range(epochs):
@@ -324,17 +339,19 @@ def fit_network(
         accum = 0.0
         for start in range(0, n, batch_size):
             rows = order[start : start + batch_size]
+            xb = X[rows]  # gathered once for an autoencoder, whose target is X
             grads, value = backprop(
                 net,
-                X[rows],
-                target[rows],
+                xb,
+                xb if target is X else target[rows],
                 loss_name,
                 activity_l2=activity_l2,
                 training=True,
                 rng=rng,
             )
             step += 1
-            _adam_step(params, [g for pair in grads for g in pair], m, v, step, lr)
+            _adam_step(theta, np.concatenate([g.ravel() for pair in grads for g in pair]),
+                       m, v, step, lr)
             accum += value * rows.size
         path.append(accum / n)
         if not math.isfinite(path[-1]):

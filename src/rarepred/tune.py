@@ -161,14 +161,15 @@ def _metric_value(name: str, y: np.ndarray, scores: np.ndarray) -> float:
 
 
 def _scale_on(
-    train: Dataset, scaler: str | None, names: tuple[str, ...], *others: Dataset
+    train: Dataset, scaler: str | None, names: tuple[str, ...], scale_features, *others: Dataset
 ) -> list[Dataset]:
     """``train`` and ``others`` scaled with statistics fit on ``train`` alone.
 
-    Only the continuous features among ``names`` are scaled; with no
-    ``scaler`` or no such feature every dataset passes through unchanged.
+    ``scale_features`` are scaled when given, as ``preprocess`` scales them;
+    otherwise the continuous features among ``names``. With no ``scaler``
+    or no such feature every dataset passes through unchanged.
     """
-    scale_names = [] if scaler is None else [
+    scale_names = [] if scaler is None else scale_features or [
         n for n in names if train.features[train.feature_index(n)].kind == "continuous"
     ]
     if not scale_names:
@@ -199,13 +200,14 @@ def cross_validate(
     metric: str = "auc",
     scaler: str | None = None,
     features: list[str] | tuple[str, ...] | None = None,
+    scale_features: list[str] | tuple[str, ...] | None = None,
 ) -> CVResult:
     """Stratified k-fold estimate of one metric for one hyperparameter point.
 
     Preprocessing never leaks: when ``scaler`` is set, its statistics are
-    refit on each fold's training split and applied to both sides. Fold f
-    fits with seed ``child_seed(seed, "fit", f)``; the plan comes from the
-    same master seed.
+    refit on each fold's training split and applied to both sides (to the
+    features ``_scale_on`` picks). Fold f fits with seed
+    ``child_seed(seed, "fit", f)``; the plan comes from the same master seed.
     """
     if metric not in METRICS:
         raise DatasetError(f"unknown metric {metric!r}")
@@ -217,7 +219,7 @@ def cross_validate(
     for fold in range(k):
         train = ds.subset_rows(plan.train_rows(fold))
         test = ds.subset_rows(plan.test_rows(fold))
-        train, test = _scale_on(train, scaler, names, test)
+        train, test = _scale_on(train, scaler, names, scale_features, test)
         model = spec.fit(train, label, names, params, child_seed(seed, "fit", fold))
         values[fold] = _metric_value(metric, test.label(label), spec.predict(model, test))
     return CVResult(
@@ -260,6 +262,7 @@ def grid_search(
     refit: bool = True,
     scaler: str | None = None,
     features: list[str] | tuple[str, ...] | None = None,
+    scale_features: list[str] | tuple[str, ...] | None = None,
 ) -> GridSearchResult:
     """Grid search by repeated stratified k-fold CV on a tuning subset.
 
@@ -285,7 +288,7 @@ def grid_search(
         for pi, params in enumerate(points):
             result = cross_validate(
                 tune_ds, label, kind, params=params, k=k, seed=cv_seed, metric=metric,
-                scaler=scaler, features=features,
+                scaler=scaler, features=features, scale_features=scale_features,
             )
             for fold, value in enumerate(result.fold_values):
                 rows.append((pi, r, fold, float(value)))
@@ -299,7 +302,7 @@ def grid_search(
     if refit:
         spec = get_model_spec(kind)
         names = tuple(features) if features is not None else ds.feature_names
-        (fit_ds,) = _scale_on(ds, scaler, names)
+        (fit_ds,) = _scale_on(ds, scaler, names, scale_features)
         model = spec.fit(
             fit_ds, label, names, points[best_index], child_seed(seed, "refit")
         )

@@ -737,6 +737,29 @@ class TestPipeline:
             assert run_cli([command, "--config", cfg]) == 0, command
         assert os.path.exists(os.path.join(out, "models/cart.model"))
 
+    def test_tune_folds_scale_the_preprocess_features(self, tmp_path, monkeypatch):
+        # each fold must be scaled as preprocess scales the training split
+        seen = {"preprocess": [], "tune": []}
+
+        def spy(step):
+            def fit(ds, method, feature_names=None):
+                params = fit_scaler(ds, method, feature_names=feature_names)
+                seen[step].append(params.feature_names)
+                return params
+            return fit
+
+        monkeypatch.setattr(cli, "fit_scaler", spy("preprocess"))
+        monkeypatch.setattr(tune, "fit_scaler", spy("tune"))
+        text = set_key(BASE, "preprocess", "features", "sim.past")
+        text = set_key(text, "model:ffn", "hidden", "4")
+        text = set_key(text, "model:ffn", "epochs", "1")
+        cfg = write_cfg(tmp_path, text)
+        for command in ("generate", "split", "preprocess", "tune"):
+            assert run_cli([command, "--config", cfg]) == 0, command
+        assert seen["preprocess"] == [("sim.past",)]
+        # k = 2 folds for logit (1 point), cart (2 points) and ffn (1 point)
+        assert seen["tune"] == [("sim.past",)] * 8
+
     def test_bad_config_exit_code(self, tmp_path):
         text = BASE.replace("label = outcome", "label = result")
         assert run_cli(["all", "--config", write_cfg(tmp_path, text)]) == 1

@@ -10,6 +10,8 @@ import pytest
 from conftest import with_blas_threads
 from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.linear import (
+    _TSQR_ROWS,
+    _tsqr_lstsq,
     fit_elastic_net,
     fit_logit,
     penalty,
@@ -130,6 +132,33 @@ class TestLogit:
         np.testing.assert_allclose(
             predict_proba(model, ds), predict_proba(model, swapped)
         )
+
+
+def tsqr_lstsq_oracle(M, b):
+    """``linear._tsqr_lstsq`` as it was, on the whole weighted design ``M`` and
+    response ``b``: the oracle for the solve that weights one block at a time."""
+    n, k = M.shape
+    Mb = np.column_stack([M, b])
+    R = np.zeros((0, k + 1))
+    for start in range(0, n, _TSQR_ROWS):
+        R = np.linalg.qr(np.vstack([R, Mb[start : start + _TSQR_ROWS]]), mode="r")
+    rcond = np.finfo(np.float64).eps * max(n, k)
+    return np.linalg.lstsq(R[:k, :k], R[:k, k], rcond=rcond)[0]
+
+
+class TestTsqrOracle:
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 5000])
+    def test_blockwise_weighting_matches_whole_matrix(self, n):
+        rng = generator(60 + n)
+        x = rng.normal(size=(n, 2))
+        # intercept, two features, a collinear copy and a constant column
+        A = np.column_stack([np.ones(n), x, 2.0 * x[:, 0] - x[:, 1], np.full(n, 3.0)])
+        z = rng.normal(size=n)
+        sw = np.sqrt(rng.random(n) * 0.25)
+        sw[rng.random(n) < 0.1] = 0.0
+        got = _tsqr_lstsq(A, z, sw)
+        want = tsqr_lstsq_oracle(A * sw[:, None], z * sw)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestElasticNet:

@@ -200,6 +200,52 @@ def fit_network_oracle(net, X, target, loss_name, epochs, batch_size, lr, rng, a
     return path
 
 
+# Oracles for the one-vector training loop and the trace-free inference pass:
+# fit_network and _adam_step as they were, one array per layer weight and
+# bias, and inference through the full trace that backprop keeps.
+
+
+def adam_step_per_array_oracle(params, grads, m, v, t, lr):
+    c1 = 1.0 - 0.9 ** t
+    c2 = 1.0 - 0.999 ** t
+    for p, g, mp, vp in zip(params, grads, m, v):
+        mp *= 0.9
+        mp += (1.0 - 0.9) * g
+        vp *= 0.999
+        vp += (1.0 - 0.999) * g * g
+        p -= lr * (mp / c1) / (np.sqrt(vp / c2) + 1e-8)
+
+
+def fit_network_per_array_oracle(net, X, target, loss_name, epochs, batch_size, lr, rng,
+                                 activity_l2=0.0):
+    n = X.shape[0]
+    params = _net_params(net)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    step = 0
+    path = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        accum = 0.0
+        for start in range(0, n, batch_size):
+            rows = order[start : start + batch_size]
+            grads, value = backprop(
+                net, X[rows], target[rows], loss_name,
+                activity_l2=activity_l2, training=True, rng=rng,
+            )
+            step += 1
+            adam_step_per_array_oracle(
+                params, [g for pair in grads for g in pair], m, v, step, lr
+            )
+            accum += value * rows.size
+        path.append(accum / n)
+    return path
+
+
+def forward_oracle(net, X):
+    return _trace(net, X, False, None)[4]
+
+
 def loss_cases(name, seed=30):
     """A (pred, target) batch for ``name`` with the loss's edge cells in it:
     clipped and exact 0/1 predictions for bce, zero and sub-cutoff norms on
@@ -277,6 +323,38 @@ class TestFitNetworkOracle:
         for got, exp in zip(_net_params(nets[0]), _net_params(nets[1])):
             assert got.tobytes() == exp.tobytes()
 
+    @pytest.mark.parametrize(
+        "loss_name, acts, activity_l2, autoencoder",
+        [
+            ("mse", ("relu", "tanh", "linear"), 0.01, False),
+            ("mse", ("tanh", "relu", "linear"), 0.0, True),
+            ("bce", ("relu", "relu", "sigmoid"), 1e-3, False),
+            ("cosine_proximity", ("tanh", "relu", "tanh"), 1e-4, True),
+            ("cosine_proximity", ("relu", "tanh", "relu"), 0.0, False),
+        ],
+    )
+    def test_one_vector_matches_per_array_loop(self, loss_name, acts, activity_l2, autoencoder):
+        rng = generator(56)
+        X = rng.normal(size=(203, 5))
+        X[:3] = 0.0  # rows whose cosine is skipped
+        if loss_name == "bce":
+            T = (rng.random((203, 5)) < 0.3).astype(np.float64)
+        else:
+            T = X if autoencoder else X[:, ::-1] + 0.1 * rng.normal(size=(203, 5))
+        nets = [small_net(57, (5, 7, 3, 5), acts, (0.3, 0.2, 0.0)) for _ in range(2)]
+        path = fit_network(nets[0], X, T, loss_name, 3, 32, 0.01, generator(58), activity_l2)
+        want = fit_network_per_array_oracle(
+            nets[1], X, T.copy() if autoencoder else T, loss_name, 3, 32, 0.01, generator(58),
+            activity_l2,
+        )
+        assert np.array(path).tobytes() == np.array(want).tobytes()
+        for got, exp in zip(_net_params(nets[0]), _net_params(nets[1])):
+            assert got.tobytes() == exp.tobytes()
+        # after training the layers' arrays are views of one parameter vector
+        theta = nets[0].layers[0].weights.base
+        assert all(p.base is theta for p in _net_params(nets[0]))
+        assert theta.size == param_count(nets[0])
+
     def test_first_epoch_with_loss_not_finite_is_named(self):
         rng = generator(53)
         X = rng.normal(size=(200, 5))
@@ -343,6 +421,23 @@ class TestForward:
         values = np.unique(out)
         np.testing.assert_allclose(values, [0.0, 2.0])  # inverted scaling
         assert abs(out.mean() - 1.0) < 0.05  # expectation preserved
+
+    @pytest.mark.parametrize("act", ["sigmoid", "tanh", "relu", "linear"])
+    @pytest.mark.parametrize("rows", [0, 1, 1000])
+    def test_matches_trace_oracle(self, act, rows):
+        net = small_net(5, (6, 8, 4, 6), (act, act, act), (0.5, 0.2, 0.0))
+        X = generator(6).normal(size=(rows, 6)) * 3.0
+        got = forward(net, X)
+        assert got.shape == (rows, 6)
+        assert got.tobytes() == forward_oracle(net, X).tobytes()
+        assert forward(net, X[:, ::-1]).tobytes() == forward_oracle(net, X[:, ::-1]).tobytes()
+
+    @pytest.mark.parametrize("X", [np.ones((4, 5)), np.ones(6), np.ones((2, 6, 1))])
+    def test_input_shape_refused_as_oracle(self, X):
+        net = small_net(widths=(6, 3, 6), acts=("relu", "linear"))
+        for fn in (forward, forward_oracle):
+            with pytest.raises(DatasetError, match=r"^input must be \(batch, 6\)$"):
+                fn(net, X)
 
     def test_training_dropout_requires_rng(self):
         net = small_net(dropout=(0.3, 0.0))
@@ -416,15 +511,13 @@ class TestBackprop:
 class TestAdam:
     def test_two_steps_constant_gradient(self):
         # with a constant gradient, bias correction makes every step lr*sign(g)
-        params = [np.array([1.0])]
-        m, v = [np.zeros(1)], [np.zeros(1)]
-        g = [np.array([0.5])]
-        start = params[0]
-        _adam_step(params, g, m, v, 1, lr=0.1)
-        assert abs(params[0][0] - 0.9) < 1e-7
-        _adam_step(params, g, m, v, 2, lr=0.1)
-        assert abs(params[0][0] - 0.8) < 1e-7
-        assert params[0] is start  # updated in place
+        p, m, v, g = np.array([1.0]), np.zeros(1), np.zeros(1), np.array([0.5])
+        start = p
+        _adam_step(p, g, m, v, 1, lr=0.1)
+        assert abs(p[0] - 0.9) < 1e-7
+        _adam_step(p, g, m, v, 2, lr=0.1)
+        assert abs(p[0] - 0.8) < 1e-7
+        assert p is start  # updated in place
 
     def test_step_matches_functional_oracle(self):
         rng = generator(40)
@@ -434,7 +527,8 @@ class TestAdam:
         want, state = [p.copy() for p in params], AdamState.for_params(params)
         for t in range(1, 6):
             grads = [rng.normal(size=p.shape) for p in params]
-            _adam_step(params, grads, m, v, t, lr=0.01)
+            for p, g, mp, vp in zip(params, grads, m, v):
+                _adam_step(p, g, mp, vp, t, lr=0.01)
             want, state = adam_step_oracle(want, grads, state, lr=0.01)
         for got, exp in zip(params + m + v, want + state.m + state.v):
             assert got.tobytes() == exp.tobytes()
