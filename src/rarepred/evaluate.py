@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DatasetError, write_table
+from .dataset import DatasetError, _write_blocks, write_table
 
 __all__ = [
     "ConfusionMatrix",
@@ -219,7 +219,7 @@ def write_report(out_dir: str, evaluations: list[ModelEvaluation]) -> list[str]:
     ``roc_<name>.csv`` (threshold,fpr,tpr), ``confusion_<name>.csv``, and
     ``importance_<name>.csv`` (feature,weight, descending) when importances
     are present. Names derive from the model name only, so reruns are
-    byte-identical.
+    byte-identical. ROC tables are formatted by column over the usable CPUs.
     """
     import os
 
@@ -247,7 +247,8 @@ def write_report(out_dir: str, evaluations: list[ModelEvaluation]) -> list[str]:
 
     for ev, slug in zip(evaluations, names):
         roc_name = f"roc_{slug}.csv"
-        write_table(os.path.join(out_dir, roc_name), ["threshold", "fpr", "tpr"], ev.roc_points)
+        _write_blocks(os.path.join(out_dir, roc_name), "threshold,fpr,tpr", len(ev.roc_points),
+                      lambda lo, hi: [map(repr, col) for col in ev.roc_points[lo:hi].T.tolist()])
         written.append(roc_name)
 
         cm_name = f"confusion_{slug}.csv"

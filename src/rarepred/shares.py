@@ -1,4 +1,5 @@
-"""Independent items made over the CPUs this process may use, in forked helpers.
+"""Independent items made over the CPUs this process may use, in forked helpers:
+forest trees, cross-validation folds, and blocks of CSV, score and ROC rows.
 
 Item t is made by share ``t % P``, P being the count of usable CPUs
 (``os.sched_getaffinity``), at most the item count. The caller makes share 0

@@ -8,7 +8,8 @@ full input data. Every stochastic step draws from a child seed with a
 documented derivation, so results are reproducible and composable:
 ``grid_search(seed=s, repeats=1, subset_frac=1.0)`` scores each point
 exactly like ``cross_validate(seed=child_seed(s, "repeat", 0))`` and refits
-with ``child_seed(s, "refit")``.
+with ``child_seed(s, "refit")``. The folds of one point are fitted over the
+usable CPUs, except a forest's, whose trees already are.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .linear import fit_elastic_net, fit_logit, predict_proba
 from .neural import predict_ffn, train_ffn
 from .preprocess import apply_scaler, fit_scaler
 from .rng import child_seed, generator
+from .shares import fork_map
 from .trees import ForestHyper, fit_cart, fit_forest, predict_forest, predict_tree
 
 __all__ = [
@@ -110,6 +112,7 @@ class ModelSpec:
 
     fit: Callable[[Dataset, str, tuple[str, ...] | None, dict, int], object]
     predict: Callable[[object, Dataset], np.ndarray]
+    spreads: bool = False  # the fit spreads itself over the usable CPUs (see cross_validate)
 
 
 def _fit_logit(ds, label, features, params, seed):
@@ -136,7 +139,7 @@ _REGISTRY: dict[str, ModelSpec] = {
     "logit": ModelSpec(_fit_logit, predict_proba),
     "elastic_net": ModelSpec(_fit_enet, predict_proba),
     "cart": ModelSpec(_fit_cart, predict_tree),
-    "forest": ModelSpec(_fit_forest, predict_forest),
+    "forest": ModelSpec(_fit_forest, predict_forest, spreads=True),
     "ffn": ModelSpec(_fit_ffn, predict_ffn),
 }
 
@@ -207,7 +210,10 @@ def cross_validate(
     Preprocessing never leaks: when ``scaler`` is set, its statistics are
     refit on each fold's training split and applied to both sides (to the
     features ``_scale_on`` picks). Fold f fits with seed
-    ``child_seed(seed, "fit", f)``; the plan comes from the same master seed.
+    ``child_seed(seed, "fit", f)`` and is scored in share ``f % P`` of
+    ``shares.fork_map``, so its value is the same at any CPU count; the plan
+    comes from the same master seed. A family whose fit ``spreads`` itself
+    keeps its folds in order here, as a fold helper would fit it serially.
     """
     if metric not in METRICS:
         raise DatasetError(f"unknown metric {metric!r}")
@@ -215,19 +221,25 @@ def cross_validate(
     spec = get_model_spec(kind)
     names = tuple(features) if features is not None else ds.feature_names
     plan = kfold_partition(ds.rows, k, seed, stratify_labels=ds.label(label))
-    values = np.empty(k)
-    for fold in range(k):
+
+    def score(fold: int) -> float:
         train = ds.subset_rows(plan.train_rows(fold))
         test = ds.subset_rows(plan.test_rows(fold))
         train, test = _scale_on(train, scaler, names, scale_features, test)
         model = spec.fit(train, label, names, params, child_seed(seed, "fit", fold))
-        values[fold] = _metric_value(metric, test.label(label), spec.predict(model, test))
+        return _metric_value(metric, test.label(label), spec.predict(model, test))
+
+    values: list[float] = []
+    if spec.spreads:
+        values.extend(map(score, range(k)))
+    else:
+        fork_map(score, k, values.append)
     return CVResult(
         kind=kind,
         params=params,
         metric=metric,
-        fold_values=values,
-        mean_value=float(values.mean()),
+        fold_values=np.array(values),
+        mean_value=float(np.mean(values)),
         plan=plan,
     )
 

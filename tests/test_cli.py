@@ -1,8 +1,10 @@
 """Configuration parsing and the batch pipeline front end."""
 
+import ast
 import hashlib
 import inspect
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -738,15 +740,19 @@ class TestPipeline:
         assert os.path.exists(os.path.join(out, "models/cart.model"))
 
     def test_tune_folds_scale_the_preprocess_features(self, tmp_path, monkeypatch):
-        # each fold must be scaled as preprocess scales the training split
-        seen = {"preprocess": [], "tune": []}
-
+        # each fold must be scaled as preprocess scales the training split;
+        # the spy appends to a file, so that folds fitted in helpers count too
         def spy(step):
             def fit(ds, method, feature_names=None):
                 params = fit_scaler(ds, method, feature_names=feature_names)
-                seen[step].append(params.feature_names)
+                with open(tmp_path / f"{step}.seen", "a", encoding="utf-8") as fh:
+                    fh.write(repr(params.feature_names) + "\n")
                 return params
             return fit
+
+        def seen(step):
+            lines = (tmp_path / f"{step}.seen").read_text(encoding="utf-8").splitlines()
+            return [ast.literal_eval(line) for line in lines]
 
         monkeypatch.setattr(cli, "fit_scaler", spy("preprocess"))
         monkeypatch.setattr(tune, "fit_scaler", spy("tune"))
@@ -756,9 +762,9 @@ class TestPipeline:
         cfg = write_cfg(tmp_path, text)
         for command in ("generate", "split", "preprocess", "tune"):
             assert run_cli([command, "--config", cfg]) == 0, command
-        assert seen["preprocess"] == [("sim.past",)]
+        assert seen("preprocess") == [("sim.past",)]
         # k = 2 folds for logit (1 point), cart (2 points) and ffn (1 point)
-        assert seen["tune"] == [("sim.past",)] * 8
+        assert seen("tune") == [("sim.past",)] * 8
 
     def test_bad_config_exit_code(self, tmp_path):
         text = BASE.replace("label = outcome", "label = result")
@@ -1241,3 +1247,34 @@ k = 2
 [model:cart]
 cp = 0.01
 """
+
+
+# manifest.txt sha256 of `rarepred all --seed 7` with one BLAS thread, per shipped config
+GOLDEN_MANIFESTS = {
+    "demos/demo.ini": "a8fed48333a3beba34857407b4b20705ed27bb9c66540bb472642e39924c52d8",
+    # multi-block ROC tables, and elastic-net folds over the CPUs
+    "perfbench/configs/pipeline_rare.ini":
+        "883cf2989d1fc3c391d9f3feb6e30e031ed14d8235a59a639fb2e5482f6230f3",
+}
+
+
+@pytest.mark.skipif(
+    (platform.python_version(), np.__version__) != ("3.11.7", "2.4.6"),
+    reason="the manifest records the Python and numpy versions, and the golden digests"
+    " were made with Python 3.11.7 and numpy 2.4.6",
+)
+@pytest.mark.parametrize("config", sorted(GOLDEN_MANIFESTS))
+def test_shipped_config_gives_its_golden_manifest(tmp_path, config):
+    out = str(tmp_path / "out")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rarepred.cli", "all", "--config", os.path.join(root, config),
+         "--out", out, "--seed", "7"],
+        capture_output=True,
+        text=True,
+        env=with_blas_threads(1),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(out, "manifest.txt"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_MANIFESTS[config]

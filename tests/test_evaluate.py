@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rarepred.dataset import DatasetError
+from conftest import assert_no_child_left, report_cpus
+from rarepred.dataset import _BLOCK_ROWS, DatasetError, write_table
 from rarepred.evaluate import (
     ConfusionMatrix,
     auc,
@@ -242,3 +243,39 @@ class TestReport:
     def test_name_collision_rejected(self, tmp_path):
         with pytest.raises(DatasetError, match="collide"):
             write_report(str(tmp_path), [self.make_eval("My Model"), self.make_eval("my-model")])
+
+
+def write_roc_serial(path: str, curve: np.ndarray) -> None:
+    """A ROC table written one cell at a time, as ``write_report`` wrote it
+    before it formatted blocks by column over the CPUs."""
+    write_table(path, ["threshold", "fpr", "tpr"], curve)
+
+
+class TestRocWriterOracle:
+    def roc_eval(self, seed, thresholds):
+        """A scored model whose curve has ``thresholds + 1`` rows: every
+        threshold score once, some of them again as ties."""
+        rng = np.random.default_rng(seed)
+        unique = rng.normal(size=thresholds) * 10.0 ** rng.integers(-5, 17, size=thresholds)
+        unique[7] = -0.0
+        scores = np.concatenate([unique, unique[rng.integers(0, thresholds, size=thresholds // 3)]])
+        return evaluate_scores("m", rng.integers(0, 2, size=scores.size), scores)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_roc_matches_write_table(self, tmp_path, monkeypatch, forks, cpus):
+        ev = self.roc_eval(cpus, 2 * _BLOCK_ROWS + 16)  # three blocks, the last one short
+        assert len(ev.roc_points) == 2 * _BLOCK_ROWS + 17 and ev.roc_points[0, 0] == math.inf
+        report_cpus(monkeypatch, cpus)
+        write_report(str(tmp_path), [ev])
+        assert len(forks) == min(cpus, 3) - 1
+        write_roc_serial(str(tmp_path / "old.csv"), ev.roc_points)
+        assert (tmp_path / "roc_m.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert_no_child_left()
+
+    def test_one_block_never_forks(self, tmp_path, monkeypatch, forks):
+        ev = self.roc_eval(5, _BLOCK_ROWS - 1)
+        report_cpus(monkeypatch, 64)
+        write_report(str(tmp_path), [ev])
+        assert forks == []
+        write_roc_serial(str(tmp_path / "old.csv"), ev.roc_points)
+        assert (tmp_path / "roc_m.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -3,12 +3,14 @@
 import csv
 import dataclasses
 import inspect
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child_left, open_fds, report_cpus
 from rarepred.config import _MODELS, _REQUIRED_PARAMS, format_value
 from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.evaluate import auc
@@ -193,6 +195,70 @@ class TestCrossValidate:
             cross_validate(ds, "y", "svm")
         with pytest.raises(DatasetError, match="metric"):
             cross_validate(ds, "y", "logit", metric="brier")
+
+
+# one two-point grid per family whose folds go over the CPUs
+FOLD_GRIDS = {
+    "logit": {"max_iter": [3, 25]},
+    "elastic_net": {"lam": [0.0, 0.05], "alpha": [0.5]},
+    "cart": {"cp": [0.01, 0.1]},
+    "ffn": {"hidden": [(4,)], "epochs": [1, 2], "batch_size": [32]},
+}
+
+
+class TestFoldMap:
+    """Fold f of a cross-validation is fitted in share f % P of ``shares.fork_map``."""
+
+    @pytest.mark.parametrize("kind", sorted(FOLD_GRIDS))
+    def test_same_values_at_any_cpu_count(self, monkeypatch, forks, kind):
+        ds = sample(18, n=150)
+        grid = FOLD_GRIDS[kind]
+        runs = []
+        for cpus in (1, 2, 64):  # at most k = 3 shares, so at most 2 helpers
+            report_cpus(monkeypatch, cpus)
+            before = len(forks)
+            cv = cross_validate(ds, "y", kind, grid_expand(grid)[1], k=3, seed=8,
+                                scaler="standardize")
+            search = grid_search(ds, "y", kind, grid, k=3, seed=9, scaler="standardize",
+                                 refit=False)
+            assert len(forks) - before == 3 * (min(cpus, 3) - 1)  # 3 calls of k = 3 folds
+            runs.append((cv.fold_values.tobytes(), repr(search.rows)))
+        assert runs[0] == runs[1] == runs[2]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 64])
+    def test_forest_forks_only_for_trees(self, monkeypatch, forks, cpus):
+        # a fold map over the tree map would fork min(P, k) - 1 fold helpers
+        # and leave their trees serial; a forest's folds stay in the caller
+        ds = sample(19, n=150)
+        report_cpus(monkeypatch, cpus)
+        params = {"n_trees": 3, "min_node": 25}
+        result = cross_validate(ds, "y", "forest", params, k=3, seed=4)
+        assert len(forks) == 3 * (min(cpus, 3) - 1)
+        report_cpus(monkeypatch, 1)
+        serial = cross_validate(ds, "y", "forest", params, k=3, seed=4)
+        assert result.fold_values.tobytes() == serial.fold_values.tobytes()
+        assert_no_child_left()
+
+    def test_fold_failing_in_a_helper_raises_its_error(self, monkeypatch, forks):
+        # fold 1 diverges in its helper, with the lr of the diverging [model:ffn]
+        # run, while fold 0 fits in the caller
+        ds = sample(20, n=120)
+        report_cpus(monkeypatch, 2)
+        caller, spec = os.getpid(), _REGISTRY["ffn"]
+
+        def fit(train, label, names, params, seed):
+            if os.getpid() != caller:
+                params = {**params, "lr": 1e300}
+            return spec.fit(train, label, names, params, seed)
+
+        monkeypatch.setitem(_REGISTRY, "ffn", dataclasses.replace(spec, fit=fit))
+        fds = open_fds()
+        with np.errstate(all="ignore"), pytest.raises(DatasetError, match="training diverged"):
+            cross_validate(ds, "y", "ffn", {"epochs": 1, "batch_size": 32}, k=2, seed=5)
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert open_fds() == fds
 
 
 class TestGridSearch:
