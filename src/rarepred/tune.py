@@ -9,7 +9,7 @@ documented derivation, so results are reproducible and composable:
 ``grid_search(seed=s, repeats=1, subset_frac=1.0)`` scores each point
 exactly like ``cross_validate(seed=child_seed(s, "repeat", 0))`` and refits
 with ``child_seed(s, "refit")``. The folds of one point are fitted over the
-usable CPUs, except a forest's, whose trees already are.
+usable CPUs.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ class ModelSpec:
 
     fit: Callable[[Dataset, str, tuple[str, ...] | None, dict, int], object]
     predict: Callable[[object, Dataset], np.ndarray]
-    spreads: bool = False  # the fit spreads itself over the usable CPUs (see cross_validate)
 
 
 def _fit_logit(ds, label, features, params, seed):
@@ -139,7 +138,7 @@ _REGISTRY: dict[str, ModelSpec] = {
     "logit": ModelSpec(_fit_logit, predict_proba),
     "elastic_net": ModelSpec(_fit_enet, predict_proba),
     "cart": ModelSpec(_fit_cart, predict_tree),
-    "forest": ModelSpec(_fit_forest, predict_forest, spreads=True),
+    "forest": ModelSpec(_fit_forest, predict_forest),
     "ffn": ModelSpec(_fit_ffn, predict_ffn),
 }
 
@@ -212,8 +211,8 @@ def cross_validate(
     features ``_scale_on`` picks). Fold f fits with seed
     ``child_seed(seed, "fit", f)`` and is scored in share ``f % P`` of
     ``shares.fork_map``, so its value is the same at any CPU count; the plan
-    comes from the same master seed. A family whose fit ``spreads`` itself
-    keeps its folds in order here, as a fold helper would fit it serially.
+    comes from the same master seed. A forest fitted in a fold helper makes
+    its trees there serially; the caller's folds still spread theirs.
     """
     if metric not in METRICS:
         raise DatasetError(f"unknown metric {metric!r}")
@@ -230,10 +229,7 @@ def cross_validate(
         return _metric_value(metric, test.label(label), spec.predict(model, test))
 
     values: list[float] = []
-    if spec.spreads:
-        values.extend(map(score, range(k)))
-    else:
-        fork_map(score, k, values.append)
+    fork_map(score, k, values.append)
     return CVResult(
         kind=kind,
         params=params,

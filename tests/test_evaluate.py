@@ -262,20 +262,16 @@ class TestRocWriterOracle:
         return evaluate_scores("m", rng.integers(0, 2, size=scores.size), scores)
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
-    def test_roc_matches_write_table(self, tmp_path, monkeypatch, forks, cpus):
-        ev = self.roc_eval(cpus, 2 * _BLOCK_ROWS + 16)  # three blocks, the last one short
-        assert len(ev.roc_points) == 2 * _BLOCK_ROWS + 17 and ev.roc_points[0, 0] == math.inf
+    @pytest.mark.parametrize("thresholds, blocks", [
+        (_BLOCK_ROWS - 1, 1),  # one full block: never forks
+        (2 * _BLOCK_ROWS + 16, 3),  # three blocks, the last one short
+    ])
+    def test_roc_matches_write_table(self, tmp_path, monkeypatch, forks, cpus, thresholds, blocks):
+        ev = self.roc_eval(cpus, thresholds)
+        assert len(ev.roc_points) == thresholds + 1 and ev.roc_points[0, 0] == math.inf
         report_cpus(monkeypatch, cpus)
         write_report(str(tmp_path), [ev])
-        assert len(forks) == min(cpus, 3) - 1
+        assert len(forks) == min(cpus, blocks) - 1
         write_roc_serial(str(tmp_path / "old.csv"), ev.roc_points)
         assert (tmp_path / "roc_m.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert_no_child_left()
-
-    def test_one_block_never_forks(self, tmp_path, monkeypatch, forks):
-        ev = self.roc_eval(5, _BLOCK_ROWS - 1)
-        report_cpus(monkeypatch, 64)
-        write_report(str(tmp_path), [ev])
-        assert forks == []
-        write_roc_serial(str(tmp_path / "old.csv"), ev.roc_points)
-        assert (tmp_path / "roc_m.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
