@@ -344,7 +344,7 @@ def cmd_tune(cfg: RunConfig, ws: Workspace) -> None:
         )
 
 
-def _chosen_params(cfg: RunConfig, ws: Workspace, mg) -> tuple[dict, list[str]]:
+def _chosen_params(ws: Workspace, mg) -> tuple[dict, list[str]]:
     best_rel = f"tune/{mg.kind}/best_params.txt"
     if ws.has_artifact(best_rel) or os.path.exists(os.path.join(ws.out_dir, best_rel)):
         pairs = _read_pairs(ws.require_artifact(best_rel, "tune"))
@@ -365,7 +365,7 @@ def cmd_train(cfg: RunConfig, ws: Workspace) -> None:
     scaler = load_model(ws.require_artifact("scaler.txt", "preprocess"))
     train_s = apply_scaler(train, scaler)
     for mg in cfg.models:
-        params, extra_inputs = _chosen_params(cfg, ws, mg)
+        params, extra_inputs = _chosen_params(ws, mg)
         seed = child_seed(cfg.seed, "train", mg.kind)
         model = get_model_spec(mg.kind).fit(train_s, cfg.label, None, params, seed)
         rel = f"models/{mg.kind}.model"

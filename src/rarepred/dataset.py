@@ -683,8 +683,6 @@ class SplitPair:
 
     train: Dataset
     test: Dataset
-    fraction: float
-    stratify_on: str
     train_rows: np.ndarray
     test_rows: np.ndarray
 
@@ -714,5 +712,4 @@ def stratified_split(ds: Dataset, fraction: float, label: str, seed: int) -> Spl
         test_idx.append(shuffled[cut:])
     train_rows = np.sort(np.concatenate(train_idx))
     test_rows = np.sort(np.concatenate(test_idx))
-    return SplitPair(ds.subset_rows(train_rows), ds.subset_rows(test_rows), fraction, label,
-                     train_rows, test_rows)
+    return SplitPair(ds.subset_rows(train_rows), ds.subset_rows(test_rows), train_rows, test_rows)

@@ -1,11 +1,12 @@
 """Seeded k-fold cross-validation and grid search over model families.
 
 The search procedure: draw a stratified tuning subset, expand the grid,
-score every point with repeated k-fold cross-validation (preprocessing
-refit inside each training split), pool the per-fold values, take the best
-mean (first point in grid order wins ties), and refit the winner on the
-full input data. Every stochastic step draws from a child seed with a
-documented derivation, so results are reproducible and composable:
+score every point with repeated k-fold cross-validation (each fold scaled
+as ``preprocess`` scales, refit on its training split alone, and fitted as
+``train`` fits), pool the per-fold values, take the best mean (first point
+in grid order wins ties), and refit the winner on the full input data.
+Every stochastic step draws from a child seed with a documented
+derivation, so results are reproducible and composable:
 ``grid_search(seed=s, repeats=1, subset_frac=1.0)`` scores each point
 exactly like ``cross_validate(seed=child_seed(s, "repeat", 0))`` and refits
 with ``child_seed(s, "refit")``. The folds of one point are fitted over the
@@ -163,20 +164,16 @@ def _metric_value(name: str, y: np.ndarray, scores: np.ndarray) -> float:
 
 
 def _scale_on(
-    train: Dataset, scaler: str | None, names: tuple[str, ...], scale_features, *others: Dataset
+    train: Dataset, scaler: str | None, scale_features, *others: Dataset
 ) -> list[Dataset]:
-    """``train`` and ``others`` scaled with statistics fit on ``train`` alone.
-
-    ``scale_features`` are scaled when given, as ``preprocess`` scales them;
-    otherwise the continuous features among ``names``. With no ``scaler``
-    or no such feature every dataset passes through unchanged.
+    """``train`` and ``others`` scaled as ``preprocess`` scales, with statistics
+    fit on ``train`` alone. With no ``scaler``, or no ``scale_features`` and no
+    continuous feature to default to, every dataset passes through unchanged.
     """
-    scale_names = [] if scaler is None else scale_features or [
-        n for n in names if train.features[train.feature_index(n)].kind == "continuous"
-    ]
-    if not scale_names:
+    continuous = any(f.kind == "continuous" for f in train.features)
+    if scaler is None or not (scale_features or continuous):
         return [train, *others]
-    sp = fit_scaler(train, scaler, feature_names=scale_names)
+    sp = fit_scaler(train, scaler, feature_names=scale_features or None)
     return [apply_scaler(d, sp) for d in (train, *others)]
 
 
@@ -184,9 +181,6 @@ def _scale_on(
 class CVResult:
     """Per-fold metric values for one (model, params) cell, and the folds they came from."""
 
-    kind: str
-    params: dict
-    metric: str
     fold_values: np.ndarray
     mean_value: float
     plan: FoldPlan
@@ -201,43 +195,42 @@ def cross_validate(
     seed: int = 0,
     metric: str = "auc",
     scaler: str | None = None,
-    features: list[str] | tuple[str, ...] | None = None,
     scale_features: list[str] | tuple[str, ...] | None = None,
 ) -> CVResult:
     """Stratified k-fold estimate of one metric for one hyperparameter point.
 
     Preprocessing never leaks: when ``scaler`` is set, its statistics are
-    refit on each fold's training split and applied to both sides (to the
-    features ``_scale_on`` picks). Fold f fits with seed
-    ``child_seed(seed, "fit", f)`` and is scored in share ``f % P`` of
-    ``shares.fork_map``, so its value is the same at any CPU count; the plan
-    comes from the same master seed. A forest fitted in a fold helper makes
-    its trees there serially; the caller's folds still spread theirs.
+    refit on each fold's training split, on the features ``preprocess``
+    scales, and applied to both sides. Under ``auc`` a class with fewer than
+    k rows is refused before any fold is fitted. Fold f fits every feature,
+    as ``train`` does, with seed ``child_seed(seed, "fit", f)`` and is
+    scored in share ``f % P`` of ``shares.fork_map``, so its value is the
+    same at any CPU count; the plan comes from the same master seed. A
+    forest fitted in a fold helper makes its trees there serially; the
+    caller's folds still spread theirs.
     """
     if metric not in METRICS:
         raise DatasetError(f"unknown metric {metric!r}")
     params = dict(params or {})
     spec = get_model_spec(kind)
-    names = tuple(features) if features is not None else ds.feature_names
-    plan = kfold_partition(ds.rows, k, seed, stratify_labels=ds.label(label))
+    y = ds.label(label)
+    counts = np.bincount(y, minlength=2)
+    if metric == "auc" and counts.min() < k:
+        cls = int(counts.argmin())
+        raise DatasetError(f"auc over k = {k} folds needs at least {k} rows of each class;"
+                           f" label {label!r} has {counts[cls]} of class {cls}")
+    plan = kfold_partition(ds.rows, k, seed, stratify_labels=y)
 
     def score(fold: int) -> float:
         train = ds.subset_rows(plan.train_rows(fold))
         test = ds.subset_rows(plan.test_rows(fold))
-        train, test = _scale_on(train, scaler, names, scale_features, test)
-        model = spec.fit(train, label, names, params, child_seed(seed, "fit", fold))
+        train, test = _scale_on(train, scaler, scale_features, test)
+        model = spec.fit(train, label, None, params, child_seed(seed, "fit", fold))
         return _metric_value(metric, test.label(label), spec.predict(model, test))
 
     values: list[float] = []
     fork_map(score, k, values.append)
-    return CVResult(
-        kind=kind,
-        params=params,
-        metric=metric,
-        fold_values=np.array(values),
-        mean_value=float(np.mean(values)),
-        plan=plan,
-    )
+    return CVResult(np.array(values), float(np.mean(values)), plan)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +239,6 @@ def cross_validate(
 
 @dataclass
 class GridSearchResult:
-    kind: str
-    metric: str
     points: list[dict]
     cell_values: list[list[float]]  # pooled over repeats x folds, per point
     means: list[float]
@@ -269,7 +260,6 @@ def grid_search(
     repeats: int = 1,
     refit: bool = True,
     scaler: str | None = None,
-    features: list[str] | tuple[str, ...] | None = None,
     scale_features: list[str] | tuple[str, ...] | None = None,
 ) -> GridSearchResult:
     """Grid search by repeated stratified k-fold CV on a tuning subset.
@@ -296,27 +286,20 @@ def grid_search(
         for pi, params in enumerate(points):
             result = cross_validate(
                 tune_ds, label, kind, params=params, k=k, seed=cv_seed, metric=metric,
-                scaler=scaler, features=features, scale_features=scale_features,
+                scaler=scaler, scale_features=scale_features,
             )
             for fold, value in enumerate(result.fold_values):
                 rows.append((pi, r, fold, float(value)))
                 cell_values[pi].append(float(value))
     means = [float(np.mean(vals)) for vals in cell_values]
-    best_index = 0
-    for i, mean in enumerate(means):
-        if mean > means[best_index]:
-            best_index = i
+    best_index = means.index(max(means))  # max keeps the first of equal means
     model = None
     if refit:
-        spec = get_model_spec(kind)
-        names = tuple(features) if features is not None else ds.feature_names
-        (fit_ds,) = _scale_on(ds, scaler, names, scale_features)
-        model = spec.fit(
-            fit_ds, label, names, points[best_index], child_seed(seed, "refit")
+        (fit_ds,) = _scale_on(ds, scaler, scale_features)
+        model = get_model_spec(kind).fit(
+            fit_ds, label, None, points[best_index], child_seed(seed, "refit")
         )
     return GridSearchResult(
-        kind=kind,
-        metric=metric,
         points=points,
         cell_values=cell_values,
         means=means,

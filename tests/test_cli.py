@@ -604,7 +604,38 @@ epochs = 1
 """
 
 
+RARE_600_CFG = """
+[run]
+seed = 3
+out_dir = {out}
+label = outcome
+
+[data]
+synth = rare_linear
+n = 600
+
+[tuning]
+k = 5
+
+[model:logit]
+"""
+
+
 class TestPipeline:
+    def test_too_few_positives_for_the_folds_named_at_tune(self, tmp_path, capsys):
+        # the split leaves 2 positive train rows, so 3 of the 5 test folds would have none
+        out = tmp_path / "out"
+        assert run_cli(["all", "--config", write_cfg(tmp_path, RARE_600_CFG, out=str(out))]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: auc over k = 5 folds needs at least 5 rows of each class;"
+            " label 'outcome' has 2 of class 1\n"
+        )
+        train = load_csv(str(out / "train.csv"), load_schema(str(out / "schema.txt")))
+        assert train.label("outcome").sum() == 2
+        entries = manifest_entries(str(out))
+        assert entries["artifact.scaler.txt.command"] == "preprocess"
+        assert not any(key.startswith("artifact.tune/") for key in entries)
+
     def test_all_produces_bundle(self, tmp_path):
         out = str(tmp_path / "out")
         assert run_cli(["all", "--config", write_cfg(tmp_path, out=out)]) == 0

@@ -16,6 +16,7 @@ from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.evaluate import auc
 from rarepred.linear import fit_elastic_net, fit_logit, predict_proba
 from rarepred.neural import train_ffn
+from rarepred.preprocess import SCALER_METHODS, apply_scaler, fit_scaler
 from rarepred.rng import child_seed, generator
 from rarepred.serialize import model_to_text
 from rarepred.trees import ForestHyper, fit_cart
@@ -189,12 +190,104 @@ class TestCrossValidate:
         result = cross_validate(ds, "y", "cart", {"cp": 0.01}, k=4, seed=3, metric="accuracy")
         assert np.all((result.fold_values >= 0) & (result.fold_values <= 1))
 
+    def test_too_few_rows_of_a_class_refused_before_any_fit(self, monkeypatch, forks):
+        # a class with fewer than k rows leaves some test fold without it
+        ds = sample(21, n=100)
+        y = np.zeros(100, dtype=np.int64)
+        y[[3, 30, 50, 90]] = 1
+        rare = dataclasses.replace(ds, labels={"y": y})
+        common = dataclasses.replace(ds, labels={"y": 1 - y})
+        fits, spec = [], _REGISTRY["logit"]
+
+        def fit(*args):
+            fits.append(args)
+            return spec.fit(*args)
+
+        monkeypatch.setitem(_REGISTRY, "logit", dataclasses.replace(spec, fit=fit))
+        for data, cls in ((rare, 1), (common, 0)):
+            message = ("^auc over k = 5 folds needs at least 5 rows of each class;"
+                       f" label 'y' has 4 of class {cls}$")
+            with pytest.raises(DatasetError, match=message):
+                cross_validate(data, "y", "logit", k=5, seed=1)
+            with pytest.raises(DatasetError, match=message):
+                grid_search(data, "y", "logit", {}, k=5, seed=1)
+        assert fits == [] and len(forks) == 0
+        # k rows of the class give every test fold one of them
+        assert np.isfinite(cross_validate(rare, "y", "logit", k=4, seed=1).fold_values).all()
+        # a threshold metric needs no class in every fold
+        cross_validate(rare, "y", "logit", k=5, seed=1, metric="accuracy")
+
     def test_unknown_kind_and_metric(self):
         ds = sample(9, n=60)
         with pytest.raises(DatasetError, match="model kind"):
             cross_validate(ds, "y", "svm")
         with pytest.raises(DatasetError, match="metric"):
             cross_validate(ds, "y", "logit", metric="brier")
+
+
+def mixed_sample(seed, n=150):
+    """Two continuous features on different scales, one binary, one categorical."""
+    rng = generator(seed)
+    X = np.column_stack([
+        rng.normal(size=n), rng.normal(3.0, 2.0, size=n),
+        rng.integers(0, 2, size=n), rng.integers(0, 3, size=n),
+    ]).astype(np.float64)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X[:, 0] - 0.8 * X[:, 2]))).astype(np.int64)
+    features = (Feature("x0", "continuous"), Feature("x1", "continuous"),
+                Feature("b", "binary"), Feature("c", "categorical", ("p", "q", "r")))
+    return Dataset(features=features, values=X, labels={"y": y})
+
+
+def binary_sample(seed, n=150):
+    """Three binary features and no continuous one."""
+    rng = generator(seed)
+    X = rng.integers(0, 2, size=(n, 3)).astype(np.float64)
+    y = (rng.random(n) < 0.2 + 0.5 * X[:, 0]).astype(np.int64)
+    features = tuple(Feature(f"b{j}", "binary") for j in range(3))
+    return Dataset(features=features, values=X, labels={"y": y})
+
+
+FOLD_KINDS = {"logit": {}, "ffn": {"hidden": (4,), "epochs": 2, "batch_size": 32}}
+
+
+class TestFoldScalingOracle:
+    """Each fold is scaled as ``preprocess`` scales and fitted as ``train`` fits."""
+
+    @staticmethod
+    def hand_loop(ds, kind, method, scale_features, scaled, k=3, seed=12):
+        spec = get_model_spec(kind)
+        plan = kfold_partition(ds.rows, k, seed, stratify_labels=ds.label("y"))
+        values = []
+        for f in range(k):
+            train = ds.subset_rows(plan.train_rows(f))
+            test = ds.subset_rows(plan.test_rows(f))
+            if scaled:
+                sp = fit_scaler(train, method, feature_names=scale_features or None)
+                train, test = apply_scaler(train, sp), apply_scaler(test, sp)
+            model = spec.fit(train, "y", None, FOLD_KINDS[kind], child_seed(seed, "fit", f))
+            values.append(auc(test.label("y"), spec.predict(model, test)))
+        return np.array(values)
+
+    @pytest.mark.parametrize("kind", sorted(FOLD_KINDS))
+    @pytest.mark.parametrize("method", SCALER_METHODS)
+    @pytest.mark.parametrize("scale_features", [None, ["x1", "b"], []])
+    def test_mixed_features(self, kind, method, scale_features):
+        ds = mixed_sample(22)
+        result = cross_validate(ds, "y", kind, FOLD_KINDS[kind], k=3, seed=12,
+                                scaler=method, scale_features=scale_features)
+        expected = self.hand_loop(ds, kind, method, scale_features, scaled=True)
+        assert result.fold_values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("method", SCALER_METHODS)
+    @pytest.mark.parametrize("scale_features", [None, ["b1"], []])
+    def test_all_binary(self, method, scale_features):
+        # with nothing named and nothing continuous the folds pass through unscaled
+        ds = binary_sample(23)
+        result = cross_validate(ds, "y", "logit", k=3, seed=12, scaler=method,
+                                scale_features=scale_features)
+        expected = self.hand_loop(ds, "logit", method, scale_features,
+                                  scaled=bool(scale_features))
+        assert result.fold_values.tobytes() == expected.tobytes()
 
 
 # one two-point grid per family whose fit makes no map of its own
