@@ -357,8 +357,6 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
             raise ConfigError(
                 f"[{section}] unknown model kind {kind!r} (have {', '.join(_MODELS)})"
             )
-        if any(m.kind == kind for m in models):
-            raise ConfigError(f"[{section}] duplicate model section")
         params = _MODELS[kind]
         grid: dict[str, list] = {}
         for key in parser.options(section):

@@ -610,6 +610,8 @@ def _calibrate_intercept(latent: np.ndarray, rate: float) -> float:
     lo, hi = -40.0, 40.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # a fixed point: no later step moves the midpoint
+            break
         mean = float(np.mean(1.0 / (1.0 + np.exp(-(latent + mid)))))
         if mean < rate:
             lo = mid

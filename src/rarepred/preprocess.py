@@ -31,6 +31,7 @@ class ScalerParams:
 
     ``constant`` marks columns with zero spread under the chosen method;
     those transform to 0 and invert back to their fitted center. A scaler
+    over no features is valid and leaves every value as it is. A scaler
     saves and loads like a model (``serialize.save_model``, kind ``scaler``).
     """
 
@@ -48,8 +49,6 @@ class ScalerParams:
                 f"field 'method' = {self.method!r}, expected one of {', '.join(SCALER_METHODS)}"
             )
         k = len(self.feature_names)
-        if k == 0:
-            raise DatasetError("field 'feature_names' lists no features to scale")
         for field in ("mean", "sd", "min", "max", "constant"):
             if len(getattr(self, field)) != k:
                 raise DatasetError(
@@ -68,7 +67,8 @@ def fit_scaler(
 ) -> ScalerParams:
     """Fit scaling statistics on the given dataset.
 
-    ``feature_names`` defaults to every continuous feature. Standard
+    ``feature_names`` defaults to every continuous feature; where there is
+    none the scaler covers nothing and applying it is the identity. Standard
     deviations use the n-1 convention; a single-row fit makes every column
     constant rather than dividing by zero.
     """

@@ -64,24 +64,20 @@ def kfold_partition(
 ) -> FoldPlan:
     """Assign rows to k folds by seeded shuffle plus round-robin deal.
 
-    Fold sizes differ by at most one. With ``stratify_labels`` the deal
-    runs within each class (ascending class value) while one global cursor
+    Fold sizes differ by at most one. The deal runs within each class of
+    ``stratify_labels`` (ascending class value) while one global cursor
     keeps rotating, so per-class counts are also within one of even and the
-    overall balance is preserved.
+    overall balance is preserved. Without labels every row is one class.
     """
     if k < 2:
         raise DatasetError("k must be >= 2")
     if n < k:
         raise DatasetError(f"cannot make {k} folds from {n} rows")
-    rng = generator(child_seed(seed, "kfold"))
-    assignment = np.empty(n, dtype=np.int64)
-    if stratify_labels is None:
-        perm = rng.permutation(n)
-        assignment[perm] = np.arange(n) % k
-        return FoldPlan(assignment)
-    y = np.asarray(stratify_labels)
+    y = np.zeros(n, np.int64) if stratify_labels is None else np.asarray(stratify_labels)
     if y.shape != (n,):
         raise DatasetError("stratify labels must align with n")
+    rng = generator(child_seed(seed, "kfold"))
+    assignment = np.empty(n, dtype=np.int64)
     cursor = 0
     for cls in np.unique(y):
         members = np.flatnonzero(y == cls)
@@ -167,11 +163,10 @@ def _scale_on(
     train: Dataset, scaler: str | None, scale_features, *others: Dataset
 ) -> list[Dataset]:
     """``train`` and ``others`` scaled as ``preprocess`` scales, with statistics
-    fit on ``train`` alone. With no ``scaler``, or no ``scale_features`` and no
-    continuous feature to default to, every dataset passes through unchanged.
+    fit on ``train`` alone. With no ``scaler`` every dataset passes through;
+    a scaler over no features leaves the values as they are.
     """
-    continuous = any(f.kind == "continuous" for f in train.features)
-    if scaler is None or not (scale_features or continuous):
+    if scaler is None:
         return [train, *others]
     sp = fit_scaler(train, scaler, feature_names=scale_features or None)
     return [apply_scaler(d, sp) for d in (train, *others)]
@@ -201,13 +196,13 @@ def cross_validate(
 
     Preprocessing never leaks: when ``scaler`` is set, its statistics are
     refit on each fold's training split, on the features ``preprocess``
-    scales, and applied to both sides. Under ``auc`` a class with fewer than
-    k rows is refused before any fold is fitted. Fold f fits every feature,
-    as ``train`` does, with seed ``child_seed(seed, "fit", f)`` and is
-    scored in share ``f % P`` of ``shares.fork_map``, so its value is the
-    same at any CPU count; the plan comes from the same master seed. A
-    forest fitted in a fold helper makes its trees there serially; the
-    caller's folds still spread theirs.
+    scales (possibly none), and applied to both sides. Under ``auc`` a class
+    with fewer than k rows is refused before any fold is fitted. Fold f
+    fits every feature, as ``train`` does, with seed
+    ``child_seed(seed, "fit", f)`` and is scored in share ``f % P`` of
+    ``shares.fork_map``, so its value is the same at any CPU count; the
+    plan comes from the same master seed. A forest fitted in a fold helper
+    makes its trees there serially; the caller's folds still spread theirs.
     """
     if metric not in METRICS:
         raise DatasetError(f"unknown metric {metric!r}")

@@ -32,7 +32,7 @@ from rarepred.dataset import (
     Dataset, Feature, gather_csv, load_csv, load_schema, reads_back, stratified_split,
     synth_generate, write_csv, write_schema,
 )
-from rarepred.preprocess import fit_scaler
+from rarepred.preprocess import SCALER_METHODS, fit_scaler
 from rarepred.rng import child_seed
 from rarepred.serialize import load_model, model_from_text, model_to_text
 
@@ -130,6 +130,14 @@ class TestLoadConfig:
         text = BASE.replace("synth = interaction\n", "").replace("n = 600\n", "")
         with pytest.raises(ConfigError, match="exactly one"):
             load_config(write_cfg(tmp_path, text))
+
+    def test_duplicate_model_section_refused_by_the_parser(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BASE + "\n[model:cart]\ncp = 0.1\n")
+        assert main(["all", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot parse config {path}: ")
+        assert err.endswith("section 'model:cart' already exists\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -1278,6 +1286,44 @@ k = 2
 [model:cart]
 cp = 0.01
 """
+
+
+def indicator_data(kinds, n=400, seed=31):
+    """Binary and three-level categorical features only, with a label that leans on the first."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    features = tuple(Feature(f"b{j}", "binary") if kind == "binary"
+                     else Feature(f"c{j}", "categorical", ("p", "q", "r"))
+                     for j, kind in enumerate(kinds))
+    values = np.column_stack([rng.integers(0, 2 if kind == "binary" else 3, size=n)
+                              for kind in kinds]).astype(np.float64)
+    y = (rng.random(n) < 0.15 + 0.2 * values[:, 0]).astype(np.int64)
+    return Dataset(features, values, {"y": y})
+
+
+FEATURE_KINDS = {
+    "binary": ("binary", "binary", "binary"),
+    "categorical": ("categorical", "categorical"),
+    "mixed": ("binary", "categorical", "binary"),
+}
+
+
+@pytest.mark.parametrize("method", SCALER_METHODS)
+@pytest.mark.parametrize("kinds", sorted(FEATURE_KINDS))
+def test_data_with_no_continuous_feature_runs_through(tmp_path, kinds, method):
+    # preprocess fits a scaler over no features, and tune, train and evaluate apply it
+    ds = indicator_data(FEATURE_KINDS[kinds])
+    write_csv(str(tmp_path / "d.csv"), ds)
+    write_schema(str(tmp_path / "s.txt"), ds)
+    text = set_key(CSV_MEMO_CFG.format(seed=4, out="{out}", csv=tmp_path / "d.csv",
+                                       schema=tmp_path / "s.txt"), "preprocess", "scaler", method)
+    manifests = []
+    for out in ("a", "b"):
+        cfg = write_cfg(tmp_path, text, out=str(tmp_path / out))
+        assert main(["all", "--config", cfg]) == 0
+        manifests.append((tmp_path / out / "manifest.txt").read_bytes())
+    assert manifests[0] == manifests[1]
+    scaler = load_model(str(tmp_path / "a" / "scaler.txt"))
+    assert (scaler.method, scaler.feature_names) == (method, ())
 
 
 # manifest.txt sha256 of `rarepred all --seed 7` with one BLAS thread, per shipped config

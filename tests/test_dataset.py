@@ -34,6 +34,7 @@ from rarepred.dataset import (
     write_table,
 )
 from rarepred.preprocess import apply_scaler, fit_scaler, invert_scaler
+from rarepred.rng import generator
 
 
 def tiny_dataset():
@@ -633,6 +634,53 @@ def zero_signal_spec(n=100_000, rate=0.006, seed=7, shift=None):
         anomaly_shift=shift or {},
         seed=seed,
     )
+
+
+def calibrate_intercept_oracle(latent, rate):
+    """Reference intercept bisection: all 200 halvings, with no early stop."""
+    lo, hi = -40.0, 40.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        mean = float(np.mean(1.0 / (1.0 + np.exp(-(latent + mid)))))
+        if mean < rate:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def intercept_cases():
+    """60 (latent, rate) pairs: flat, narrow, wide and skewed latents at rare to
+    common rates, with roots at and near 0."""
+    rng = generator(2024)
+    latents = [
+        np.zeros(1), np.zeros(1000), np.full(50, 3.5), rng.normal(size=1000),
+        rng.normal(scale=8.0, size=500), rng.exponential(size=300) - 1.0,
+        np.array([-60.0, 60.0]), rng.normal(scale=1e-9, size=100),
+        np.linspace(-2.0, 2.0, 101), rng.standard_t(2, size=400),
+    ]
+    rates = (0.5, 0.006, 1e-4, 0.2, 0.9, 0.999)
+    return [(latent, rate) for latent in latents for rate in rates]
+
+
+class TestCalibrateIntercept:
+    @pytest.mark.parametrize("latent, rate", intercept_cases())
+    def test_matches_the_full_bisection(self, latent, rate):
+        got = dataset._calibrate_intercept(latent, rate)
+        assert np.float64(got).tobytes() == np.float64(
+            calibrate_intercept_oracle(latent, rate)).tobytes()
+
+    def test_stops_at_the_fixed_point(self):
+        class Counted(np.ndarray):
+            steps = 0
+
+            def __add__(self, other):  # one ``latent + mid`` per bisection step
+                Counted.steps += 1
+                return np.asarray(self) + other
+
+        latent = generator(5).normal(size=1000).view(Counted)
+        dataset._calibrate_intercept(latent, 0.006)
+        assert 0 < Counted.steps < 100
 
 
 class TestSynthGenerate:

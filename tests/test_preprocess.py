@@ -82,6 +82,16 @@ class TestScaler:
         out = apply_scaler(ds, params)
         np.testing.assert_array_equal(out.values[:, 1], ds.values[:, 1])
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_no_continuous_feature_gives_the_identity(self, rows):
+        ds = make_ds([[1.0, 2.0], [0.0, 0.0], [1.0, 1.0]][:rows],
+                     kinds=["binary", "categorical"])
+        for method in ("standardize", "minmax", "meannorm"):
+            params = fit_scaler(ds, method)
+            assert params.feature_names == () and params.mean.shape == (0,)
+            for transform in (apply_scaler, invert_scaler):
+                assert transform(ds, params).values.tobytes() == ds.values.tobytes()
+
     def test_explicit_feature_subset(self):
         ds = make_ds([[1.0, 1.0], [3.0, 0.0]], kinds=["continuous", "binary"])
         params = fit_scaler(ds, "standardize", feature_names=["f1"])

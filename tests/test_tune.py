@@ -119,6 +119,19 @@ class TestKfold:
         with pytest.raises(DatasetError):
             kfold_partition(3, 5, seed=0)
 
+    @pytest.mark.parametrize("n", [2, 3, 11, 57, 100, 1001])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_without_labels_every_row_is_one_class(self, n, k):
+        # oracle: one seeded shuffle of all rows, dealt round-robin from fold 0
+        k = min(k, n)
+        for seed in range(20):
+            perm = generator(child_seed(seed, "kfold")).permutation(n)
+            want = np.empty(n, dtype=np.int64)
+            want[perm] = np.arange(n) % k
+            for labels in (None, np.zeros(n, np.int64), np.ones(n, np.int64)):
+                plan = kfold_partition(n, k, seed, stratify_labels=labels)
+                np.testing.assert_array_equal(plan.assignment, want)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 2 ** 32 - 1),
@@ -281,7 +294,8 @@ class TestFoldScalingOracle:
     @pytest.mark.parametrize("method", SCALER_METHODS)
     @pytest.mark.parametrize("scale_features", [None, ["b1"], []])
     def test_all_binary(self, method, scale_features):
-        # with nothing named and nothing continuous the folds pass through unscaled
+        # with nothing named and nothing continuous the scaler covers no feature,
+        # so the folds keep their values
         ds = binary_sample(23)
         result = cross_validate(ds, "y", "logit", k=3, seed=12, scaler=method,
                                 scale_features=scale_features)
