@@ -21,12 +21,13 @@ refused with exit 1, and so is one made from an input that has since been
 rewritten; ``report`` checks every artifact it lists. A split file that
 passes is parsed once per command run. ``split`` keeps the train and test
 sets it writes where parsing would give them back bit for bit, and copies
-their lines out of a data.csv that ``generate`` wrote in the same run.
+their lines out of the checked data.csv of a synthetic source.
 
 The test split is written once by ``split`` and first read by ``evaluate``
 (then ``detect``); the manifest's per-artifact input lists make that
-auditable. Running ``evaluate`` again warns that a reused holdout stops
-being an honest generalization check.
+auditable. Running ``evaluate`` again on the test.csv that the recorded
+report was made from warns that a reused holdout stops being an honest
+generalization check.
 """
 
 from __future__ import annotations
@@ -85,11 +86,8 @@ class _UsageError(Exception):
     pass
 
 
-def _sha256(path: str, content: bytes | None = None) -> str:
-    """The sha256 of ``content``, the file's bytes when the caller holds them, or
-    else of the file, read 1 MiB at a time so that no file-sized buffer is held."""
-    if content is not None:
-        return hashlib.sha256(content).hexdigest()
+def _sha256(path: str) -> str:
+    """The sha256 of a file, read 1 MiB at a time so that no file-sized buffer is held."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -118,8 +116,6 @@ class Workspace:
         self.entries: dict[str, str] = _read_pairs(path) if os.path.exists(path) else {}
         # parsed split files keyed by (rel, its sha256, schema.txt's sha256)
         self.datasets: dict[tuple[str, str, str], Dataset] = {}
-        # generate's _dataset_key("data.csv") if its dataset reads back; not saved
-        self.generated: tuple[str, str, str] | None = None
 
     def path(self, rel: str) -> str:
         full = os.path.join(self.out_dir, rel)
@@ -144,14 +140,14 @@ class Workspace:
     def has_artifact(self, rel: str) -> bool:
         return f"artifact.{rel}.sha256" in self.entries
 
-    def require_artifact(self, rel: str, producer: str, content: bytes | None = None) -> str:
-        """Path of ``rel`` once its bytes hash to the sha256 the manifest records;
-        a caller that holds them passes them as ``content``, to be hashed in place of the file."""
+    def require_artifact(self, rel: str, producer: str) -> str:
+        """Path of ``rel`` once its bytes hash to the sha256 the manifest records
+        and each input it was made from still hashes as it did then."""
         full = os.path.join(self.out_dir, rel)
         if not os.path.exists(full):
             raise PipelineError(f"missing artifact {rel}; run '{producer}' first")
         recorded = self.entries.get(f"artifact.{rel}.sha256")
-        if recorded is None or _sha256(full, content) != recorded:
+        if recorded is None or _sha256(full) != recorded:
             why = "is not in" if recorded is None else "no longer matches its sha256 in"
             raise PipelineError(
                 f"artifact {rel} {why} {MANIFEST_NAME}; run '{producer}' again"
@@ -254,25 +250,15 @@ def cmd_generate(cfg: RunConfig, ws: Workspace) -> None:
     write_schema(ws.path("schema.txt"), ds)
     ws.record_artifact("data.csv", "generate", [])
     ws.record_artifact("schema.txt", "generate", [])
-    reads = reads_back(ds, load_schema(ws.path("schema.txt")))
-    ws.generated = ws._dataset_key("data.csv") if reads else None
     print(f"generate: wrote data.csv ({ds.rows} rows, {len(ds.features)} features)")
 
 
 def cmd_split(cfg: RunConfig, ws: Workspace) -> None:
-    source = None  # data.csv's bytes, when its lines are the split files' lines
     if cfg.synth is not None:
         # checked but not memoised: no other command reads data.csv
-        data = os.path.join(ws.out_dir, "data.csv")
-        if ws.generated is None or not os.path.exists(data):
-            ws.require_artifact("data.csv", "generate")
+        data = ws.require_artifact("data.csv", "generate")
         ds = load_csv(data, load_schema(ws.require_artifact("schema.txt", "generate")))
         inputs = ["data.csv", "schema.txt"]
-        if ws.generated is not None:  # bytes read after the parse, so never held with it
-            with open(data, "rb") as fh:
-                source = fh.read()
-            ws.require_artifact("data.csv", "generate", source)  # their one hash
-            source = source if ws._dataset_key("data.csv") == ws.generated else None
     else:
         ds = load_csv(cfg.csv, load_schema(cfg.schema), missing_policy=cfg.missing)
         write_schema(ws.path("schema.txt"), ds)
@@ -280,14 +266,13 @@ def cmd_split(cfg: RunConfig, ws: Workspace) -> None:
         inputs = ["schema.txt"]
     seed = child_seed(cfg.seed, "split")
     pair = stratified_split(ds, cfg.fraction, cfg.label, seed)
+    del ds  # only the split sets stay alive while their files are written
     parts = {"train.csv": (pair.train, pair.train_rows), "test.csv": (pair.test, pair.test_rows)}
     for rel, (part, rows) in parts.items():
-        if source is None:
+        if cfg.synth is None:
             write_csv(ws.path(rel), part)
-        else:  # ds is the dataset source was written from, bit for bit (reads_back)
-            gather_csv(ws.path(rel), source, rows)
-    del source
-    for rel, (part, _) in parts.items():
+        else:  # generate writes data.csv with write_csv, whose lines format back as they are
+            gather_csv(ws.path(rel), data, rows)
         ws.record_artifact(rel, "split", inputs)
         ws.keep_dataset(rel, part)
     ws.set("seed.split", seed)
@@ -380,7 +365,9 @@ def cmd_train(cfg: RunConfig, ws: Workspace) -> None:
 def cmd_evaluate(cfg: RunConfig, ws: Workspace) -> None:
     if not cfg.models:
         raise PipelineError("no [model:<kind>] sections to evaluate")
-    if ws.has_artifact("report/metrics.csv"):
+    # test.csv is the first input of the recorded metrics.csv, as recorded below
+    made_from = ws.entries.get("artifact.report/metrics.csv.input_hashes", "").split(",")[0]
+    if made_from == ws.entries.get("artifact.test.csv.sha256"):
         print(
             "warning: the test split has already been evaluated; repeated looks"
             " at the holdout stop it from being an honest generalization check",

@@ -491,19 +491,32 @@ def write_csv(path: str, ds: Dataset) -> None:
     _write_blocks(path, ",".join(_csv_field(name, alone) for name in header), ds.rows, block_cells)
 
 
-def gather_csv(path: str, source: bytes, rows: np.ndarray) -> None:
-    """Write what ``write_csv`` writes of rows ``rows`` of a dataset that :func:`reads_back`,
-    cut from ``source``, the ``write_csv`` file of the whole dataset, where each line is made
-    from its own row alone: the header, then one slice per run of consecutive rows."""
-    raw = np.frombuffer(source, np.uint8)
-    ends = np.concatenate([np.flatnonzero(raw[lo : lo + _RANGE_BYTES] == 10) + lo + 1
-                           for lo in range(0, len(raw), _RANGE_BYTES)])
-    first, last = np.diff(rows, prepend=-2) != 1, np.diff(rows, append=-2) != 1
-    view = memoryview(source)
-    with open(path, "wb") as fh:
-        fh.write(view[: ends[0]])  # row r is the line from ends[r] to ends[r + 1]
-        for lo, hi in zip(ends[rows[first]].tolist(), ends[rows[last] + 1].tolist()):
-            fh.write(view[lo:hi])
+def gather_csv(path: str, source_path: str, rows: np.ndarray) -> None:
+    """Write the header line of ``source_path``, then its data lines ``rows`` (ascending,
+    from 0): what ``write_csv`` writes of those rows when ``source_path`` is the ``write_csv``
+    file of the whole dataset, since each line is made from its own row alone. The file is
+    read one ``_RANGE_BYTES`` block at a time; a line cut by a block's end is carried into
+    the next, and each run of consecutive wanted lines in a block is written as one slice."""
+    wanted = np.concatenate([[-1], rows]).astype(np.int64)  # the header is line -1
+    line, carry = -1, b""  # the number of carry's line
+    with open(source_path, "rb") as src, open(path, "wb") as fh:
+        while True:
+            data = src.read(_RANGE_BYTES)
+            block = carry + data
+            ends = np.flatnonzero(np.frombuffer(block, np.uint8) == 10) + 1
+            if not data and block:  # a last line with no newline
+                ends = np.append(ends, len(block))
+            lo, hi = np.searchsorted(wanted, [line, line + len(ends)])
+            take = wanted[lo:hi] - line  # line k of the block ends at ends[k]
+            first, last = np.diff(take, prepend=-2) != 1, np.diff(take, append=-2) != 1
+            starts = np.concatenate([[0], ends[:-1]])
+            view = memoryview(block)
+            for a, b in zip(starts[take[first]].tolist(), ends[take[last]].tolist()):
+                fh.write(view[a:b])
+            if not data:
+                return
+            carry = block[ends[-1]:] if len(ends) else block
+            line += len(ends)
 
 
 def write_table(path: str, header: list[str], rows) -> None:

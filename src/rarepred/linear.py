@@ -3,7 +3,7 @@ cyclic coordinate descent.
 
 Penalty convention
 ------------------
-``penalty(beta, lam, alpha) = lam * sum((1 - alpha) * |b| + alpha * b**2)``.
+The penalty is ``lam * sum((1 - alpha) * |b| + alpha * b**2)``.
 The mixing parameter is therefore REVERSED relative to the common glmnet
 convention: ``alpha = 0`` is the pure L1 (lasso) end with exact zeros, and
 ``alpha = 1`` is the pure L2 (ridge) end that shrinks without zeroing.
@@ -21,21 +21,10 @@ from .dataset import Dataset, DatasetError
 __all__ = [
     "LogitModel",
     "ElasticNetModel",
-    "penalty",
     "fit_logit",
     "fit_elastic_net",
     "predict_proba",
 ]
-
-
-def penalty(beta: np.ndarray, lam: float, alpha: float) -> float:
-    """Mixed penalty lam * sum((1-alpha)|b| + alpha*b^2) over coefficients."""
-    if lam < 0:
-        raise DatasetError("lam must be >= 0")
-    if not 0.0 <= alpha <= 1.0:
-        raise DatasetError("alpha must lie in [0, 1]")
-    b = np.asarray(beta, dtype=np.float64)
-    return float(lam * np.sum((1.0 - alpha) * np.abs(b) + alpha * b * b))
 
 
 @dataclass

@@ -156,21 +156,12 @@ def _trace(net: Network, X: np.ndarray, training: bool, rng):
     return inputs, zs, acts, masks, a
 
 
-def forward(
-    net: Network,
-    X: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Network output for a (batch, n_in) matrix.
-
-    Dropout fires only with ``training=True`` (which then requires ``rng``);
-    inference is deterministic and mask-free, and walks the layers holding
-    only the current activation, so its working set beyond ``X`` is about
+def forward(net: Network, X: np.ndarray) -> np.ndarray:
+    """Network output for a (batch, n_in) matrix, as at inference: deterministic and
+    without dropout (training passes go through ``backprop``). It walks the layers
+    holding only the current activation, so its working set beyond ``X`` is about
     two of the widest layer's (batch, width) matrices.
     """
-    if training:
-        return _trace(net, X, training, rng)[4]
     a = _input(net, X)
     for layer in net.layers:
         a = _activate(a @ layer.weights.T + layer.bias, layer.activation)

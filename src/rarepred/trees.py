@@ -41,23 +41,11 @@ from .rng import child_seed, generator, subsets
 from .shares import fork_map
 
 __all__ = [
-    "gini", "DecisionTree", "ForestHyper", "Forest", "fit_cart", "predict_tree", "fit_forest",
+    "DecisionTree", "ForestHyper", "Forest", "fit_cart", "predict_tree", "fit_forest",
     "predict_forest", "variable_importance", "render_tree",
 ]
 
 SPLIT_RULES = ("gini", "extratrees")
-
-
-def gini(counts: np.ndarray) -> float:
-    """Gini impurity 1 - sum(p^2) from per-class counts."""
-    c = np.asarray(counts, dtype=np.float64)
-    if np.any(c < 0):
-        raise DatasetError("counts must be nonnegative")
-    total = c.sum()
-    if total == 0:
-        return 0.0
-    p = c / total
-    return float(1.0 - np.sum(p * p))
 
 
 def _binary_gini(pos: float, n: float) -> float:

@@ -16,7 +16,7 @@ import pytest
 import rarepred
 from conftest import with_blas_threads
 from rarepred import anomaly, cli, neural, tune
-from rarepred.benchmarks import benchmark_spec
+from rarepred.benchmarks import BENCHMARKS, benchmark_spec
 from rarepred.cli import PipelineError, main, run
 from rarepred.config import (
     _SECTIONS,
@@ -736,6 +736,15 @@ class TestPipeline:
         assert "warning" in captured.err
         assert open(os.path.join(out, "report/metrics.csv"), "rb").read() == before
 
+    def test_new_seed_is_a_new_holdout(self, tmp_path, capsys):
+        # split writes a new test.csv, so the report of the old one does not count
+        cfg = write_cfg(tmp_path)
+        assert run_cli(["all", "--config", cfg, "--seed", "7"]) == 0
+        assert run_cli(["all", "--config", cfg, "--seed", "8"]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert run_cli(["evaluate", "--config", cfg, "--seed", "8"]) == 0
+        assert "the test split has already been evaluated" in capsys.readouterr().err
+
     def test_missing_prerequisite(self, tmp_path):
         assert run_cli(["split", "--config", write_cfg(tmp_path)]) == 1
 
@@ -1106,29 +1115,30 @@ def spy_write_csv(monkeypatch):
 
 
 class TestSplitGather:
-    """split gathers train.csv and test.csv from data.csv only where generate wrote
-    that very file in this run from a dataset that reads back; else it formats them."""
+    """split gathers train.csv and test.csv from the lines of the checked data.csv of a
+    synthetic source, and formats them with write_csv for a [data] csv source."""
 
     def split_files(self, out):
         return [Path(out, rel).read_bytes() for rel in ("train.csv", "test.csv")]
+
+    def formatted_parts(self, tmp_path, ds, seed=5):
+        """write_csv's bytes of the train and test sets split from ``ds``."""
+        pair = stratified_split(ds, 0.8, "outcome", child_seed(seed, "split"))
+        for rel, part in (("want_train.csv", pair.train), ("want_test.csv", pair.test)):
+            write_csv(str(tmp_path / rel), part)
+        return [(tmp_path / rel).read_bytes() for rel in ("want_train.csv", "want_test.csv")]
 
     def test_gathered_files_are_write_csv_files(self, tmp_path, monkeypatch):
         cfg = load_config(write_cfg(tmp_path))
         ws = cli.Workspace(cfg.out_dir)
         cli.cmd_generate(cfg, ws)
-        assert ws.generated is not None
         written = spy_write_csv(monkeypatch)
         cli.cmd_split(cfg, ws)
         assert written == []
         ds = synth_generate(benchmark_spec("interaction", n=600, seed=5))
-        pair = stratified_split(ds, 0.8, "outcome", child_seed(5, "split"))
-        for rel, part in (("want_train.csv", pair.train), ("want_test.csv", pair.test)):
-            write_csv(str(tmp_path / rel), part)
-        assert self.split_files(cfg.out_dir) == [
-            (tmp_path / rel).read_bytes() for rel in ("want_train.csv", "want_test.csv")
-        ]
+        assert self.split_files(cfg.out_dir) == self.formatted_parts(tmp_path, ds)
 
-    def test_rewritten_data_csv_is_formatted(self, tmp_path, monkeypatch):
+    def test_rewritten_data_csv_is_gathered(self, tmp_path, monkeypatch):
         cfg = load_config(write_cfg(tmp_path))
         ws = cli.Workspace(cfg.out_dir)
         cli.cmd_generate(cfg, ws)
@@ -1140,19 +1150,21 @@ class TestSplitGather:
         ws.record_artifact("data.csv", "generate", [])
         written = spy_write_csv(monkeypatch)
         cli.cmd_split(cfg, ws)
-        assert written == ["train.csv", "test.csv"]
+        assert written == []
+        ds = load_csv(path, cfg.source_columns())
+        assert self.split_files(cfg.out_dir) == self.formatted_parts(tmp_path, ds)
         ws.dataset("train.csv", "split")
 
-    def test_separate_commands_format(self, tmp_path, monkeypatch):
+    def test_separate_commands_gather(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path)
         written = spy_write_csv(monkeypatch)
         assert main(["generate", "--config", cfg]) == 0
         assert main(["split", "--config", cfg]) == 0
-        assert written == ["data.csv", "train.csv", "test.csv"]
-        formatted = self.split_files(str(tmp_path / "out"))
-        assert main(["all", "--config", cfg]) == 0
-        assert written[3:] == ["data.csv"]
-        assert self.split_files(str(tmp_path / "out")) == formatted
+        assert written == ["data.csv"]
+        separate = self.split_files(str(tmp_path / "out"))
+        assert main(["all", "--config", cfg, "--out", str(tmp_path / "all")]) == 0
+        assert written[1:] == ["data.csv"]
+        assert self.split_files(str(tmp_path / "all")) == separate
 
     def test_demo_all_gathers(self, tmp_path, monkeypatch):
         written = spy_write_csv(monkeypatch)
@@ -1160,32 +1172,47 @@ class TestSplitGather:
         assert main(["all", "--config", DEMO_CONFIG, "--out", out]) == 0
         assert written == ["data.csv"]
 
-    def test_negative_zero_is_not_noted(self, tmp_path, monkeypatch):
-        # -0.0 is written as 0, so data.csv does not read back as the dataset
+    def test_csv_source_formats(self, tmp_path, monkeypatch):
+        ds = synth_generate(benchmark_spec("interaction", n=600, seed=5))
+        write_csv(str(tmp_path / "d.csv"), ds)
+        write_schema(str(tmp_path / "s.txt"), ds)
+        text = BASE.replace("synth = interaction\nn = 600",
+                            f"csv = {tmp_path / 'd.csv'}\nschema = {tmp_path / 's.txt'}")
+        written = spy_write_csv(monkeypatch)
+        assert main(["split", "--config", write_cfg(tmp_path, text)]) == 0
+        assert written == ["train.csv", "test.csv"]
+        assert self.split_files(str(tmp_path / "out")) == self.formatted_parts(tmp_path, ds)
+
+    def test_negative_zero_gathers_as_formatted(self, tmp_path, monkeypatch):
+        # -0.0 is written as 0, so data.csv does not read back as the dataset,
+        # but its lines are still write_csv's lines of the rows split from it
         cfg = load_config(write_cfg(tmp_path))
         ds = synth_generate(benchmark_spec("interaction", n=600, seed=5))
         values = ds.values.copy()
-        values[0, 0] = -0.0
+        values[:5, 0] = -0.0
         ds = Dataset(ds.features, values, ds.labels)
         assert not reads_back(ds, cfg.source_columns())
         monkeypatch.setattr(cli, "synth_generate", lambda spec: ds)
         ws = cli.Workspace(cfg.out_dir)
         cli.cmd_generate(cfg, ws)
-        assert ws.generated is None
         written = spy_write_csv(monkeypatch)
         cli.cmd_split(cfg, ws)
-        assert written == ["train.csv", "test.csv"]
+        assert written == []
+        assert self.split_files(cfg.out_dir) == self.formatted_parts(tmp_path, ds)
+        for rel in ("train.csv", "test.csv"):
+            part = ws.dataset(rel, "split")
+            assert not (np.signbit(part.values) & (part.values == 0)).any()
 
     def test_crash_while_gathering_test_csv(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "out")
 
-        def failing(path, source, rows):
+        def failing(path, source_path, rows):
             if path.endswith("test.csv"):
                 with open(path, "wb") as fh:
-                    fh.write(source[:100])
+                    fh.write(Path(source_path).read_bytes()[:100])
                 raise OSError("disk full")
-            gather_csv(path, source, rows)
+            gather_csv(path, source_path, rows)
 
         monkeypatch.setattr(cli, "gather_csv", failing)
         assert main(["all", "--config", cfg]) == 2
@@ -1227,14 +1254,17 @@ class TestSplitGather:
         with pytest.raises(PipelineError, match="missing artifact data.csv; run 'generate' first"):
             cli.cmd_split(cfg, ws)
 
-    def test_held_bytes_are_what_is_checked(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path))
-        ws = cli.Workspace(cfg.out_dir)
-        cli.cmd_generate(cfg, ws)
-        data = Path(cfg.out_dir, "data.csv").read_bytes()
-        assert ws.require_artifact("data.csv", "generate", data).endswith("data.csv")
-        with pytest.raises(PipelineError, match="data.csv no longer matches its sha256"):
-            ws.require_artifact("data.csv", "generate", data[:-1])
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_generated_data_csv_formats_back_as_it_is(tmp_path, name, seed):
+    # why split may gather: write_csv(load_csv(data.csv)) is data.csv, line for line
+    ds = synth_generate(benchmark_spec(name, n=2000, seed=seed))
+    data, again = str(tmp_path / "data.csv"), str(tmp_path / "again.csv")
+    write_csv(data, ds)
+    write_schema(str(tmp_path / "schema.txt"), ds)
+    write_csv(again, load_csv(data, load_schema(str(tmp_path / "schema.txt"))))
+    assert Path(again).read_bytes() == Path(data).read_bytes()
 
 
 class DigestSpy:
@@ -1265,7 +1295,6 @@ class TestSha256:
         path = tmp_path / "blob"
         path.write_bytes(data)
         assert cli._sha256(str(path)) == hashlib.sha256(data).hexdigest()
-        assert cli._sha256(str(path), data) == hashlib.sha256(data).hexdigest()
 
 
 CSV_MEMO_CFG = """
@@ -1329,6 +1358,9 @@ def test_data_with_no_continuous_feature_runs_through(tmp_path, kinds, method):
 # manifest.txt sha256 of `rarepred all --seed 7` with one BLAS thread, per shipped config
 GOLDEN_MANIFESTS = {
     "demos/demo.ini": "a8fed48333a3beba34857407b4b20705ed27bb9c66540bb472642e39924c52d8",
+    # a tuned CART and a 30-tree forest
+    "perfbench/configs/pipeline_forest.ini":
+        "ba71ff586ecd25eb3da4001e817cc0219a76d41a51aab128b10f16c420f6499e",
     # multi-block ROC tables, and elastic-net folds over the CPUs
     "perfbench/configs/pipeline_rare.ini":
         "883cf2989d1fc3c391d9f3feb6e30e031ed14d8235a59a639fb2e5482f6230f3",

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 import re
 from pathlib import Path
 
@@ -955,14 +956,28 @@ def valid_dataset(rng, kinds, n):
 # gather_csv: the lines of a written file, against write_csv of those rows
 
 
+def gather_csv_oracle(path, source: bytes, rows):
+    """The bytes-based gather that gather_csv replaced: it holds the whole source file, finds
+    every line end in it, and writes the header, then one slice per run of consecutive rows."""
+    ends = np.flatnonzero(np.frombuffer(source, np.uint8) == 10) + 1
+    first, last = np.diff(rows, prepend=-2) != 1, np.diff(rows, append=-2) != 1
+    view = memoryview(source)
+    with open(path, "wb") as fh:
+        fh.write(view[: ends[0]])  # row r is the line from ends[r] to ends[r + 1]
+        for lo, hi in zip(ends[rows[first]].tolist(), ends[rows[last] + 1].tolist()):
+            fh.write(view[lo:hi])
+
+
 def assert_gather_matches(tmp_path, ds, rows):
-    """gather_csv from write_csv(ds) writes what write_csv(ds.subset_rows(rows)) writes."""
-    whole, gathered, written = (str(tmp_path / name) for name in ("w.csv", "g.csv", "s.csv"))
+    """gather_csv from write_csv(ds) writes what the oracle cuts from the same bytes, and
+    what write_csv(ds.subset_rows(rows)) writes."""
+    whole, gathered, cut, written = (str(tmp_path / name)
+                                     for name in ("w.csv", "g.csv", "o.csv", "s.csv"))
     write_csv(whole, ds)
-    with open(whole, "rb") as fh:
-        gather_csv(gathered, fh.read(), rows)
+    gather_csv(gathered, whole, rows)
+    gather_csv_oracle(cut, Path(whole).read_bytes(), rows)
     write_csv(written, ds.subset_rows(rows))
-    assert Path(gathered).read_bytes() == Path(written).read_bytes()
+    assert Path(gathered).read_bytes() == Path(cut).read_bytes() == Path(written).read_bytes()
 
 
 def some_rows(rng, n):
@@ -978,7 +993,7 @@ class TestGatherCsv:
         kinds=layouts,
         n=st.sampled_from([1, 2, 7, 300]),
         seed=st.integers(0, 2 ** 32 - 1),
-        range_bytes=st.sampled_from([1, 17, 1 << 20]),
+        range_bytes=st.sampled_from([1, 2, 17, 4096, 1 << 20]),
     )
     def test_oracle(self, tmp_path_factory, kinds, n, seed, range_bytes):
         # commas and quotes in names and levels, |v| >= 1e15, subnormals
@@ -986,7 +1001,7 @@ class TestGatherCsv:
         ds = valid_dataset(rng, kinds, n)
         assert reads_back(ds, kinds_of(ds))
         tmp = tmp_path_factory.mktemp("gather")
-        with pytest.MonkeyPatch.context() as patch:  # newlines found across many ranges
+        with pytest.MonkeyPatch.context() as patch:  # lines carried across many blocks
             patch.setattr(dataset, "_RANGE_BYTES", range_bytes)
             for rows in some_rows(rng, n):
                 assert_gather_matches(tmp, ds, rows)
@@ -1005,6 +1020,17 @@ class TestGatherCsv:
         pair = stratified_split(ds, 0.8, "outcome", seed=2)
         for rows in (pair.train_rows, pair.test_rows):
             assert_gather_matches(tmp_path, ds, rows)
+        assert os.path.getsize(tmp_path / "w.csv") > 30 * 4096
+
+    @pytest.mark.parametrize("range_bytes", [1, 2, 3, 1 << 20])
+    def test_last_line_without_newline(self, tmp_path, monkeypatch, range_bytes):
+        monkeypatch.setattr(dataset, "_RANGE_BYTES", range_bytes)
+        source = tmp_path / "d.csv"
+        source.write_bytes(b"x\n10\n2\n30")
+        for rows, want in (([0, 2], b"x\n10\n30"), ([2], b"x\n30"), ([1], b"x\n2\n"),
+                           ([], b"x\n")):
+            gather_csv(str(tmp_path / "g.csv"), str(source), np.array(rows, np.int64))
+            assert (tmp_path / "g.csv").read_bytes() == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Logit IRLS, elastic-net coordinate descent, penalty arithmetic."""
+"""Logit IRLS and elastic-net coordinate descent."""
 
 import math
 import subprocess
@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import with_blas_threads
-from rarepred.dataset import Dataset, DatasetError, Feature
+from rarepred.dataset import Dataset, Feature
 from rarepred.linear import (
     _TSQR_ROWS,
     _tsqr_lstsq,
     fit_elastic_net,
     fit_logit,
-    penalty,
     predict_proba,
 )
 from rarepred.rng import generator
@@ -36,24 +35,6 @@ def logistic_sample(seed, n, coefs, intercept):
     eta = intercept + X @ np.asarray(coefs)
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(np.int64)
     return array_dataset(X, y)
-
-
-class TestPenalty:
-    def test_oracle_values(self):
-        # beta [1, -2], lam 0.5: L1 end 0.5*(1+2), L2 end 0.5*(1+4)
-        beta = np.array([1.0, -2.0])
-        assert math.isclose(penalty(beta, 0.5, 0.0), 1.5)
-        assert math.isclose(penalty(beta, 0.5, 1.0), 2.5)
-        assert math.isclose(penalty(beta, 0.5, 0.5), 2.0)
-
-    def test_zero_lam(self):
-        assert penalty(np.array([3.0]), 0.0, 0.7) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(DatasetError):
-            penalty(np.array([1.0]), -0.1, 0.5)
-        with pytest.raises(DatasetError):
-            penalty(np.array([1.0]), 0.1, 1.5)
 
 
 class TestLogit:

@@ -417,7 +417,7 @@ class TestForward:
         layer = DenseLayer(np.eye(4), np.zeros(4), "linear")
         net = Network(layers=[layer], dropout=(0.5,))
         X = np.ones((2000, 4))
-        out = forward(net, X, training=True, rng=generator(3))
+        out = _trace(net, X, True, generator(3))[4]
         values = np.unique(out)
         np.testing.assert_allclose(values, [0.0, 2.0])  # inverted scaling
         assert abs(out.mean() - 1.0) < 0.05  # expectation preserved
@@ -442,7 +442,7 @@ class TestForward:
     def test_training_dropout_requires_rng(self):
         net = small_net(dropout=(0.3, 0.0))
         with pytest.raises(DatasetError, match="generator"):
-            forward(net, np.ones((1, 3)), training=True)
+            backprop(net, np.ones((1, 3)), np.ones((1, 2)), "mse", training=True)
 
 
 class TestLoss:

@@ -12,9 +12,11 @@ from conftest import assert_no_child_left, open_fds, report_cpus
 
 from rarepred import dataset
 from rarepred.anomaly import write_scores
+from rarepred.benchmarks import benchmark_spec
 from rarepred.cli import main
 from rarepred.dataset import (
-    _BLOCK_ROWS, Dataset, DatasetError, Feature, _csv_field, _float_cells, write_csv,
+    _BLOCK_ROWS, Dataset, DatasetError, Feature, _csv_field, _float_cells, synth_generate,
+    write_csv, write_schema,
 )
 from rarepred.shares import fork_map
 
@@ -276,8 +278,8 @@ out_dir = {out}
 label = outcome
 
 [data]
-synth = interaction
-n = 11000
+csv = {csv}
+schema = {schema}
 
 [split]
 fraction = 0.8
@@ -290,15 +292,19 @@ scaler = standardize
 
 
 class TestCrashedWriter:
-    """A helper that fails while ``split`` writes train.csv leaves no artifact that is read."""
+    """A helper that fails while ``split`` formats train.csv from a ``[data] csv`` source
+    leaves no artifact that is read."""
 
     @pytest.mark.parametrize("how", ["raise", "exit"])
     def test_split_fails_and_preprocess_refuses(self, tmp_path, monkeypatch, forks, capsys, how):
         out = tmp_path / "out"
+        data, schema = tmp_path / "data.csv", tmp_path / "schema.txt"
+        ds = synth_generate(benchmark_spec("interaction", n=11000, seed=4))
+        write_csv(str(data), ds)
+        write_schema(str(schema), ds)
         cfg = tmp_path / "run.ini"
-        cfg.write_text(CRASH_CFG.format(out=out))
+        cfg.write_text(CRASH_CFG.format(out=out, csv=data, schema=schema))
         report_cpus(monkeypatch, 2)
-        assert main(["generate", "--config", str(cfg)]) == 0
         caller, float_cells = os.getpid(), dataset._float_cells
 
         def failing_float_cells(col):

@@ -26,7 +26,6 @@ from rarepred.trees import (
     ForestHyper,
     fit_cart,
     fit_forest,
-    gini,
     predict_forest,
     predict_tree,
     render_tree,
@@ -553,21 +552,6 @@ def assert_same_trees(got, want):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert (a.root_gini, a.cp, a.min_split_obs) == (b.root_gini, b.cp, b.min_split_obs)
         assert a.feature_names == b.feature_names
-
-
-class TestGini:
-    def test_oracles(self):
-        assert gini(np.array([3, 1])) == 0.375
-        assert gini(np.array([5, 5])) == 0.5
-        assert gini(np.array([4, 0])) == 0.0
-        assert gini(np.array([0, 0])) == 0.0
-
-    def test_three_classes(self):
-        assert abs(gini(np.array([2, 2, 2])) - 2.0 / 3.0) < 1e-15
-
-    def test_negative_rejected(self):
-        with pytest.raises(DatasetError):
-            gini(np.array([-1, 2]))
 
 
 class TestCart:
