@@ -3,13 +3,11 @@
 Scaling statistics belong to the training data: the holdout must be
 transformed with the training split's numbers, never its own. The script
 fits each method, shows the holdout mean drifting away from zero (as it
-should), inverts the transform, and prints the per-class summary table
-used to eyeball which features carry signal.
+should), and prints the per-class summary table used to eyeball which
+features carry signal.
 """
 
 import sys
-
-import numpy as np
 
 from rarepred.benchmarks import benchmark_spec
 from rarepred.dataset import stratified_split, synth_generate
@@ -18,7 +16,6 @@ from rarepred.preprocess import (
     apply_scaler,
     conditional_summary,
     fit_scaler,
-    invert_scaler,
 )
 from rarepred.serialize import model_from_text, model_to_text
 
@@ -37,9 +34,6 @@ def main():
         print(f"[{method}] {col!r}: train mean {train_s.column(col).mean():+.4f}, "
               f"holdout mean {test_s.column(col).mean():+.4f} "
               "(holdout uses training statistics, so it is not exactly centered)")
-        back = invert_scaler(train_s, params)
-        gap = float(np.max(np.abs(back.values - pair.train.values)))
-        print(f"          inverse transform max error {gap:.2e}")
 
     # a fitted scaler saves as a model file (kind "scaler") so a pipeline can reload it
     params = fit_scaler(pair.train, "standardize")

@@ -25,9 +25,9 @@ their lines out of the checked data.csv of a synthetic source.
 
 The test split is written once by ``split`` and first read by ``evaluate``
 (then ``detect``); the manifest's per-artifact input lists make that
-auditable. Running ``evaluate`` again on the test.csv that the recorded
-report was made from warns that a reused holdout stops being an honest
-generalization check.
+auditable. Running ``evaluate`` or ``detect`` again on the test.csv that
+its recorded metrics were made from warns that a reused holdout stops
+being an honest generalization check.
 """
 
 from __future__ import annotations
@@ -362,17 +362,22 @@ def cmd_train(cfg: RunConfig, ws: Workspace) -> None:
         print(f"train: {mg.kind} -> {rel}")
 
 
-def cmd_evaluate(cfg: RunConfig, ws: Workspace) -> None:
-    if not cfg.models:
-        raise PipelineError("no [model:<kind>] sections to evaluate")
-    # test.csv is the first input of the recorded metrics.csv, as recorded below
-    made_from = ws.entries.get("artifact.report/metrics.csv.input_hashes", "").split(",")[0]
+def _warn_if_looked(ws: Workspace, rel: str) -> None:
+    """Warn when the recorded ``rel``, test-set metrics whose first input is
+    test.csv, was made from the test.csv there is now."""
+    made_from = ws.entries.get(f"artifact.{rel}.input_hashes", "").split(",")[0]
     if made_from == ws.entries.get("artifact.test.csv.sha256"):
         print(
             "warning: the test split has already been evaluated; repeated looks"
             " at the holdout stop it from being an honest generalization check",
             file=sys.stderr,
         )
+
+
+def cmd_evaluate(cfg: RunConfig, ws: Workspace) -> None:
+    if not cfg.models:
+        raise PipelineError("no [model:<kind>] sections to evaluate")
+    _warn_if_looked(ws, "report/metrics.csv")
     model_rels = [f"models/{mg.kind}.model" for mg in cfg.models]
     model_paths = [ws.require_artifact(rel, "train") for rel in model_rels]
     scaler = load_model(ws.require_artifact("scaler.txt", "preprocess"))
@@ -397,6 +402,7 @@ def cmd_detect(cfg: RunConfig, ws: Workspace) -> None:
     ae_cfg = cfg.autoencoder
     if ae_cfg is None:
         raise PipelineError("no [autoencoder] section to run detection with")
+    _warn_if_looked(ws, "detect/detect_metrics.csv")
     train = ws.dataset("train.csv", "split")
     test = ws.dataset("test.csv", "split")
     params = fit_scaler(train, ae_cfg.scaler, feature_names=ae_cfg.features)

@@ -180,10 +180,12 @@ def write_schema(path: str, ds: Dataset) -> None:
 # CSV I/O
 
 
-# Rows per block: load_csv parses, and the writers format, one block of rows
-# at a time, column by column, so only one block of cell strings is alive.
+# Rows per block: the block parse, and the writers, handle one block of rows at
+# a time, column by column, so only one block of cell strings is alive.
 _BLOCK_ROWS = 4096
-# Bytes per range: load_csv parses, and gather_csv scans, a file in ranges about this long.
+# Bytes per range: load_csv parses, and gather_csv scans, a file in ranges about
+# this long. numpy's C reader parses a numeric range; the block parse, which
+# gives the same values and names the same first error, is its exact fallback.
 _RANGE_BYTES = 1 << 20
 
 
@@ -207,30 +209,30 @@ def _cell_error(kind: str, cell: str, impute: bool) -> str | None:
 
 
 def _parse_column(cells, kind: str, levels: dict[str, int], impute: bool):
-    """One block of one column as ``(values, gap mask)``, or None when some
+    """One block of one column as values with NaN at each gap, or None when some
     cell is invalid (then :func:`_cell_error` names it)."""
     if kind == "categorical":
         stripped = list(map(str.strip, cells))
         for cell in dict.fromkeys(stripped):  # first-seen order
             if cell and cell not in levels:
                 levels[cell] = len(levels)
-        values = np.fromiter(map(levels.get, stripped, repeat(-1)), np.float64, len(stripped))
-        gaps = values < 0
-        return None if gaps.any() and not impute else (values, gaps)
-    gaps = np.zeros(len(cells), bool)
+        values = np.fromiter(map(levels.get, stripped, repeat(np.nan)), np.float64, len(stripped))
+        return None if not impute and np.isnan(values).any() else values
+    gaps = []
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))
-    except ValueError:  # a gap or a non-numeric cell
-        if kind == "label" or not impute:
-            return None
+    except ValueError:  # a gap, a bad cell, or \x1c-\x1f that float does not strip
         stripped = [cell.strip() for cell in cells]
-        gaps = np.array([cell == "" for cell in stripped])
+        gaps = [k for k, cell in enumerate(stripped) if not cell]
+        if gaps and (kind == "label" or not impute):
+            return None
         try:
             values = np.array([float(cell) if cell else 0.0 for cell in stripped])
         except ValueError:
             return None
     good = np.isfinite(values) if kind == "continuous" else (values == 0) | (values == 1)
-    return (values, gaps) if good.all() else None
+    values[gaps] = np.nan
+    return values if good.all() else None
 
 
 def _block_error(rows, n: int, header: list[str], kinds: list[str], impute: bool) -> DatasetError:
@@ -264,22 +266,53 @@ def _rows(path: str, fh):
 
 
 def _parse_rows(reader, header: list[str], kinds: list[str], impute: bool):
-    """The rows of ``reader`` in blocks: ``(values, gaps)`` per column and
-    block, each column's levels in first-seen order, and the row count."""
+    """The rows of ``reader`` as one (rows, columns) table per block, NaN at
+    each gap, and each column's levels in first-seen order."""
     levels: list[dict[str, int]] = [{} for _ in header]
-    blocks: list[list] = [[] for _ in header]
+    tables = []
     n = 0
     body = filter(None, reader)  # blank lines are not rows
     while rows := list(islice(body, _BLOCK_ROWS)):
         parsed = [None]
         if set(map(len, rows)) == {len(header)}:
             parsed = list(map(_parse_column, zip(*rows), kinds, levels, repeat(impute)))
-        if None in parsed:
+        if any(column is None for column in parsed):
             raise _block_error(rows, n, header, kinds, impute)
-        for column, block in zip(blocks, parsed):
-            column.append(block)
+        tables.append(np.column_stack(parsed))
         n += len(rows)
-    return blocks, levels, n
+    return tables, levels
+
+
+def _numeric_table(text: str, kinds: list[str], impute: bool):
+    """``text`` as numpy's C reader parses it, a (rows, columns) table, if it
+    has rows, each with a cell per column, finite continuous cells and 0 or 1
+    elsewhere; else None. The reader strips a cell as ``str.strip`` does and
+    converts it to the bits ``float`` gives, but it has no field limit, so a
+    text with a line past ``csv``'s is left to :func:`_parse_rows` too. The
+    reader refuses an empty cell, so under ``impute``, where such a cell is a
+    gap, a text with one is left to :func:`_parse_rows` untried."""
+    # a categorical column needs levels, and on blank lines only the reader warns
+    if "categorical" in kinds or not text.strip("\n"):
+        return None
+    if impute:  # an empty cell: a comma beside a comma or a line's end
+        line = np.frombuffer(f"\n{text}\n".encode(), np.uint8)
+        comma = line == ord(",")
+        sep = comma | (line == ord("\n"))
+        if (comma[1:] & sep[:-1] | sep[1:] & comma[:-1]).any():
+            return None
+    # a line past the limit holds a whole window of half the limit with no newline
+    half = max(csv.field_size_limit() // 2, 1)
+    if any(text.find("\n", i, i + half) < 0 for i in range(0, len(text) - half + 1, half)):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(text), np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    continuous = np.array([kind == "continuous" for kind in kinds])
+    if table.shape[1] != len(kinds) or not np.isfinite(table[:, continuous]).all():
+        return None
+    bits = table[:, ~continuous]
+    return table if ((bits == 0) | (bits == 1)).all() else None
 
 
 def _cuts(path: str) -> list[int]:
@@ -300,49 +333,56 @@ def _cuts(path: str) -> list[int]:
 
 
 def _parse_ranges(path: str, cuts: list[int], header: list[str], kinds: list[str], impute: bool):
-    """:func:`_parse_rows` of each range over the usable CPUs (``shares.fork_map``).
+    """The tables of each range over the usable CPUs (``shares.fork_map``): by
+    :func:`_numeric_table` where it keeps the range, else by :func:`_parse_rows`.
     A range numbers its levels in first-seen order; appending its new levels in
     range order renumbers its codes into first-seen order over the file."""
     levels: list[dict[str, int]] = [{} for _ in header]
-    blocks: list[list] = [[] for _ in header]
-    rows = 0
+    tables = []
 
     def parse(t: int):
         with open(path, "rb") as fh:
             fh.seek(cuts[t])
             text = fh.read(cuts[t + 1] - cuts[t]).decode("utf-8")
+        table = _numeric_table(text, kinds, impute)
+        if table is not None:
+            return [table], None  # no column has levels
         return _parse_rows(_rows(path, io.StringIO(text, newline="")), header, kinds, impute)
 
     def take(part) -> None:
-        nonlocal rows
-        part_blocks, part_levels, part_rows = part
+        part_tables, part_levels = part
         for j, kind in enumerate(kinds):
-            if kind == "categorical":  # a gap's code -1 stays -1
+            if kind == "categorical":
                 codes = [levels[j].setdefault(level, len(levels[j])) for level in part_levels[j]]
-                codes = np.array(codes + [-1.0])
-                part_blocks[j] = [(codes[v.astype(np.intp)], gaps) for v, gaps in part_blocks[j]]
-            blocks[j] += part_blocks[j]
-        rows += part_rows
+                codes = np.array(codes, np.float64)
+                for table in part_tables:  # a gap's NaN stays NaN
+                    seen = ~np.isnan(table[:, j])
+                    table[seen, j] = codes[table[seen, j].astype(np.intp)]
+        tables.extend(part_tables)
 
     fork_map(parse, len(cuts) - 1, take)
-    return blocks, levels, rows
+    return tables, levels
 
 
 def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -> Dataset:
     """Load a comma-separated UTF-8 file against a column-kind schema.
 
     The header must contain exactly the schema's columns, once each (file
-    order is preserved). Rows are read in blocks of ``_BLOCK_ROWS`` and each
-    block is parsed one column at a time. Empty cells are missing; under
-    ``impute`` continuous gaps take the column mean and categorical/binary
-    gaps the column mode (mode ties break to the lowest level index). Missing
-    label cells and non-finite numbers are always an error. Data rows are
-    1-indexed in error messages; the first bad cell in row order is named.
+    order is preserved). Empty cells are missing; under ``impute`` continuous
+    gaps take the column mean and categorical/binary gaps the column mode
+    (mode ties break to the lowest level index). Missing label cells and
+    non-finite numbers are always an error. Data rows are 1-indexed in error
+    messages; the first bad cell in row order is named.
 
     A file with no ``"`` and no ``\\r`` byte is cut after a newline about every
-    ``_RANGE_BYTES``, and the ranges are parsed over the usable CPUs. A file of
-    one range, or one where some range fails, is parsed here in one range, so
-    the result and every error message are the same.
+    ``_RANGE_BYTES``, and the ranges are parsed over the usable CPUs. A range
+    with no categorical column goes through numpy's C reader (``np.loadtxt``),
+    which gives each cell the bits ``float`` gives. A range that the reader
+    refuses, or whose table breaks a rule above, a range with a gap to impute,
+    and a file with a quote or a carriage return are parsed in blocks of
+    ``_BLOCK_ROWS`` rows, one column at a time: the exact fallback. A file
+    where some range fails is parsed so in one range, so the result and every
+    error message are the same.
     """
     if missing_policy not in ("error", "impute"):
         raise DatasetError(f"unknown missing policy {missing_policy!r}")
@@ -371,20 +411,21 @@ def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -
             raise DatasetError(f"{path}: column {repeated!r} appears twice in the header")
         kinds = [schema[name] for name in header]
         try:  # a bad cell or row, or a non-UTF-8 byte, is named by the parse in one range
-            parsed = _parse_ranges(path, cuts, header, kinds, impute) if len(cuts) > 2 else None
+            parsed = _parse_ranges(path, cuts, header, kinds, impute) if len(cuts) > 1 else None
         except ValueError:
             parsed = None
-        blocks, levels, n = parsed or _parse_rows(reader, header, kinds, impute)
+        tables, levels = parsed or _parse_rows(reader, header, kinds, impute)
 
-    values = np.empty((n, sum(kind != "label" for kind in kinds)), dtype=np.float64)
+    table = np.concatenate([np.empty((0, len(header)))] + tables)
+    del tables, parsed  # only the joined table is alive while values are taken from it
     labels: dict[str, np.ndarray] = {}
     features = []
     for j, (name, kind) in enumerate(zip(header, kinds)):
-        col = np.concatenate([np.empty(0)] + [v for v, _ in blocks[j]])
-        gaps = np.concatenate([np.zeros(0, bool)] + [g for _, g in blocks[j]])
+        col = table[:, j]
         if kind == "label":
             labels[name] = col.astype(np.int64)
             continue
+        gaps = np.isnan(col)
         if gaps.any():
             present = col[~gaps]
             if present.size == 0:
@@ -396,14 +437,13 @@ def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -
                 idx, counts = np.unique(present.astype(np.int64), return_counts=True)
                 fill = float(idx[np.argmax(counts)])
             col[gaps] = fill
-        blocks[j] = None
-        values[:, len(features)] = col
         if kind == "categorical":
             if not levels[j]:  # only possible with no rows, so no gap was imputed
                 raise DatasetError(f"column {name!r}: categorical column has no observed levels")
             features.append(Feature(name, kind, tuple(levels[j])))  # first-seen order
         else:
             features.append(Feature(name, kind))
+    values = table[:, [j for j, kind in enumerate(kinds) if kind != "label"]]
     return Dataset(features=tuple(features), values=values, labels=labels)
 
 

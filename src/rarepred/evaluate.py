@@ -23,7 +23,6 @@ __all__ = [
     "metrics",
     "roc",
     "auc",
-    "auc_pair_count",
     "evaluate_scores",
     "write_report",
 ]
@@ -147,28 +146,6 @@ def _area(curve: np.ndarray) -> float:
     """Trapezoid area under a :func:`roc` curve."""
     fpr, tpr = curve[:, 1], curve[:, 2]
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) * 0.5))
-
-
-def auc_pair_count(y_true: np.ndarray, scores: np.ndarray) -> float:
-    """Direct rank-based pair statistic, the independent check for auc()."""
-    yt = _as_binary(y_true, "labels")
-    s = np.asarray(scores, dtype=np.float64)
-    pos = int(yt.sum())
-    neg = yt.size - pos
-    if pos == 0 or neg == 0:
-        raise DatasetError("pair statistic needs both classes present")
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.size, dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
-    rank_sum_pos = float(ranks[yt == 1].sum())
-    return (rank_sum_pos - pos * (pos + 1) / 2.0) / (pos * neg)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ __all__ = [
     "ScalerParams",
     "fit_scaler",
     "apply_scaler",
-    "invert_scaler",
     "conditional_summary",
     "write_conditional_summary",
 ]
@@ -30,9 +29,9 @@ class ScalerParams:
     """Per-feature statistics frozen at fit time.
 
     ``constant`` marks columns with zero spread under the chosen method;
-    those transform to 0 and invert back to their fitted center. A scaler
-    over no features is valid and leaves every value as it is. A scaler
-    saves and loads like a model (``serialize.save_model``, kind ``scaler``).
+    those transform to 0. A scaler over no features is valid and leaves
+    every value as it is. A scaler saves and loads like a model
+    (``serialize.save_model``, kind ``scaler``).
     """
 
     method: str
@@ -85,46 +84,17 @@ def fit_scaler(
     return ScalerParams(method, names, mean, sd, lo, hi, constant)
 
 
-def _denominator(params: ScalerParams) -> np.ndarray:
-    denom = params.sd.copy() if params.method == "standardize" else params.max - params.min
-    denom[params.constant] = 1.0  # flagged columns bypass division
-    return denom
-
-
-def _center(params: ScalerParams) -> np.ndarray:
-    return params.min if params.method == "minmax" else params.mean
-
-
-def _with_block(ds: Dataset, params: ScalerParams, transform) -> Dataset:
-    """``ds`` with its fitted columns replaced by ``transform`` of them."""
-    cols = np.array([ds.feature_index(n) for n in params.feature_names], dtype=np.int64)
-    values = ds.values.copy()
-    values[:, cols] = transform(values[:, cols])
-    return Dataset(features=ds.features, values=values, labels=ds.labels)
-
-
 def apply_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
     """Transform the fitted columns; everything else passes through."""
-
-    def scale(block):
-        scaled = (block - _center(params)) / _denominator(params)
-        scaled[:, params.constant] = 0.0
-        return scaled
-
-    return _with_block(ds, params, scale)
-
-
-def invert_scaler(ds: Dataset, params: ScalerParams) -> Dataset:
-    """Undo :func:`apply_scaler`; flagged constant columns restore their center."""
-
-    def restore(block):
-        restored = block * _denominator(params) + _center(params)
-        restored[:, params.constant] = np.broadcast_to(_center(params), block.shape)[
-            :, params.constant
-        ]
-        return restored
-
-    return _with_block(ds, params, restore)
+    center = params.min if params.method == "minmax" else params.mean
+    denom = params.sd.copy() if params.method == "standardize" else params.max - params.min
+    denom[params.constant] = 1.0  # flagged columns bypass division
+    cols = [ds.feature_index(n) for n in params.feature_names]
+    values = ds.values.copy()
+    scaled = (values[:, cols] - center) / denom
+    scaled[:, params.constant] = 0.0
+    values[:, cols] = scaled
+    return Dataset(features=ds.features, values=values, labels=ds.labels)
 
 
 DECILES = tuple(range(10, 100, 10))

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import auc_pair_count
 from rarepred.anomaly import (
     DEFAULT_AUTOENCODER_FEATURES,
     score_dataset,
@@ -34,7 +35,7 @@ from rarepred.dataset import (
     stratified_split,
     synth_generate,
 )
-from rarepred.evaluate import auc, auc_pair_count, confusion, metrics
+from rarepred.evaluate import auc, confusion, metrics
 from rarepred.linear import fit_elastic_net, fit_logit, predict_proba
 from rarepred.neural import (
     Network,

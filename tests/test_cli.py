@@ -745,6 +745,15 @@ class TestPipeline:
         assert run_cli(["evaluate", "--config", cfg, "--seed", "8"]) == 0
         assert "the test split has already been evaluated" in capsys.readouterr().err
 
+    def test_detect_again_warns(self, tmp_path, capsys):
+        # detect reports test-set metrics too, so its second look is counted like evaluate's
+        cfg = write_cfg(tmp_path)
+        assert run_cli(["all", "--config", cfg, "--seed", "7"]) == 0
+        assert run_cli(["all", "--config", cfg, "--seed", "8"]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert run_cli(["detect", "--config", cfg, "--seed", "8"]) == 0
+        assert "the test split has already been evaluated" in capsys.readouterr().err
+
     def test_missing_prerequisite(self, tmp_path):
         assert run_cli(["split", "--config", write_cfg(tmp_path)]) == 1
 

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import assert_no_child_left, report_cpus
+from conftest import assert_no_child_left, invert_scaler, report_cpus
 from rarepred import dataset
+from rarepred.benchmarks import BENCHMARKS, benchmark_spec
 from rarepred.dataset import (
     _BLOCK_ROWS,
     Dataset,
@@ -34,7 +36,7 @@ from rarepred.dataset import (
     write_schema,
     write_table,
 )
-from rarepred.preprocess import apply_scaler, fit_scaler, invert_scaler
+from rarepred.preprocess import apply_scaler, fit_scaler
 from rarepred.rng import generator
 
 
@@ -505,76 +507,104 @@ def assert_same_write(tmp_path, ds):
 
 
 layouts = st.lists(st.sampled_from(KINDS), min_size=1, max_size=5)
+MATCH_ARGS = dict(
+    kinds=layouts,
+    n=st.sampled_from(ROW_COUNTS),
+    seed=st.integers(0, 2 ** 32 - 1),
+    gap_rate=st.sampled_from([0.0, 0.0005, 0.2]),
+    policy=st.sampled_from(["error", "impute"]),
+    blank_lines=st.booleans(),
+)
+CORRUPT_ARGS = dict(
+    kinds=layouts,
+    n=st.sampled_from(ROW_COUNTS[1:]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    policy=st.sampled_from(["error", "impute"]),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["drop", "append", "blank", "x", "2", "nan"]),
+            st.integers(0, 2 ** 20),
+            st.integers(0, 16),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+# (_RANGE_BYTES, usable CPUs): ranges of a few rows each, parsed in the caller or over 2 CPUs
+SMALL_RANGES = st.sampled_from([(64, 1), (64, 2), (4096, 1), (4096, 2)])
+
+
+def check_matches_per_cell_code(tmp, kinds, n, seed, gap_rate, policy, blank_lines):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    header = [f"c{j}" for j in range(len(kinds))]
+    columns = [_column_cells(kind, n, rng, gap_rate) for kind in kinds]
+    path = str(tmp / "in.csv")
+    _write_rows(path, header, zip(*columns), rng, blank_lines)
+    schema = dict(zip(header, kinds))
+    got = _outcome(load_csv, path, schema, policy)
+    want = _outcome(load_csv_oracle, path, schema, policy)
+    assert_same_load(got, want)
+    if not isinstance(want, str):
+        assert_same_write(tmp, want)
+
+
+def check_corrupted_file_same_error(tmp, kinds, n, seed, policy, edits):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    header = [f"c{j}" for j in range(len(kinds))]
+    rows = [list(row) for row in zip(*(_column_cells(k, n, rng, 0.0) for k in kinds))]
+    zero_one = [j for j, kind in enumerate(kinds) if kind in ("label", "binary")]
+    for edit, r, c in edits:
+        row = rows[r % n]
+        if edit in ("x", "2", "nan"):
+            j = zero_one[c % len(zero_one)] if zero_one else len(row)
+            if j < len(row):  # the row may have lost that cell already
+                row[j] = edit
+        elif edit == "drop" and row:
+            del row[c % len(row)]
+        elif edit == "append":
+            row.append("1")
+        elif row:
+            row[c % len(row)] = ""
+    path = str(tmp / "in.csv")
+    _write_rows(path, header, rows, rng, False)
+    schema = dict(zip(header, kinds))
+    assert_same_load(
+        _outcome(load_csv, path, schema, policy),
+        _outcome(load_csv_oracle, path, schema, policy),
+    )
 
 
 class TestCsvOracle:
     """load_csv and write_csv against the per-cell code they replaced."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        kinds=layouts,
-        n=st.sampled_from(ROW_COUNTS),
-        seed=st.integers(0, 2 ** 32 - 1),
-        gap_rate=st.sampled_from([0.0, 0.0005, 0.2]),
-        policy=st.sampled_from(["error", "impute"]),
-        blank_lines=st.booleans(),
-    )
-    def test_matches_per_cell_code(self, tmp_path_factory, kinds, n, seed, gap_rate, policy,
-                                   blank_lines):
-        tmp = tmp_path_factory.mktemp("csv")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        header = [f"c{j}" for j in range(len(kinds))]
-        columns = [_column_cells(kind, n, rng, gap_rate) for kind in kinds]
-        path = str(tmp / "in.csv")
-        _write_rows(path, header, zip(*columns), rng, blank_lines)
-        schema = dict(zip(header, kinds))
-        got = _outcome(load_csv, path, schema, policy)
-        want = _outcome(load_csv_oracle, path, schema, policy)
-        assert_same_load(got, want)
-        if not isinstance(want, str):
-            assert_same_write(tmp, want)
+    @given(**MATCH_ARGS)
+    def test_matches_per_cell_code(self, tmp_path_factory, **case):
+        check_matches_per_cell_code(tmp_path_factory.mktemp("csv"), **case)
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        kinds=layouts,
-        n=st.sampled_from(ROW_COUNTS[1:]),
-        seed=st.integers(0, 2 ** 32 - 1),
-        policy=st.sampled_from(["error", "impute"]),
-        edits=st.lists(
-            st.tuples(
-                st.sampled_from(["drop", "append", "blank", "x", "2", "nan"]),
-                st.integers(0, 2 ** 20),
-                st.integers(0, 16),
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-    )
-    def test_corrupted_file_same_error(self, tmp_path_factory, kinds, n, seed, policy, edits):
-        tmp = tmp_path_factory.mktemp("csv")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        header = [f"c{j}" for j in range(len(kinds))]
-        rows = [list(row) for row in zip(*(_column_cells(k, n, rng, 0.0) for k in kinds))]
-        zero_one = [j for j, kind in enumerate(kinds) if kind in ("label", "binary")]
-        for edit, r, c in edits:
-            row = rows[r % n]
-            if edit in ("x", "2", "nan"):
-                j = zero_one[c % len(zero_one)] if zero_one else len(row)
-                if j < len(row):  # the row may have lost that cell already
-                    row[j] = edit
-            elif edit == "drop" and row:
-                del row[c % len(row)]
-            elif edit == "append":
-                row.append("1")
-            elif row:
-                row[c % len(row)] = ""
-        path = str(tmp / "in.csv")
-        _write_rows(path, header, rows, rng, False)
-        schema = dict(zip(header, kinds))
-        assert_same_load(
-            _outcome(load_csv, path, schema, policy),
-            _outcome(load_csv_oracle, path, schema, policy),
-        )
+    @given(**CORRUPT_ARGS)
+    def test_corrupted_file_same_error(self, tmp_path_factory, **case):
+        check_corrupted_file_same_error(tmp_path_factory.mktemp("csv"), **case)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ranges=SMALL_RANGES, **MATCH_ARGS)
+    def test_matches_per_cell_code_in_small_ranges(self, tmp_path_factory, ranges, **case):
+        # ranges of a few rows: numeric ones by numpy's reader, the rest by the block parse
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "_RANGE_BYTES", ranges[0])
+            report_cpus(patch, ranges[1])
+            check_matches_per_cell_code(tmp_path_factory.mktemp("csv"), **case)
+        assert_no_child_left()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ranges=SMALL_RANGES, **CORRUPT_ARGS)
+    def test_corrupted_file_same_error_in_small_ranges(self, tmp_path_factory, ranges, **case):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "_RANGE_BYTES", ranges[0])
+            report_cpus(patch, ranges[1])
+            check_corrupted_file_same_error(tmp_path_factory.mktemp("csv"), **case)
+        assert_no_child_left()
 
     @pytest.mark.parametrize(
         "body, want",
@@ -1209,3 +1239,172 @@ class TestRanges:
         report_cpus(monkeypatch, 64)
         load_csv(path, schema, policy)
         assert forks == []
+
+
+# ---------------------------------------------------------------------------
+# numeric ranges: numpy's C reader parses a range with no categorical column,
+# and the block parse parses every range that the reader's table is not kept for
+
+PADS = ("\t", "\x0b", "\x0c", "\xa0", "\x85", " ", "\x1c", "\x1f", "\u2028", "\u3000")
+CORE_PIECES = (*"0159", ".", "e", "E", "+", "-", "_", "nan", "inf", "Infinity", "\uff11", "\u0663",
+               "\x00")
+pads = st.lists(st.sampled_from(PADS), max_size=2).map("".join)
+cores = st.one_of(
+    st.lists(st.sampled_from(CORE_PIECES), max_size=5).map("".join),
+    st.floats().map(repr),
+    st.sampled_from(BITS),
+)
+numeric_cells = st.builds("{}{}{}".format, pads, cores, pads)
+
+
+def stripped_float(cell: str):
+    """What the block parse and the oracle read from a cell: ``float`` of the stripped cell."""
+    try:
+        return float(cell.strip())
+    except ValueError:
+        return None
+
+
+def counted(monkeypatch, name):
+    """Calls of ``dataset.<name>`` made in this process, as (args, result)."""
+    calls, fn = [], getattr(dataset, name)
+
+    def spy(*args):
+        calls.append((args, result := fn(*args)))
+        return result
+
+    monkeypatch.setattr(dataset, name, spy)
+    return calls
+
+
+class TestNumericRanges:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(st.sampled_from(["continuous", "binary", "label"]), min_size=1, max_size=3),
+        rows=st.lists(st.lists(numeric_cells, min_size=3, max_size=3), min_size=1, max_size=3),
+        impute=st.booleans(),
+    )
+    def test_kept_cells_have_the_bits_of_float(self, kinds, rows, impute):
+        rows = [row[: len(kinds)] for row in rows]
+        lines = [",".join(row) for row in rows]
+        table = dataset._numeric_table("\n".join(lines) + "\n", kinds, impute)
+        rows = [row for row, line in zip(rows, lines) if line]  # an empty line is no row
+        valid = all(dataset._cell_error(kind, cell.strip(), False) is None
+                    for row in rows for kind, cell in zip(kinds, row))
+        if table is not None:  # only where every cell is valid, and with float's bits
+            assert valid
+            want = np.array([[stripped_float(cell) for cell in row] for row in rows])
+            assert table.shape == (len(rows), len(kinds))
+            assert table.tobytes() == want.tobytes()
+        elif valid and rows:  # refused only for what the reader cannot convert
+            assert any("_" in cell or any(not c.isascii() and not c.isspace() for c in cell)
+                       for row in rows for cell in row)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_file_mixes_both_paths(self, tmp_path, monkeypatch, cpus):
+        lines = [f"{i}.5,{i % 3 // 2},{i % 2}" for i in range(300)]
+        lines[40] = "1_000,1,0"  # float reads it, numpy's reader does not
+        lines[150] = "\uff11\uff12,0,1"  # non-ASCII digits, likewise
+        lines[220] = ",1,0"  # a gap
+        path = tmp_path / "mixed.csv"
+        path.write_text("x,b,y\n" + "\n".join(lines) + "\n")
+        schema = {"x": "continuous", "b": "binary", "y": "label"}
+        monkeypatch.setattr(dataset, "_RANGE_BYTES", 256)
+        report_cpus(monkeypatch, cpus)
+        tables, blocks = counted(monkeypatch, "_numeric_table"), counted(monkeypatch, "_parse_rows")
+        got = load_csv(str(path), schema, "impute")
+        assert_same_load(got, load_csv_oracle(str(path), schema, "impute"))
+        if cpus == 1:  # every range is parsed here, so every call is seen
+            ranges = len(dataset._cuts(str(path))) - 1
+            assert sum(table is not None for _, table in tables) == ranges - 3
+            assert len(blocks) == 3
+        want = "DatasetError: row 221, column 'x': missing value"  # named by the whole-file parse
+        assert _outcome(load_csv, str(path), schema, "error") == want
+        assert _outcome(load_csv_oracle, str(path), schema, "error") == want
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("range_bytes", [64, 1 << 20])
+    def test_range_of_blank_lines(self, tmp_path, monkeypatch, range_bytes):
+        path = tmp_path / "blank.csv"
+        path.write_text("x,y\n1.5,0\n" + "\n" * 500 + "2.5,1\n\n\n")
+        monkeypatch.setattr(dataset, "_RANGE_BYTES", range_bytes)
+        schema = {"x": "continuous", "y": "label"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a text of no data
+            got = load_csv(str(path), schema)
+        assert_same_load(got, load_csv_oracle(str(path), schema))
+        assert got.values.ravel().tolist() == [1.5, 2.5]
+
+    @pytest.mark.parametrize("policy", ["error", "impute"])
+    @pytest.mark.parametrize("body, schema", [
+        ("x,y\n1.5,0\n  \n2.5,1\n", {"x": "continuous", "y": "label"}),
+        ("x\n1.5\n \t\n2.5\n", {"x": "continuous"}),
+        ("b\n1\n\x0c\n0\n", {"b": "binary"}),
+    ])
+    def test_whitespace_line_keeps_its_error(self, tmp_path, policy, body, schema):
+        path = tmp_path / "space.csv"
+        path.write_text(body)
+        assert dataset._numeric_table(body[body.index("\n") + 1:], list(schema.values()),
+                                       policy == "impute") is None
+        assert_same_load(_outcome(load_csv, str(path), schema, policy),
+                         _outcome(load_csv_oracle, str(path), schema, policy))
+
+    def test_field_past_the_csv_limit_keeps_its_error(self, tmp_path):
+        body = "0" * 30 + "1,1\n2.5,0\n"
+        path = tmp_path / "long.csv"
+        path.write_text("x,y\n" + body)
+        limit = csv.field_size_limit(20)
+        try:
+            assert dataset._numeric_table(body, ["continuous", "label"], False) is None
+            with pytest.raises(DatasetError, match="line 2: field larger than field limit"):
+                load_csv(str(path), {"x": "continuous", "y": "label"})
+        finally:
+            csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("limit", [7, 8, 20])
+    def test_any_line_past_the_csv_limit_is_left_to_the_block_parse(self, limit):
+        old = csv.field_size_limit(limit)
+        try:
+            for before in range(2 * limit):  # the long line starts anywhere
+                head = "".join(f"{k % 10},1\n" for k in range(before // 4))
+                body = head + "0" * (limit - 1) + "1,1\n2,0\n"
+                assert dataset._numeric_table(body, ["continuous", "label"], False) is None
+        finally:
+            csv.field_size_limit(old)
+
+    @pytest.mark.parametrize("text", [",1,0\n", "1,,0\n", "1,1,\n", "1,1,0\n2,1,",
+                                      "1,1,0\n\n,1,0\n", "1,1,0\n" * 50 + "2,,1\n"])
+    def test_empty_cell_to_impute_skips_the_reader(self, monkeypatch, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reader was tried on a text with an empty cell")
+
+        kinds = ["continuous", "binary", "label"]
+        monkeypatch.setattr(dataset.np, "loadtxt", refuse)
+        assert dataset._numeric_table(text, kinds, True) is None
+        with pytest.raises(AssertionError, match="the reader was tried"):  # blank lines are not cells
+            dataset._numeric_table("1,1,0\n\n\n2,0,1\n", kinds, True)
+
+    def test_separator_padding_reads_as_the_oracle_reads_it(self, tmp_path):
+        # str.strip strips \x1c-\x1f; float does not strip them from an ASCII cell
+        path = tmp_path / "sep.csv"
+        path.write_text("x,b,y\n\x1c1.5,1\x1f,0\n2.5,\x1e0,1\x1d\n")
+        schema = {"x": "continuous", "b": "binary", "y": "label"}
+        got = load_csv(str(path), schema)
+        assert_same_load(got, load_csv_oracle(str(path), schema))
+        assert got.values.tolist() == [[1.5, 1.0], [2.5, 0.0]]
+        with open(path, encoding="utf-8", newline="") as fh:  # and so does the block parse
+            next(fh)
+            tables, _ = dataset._parse_rows(csv.reader(fh), ["x", "b", "y"], list(schema.values()),
+                                            False)
+        assert np.concatenate(tables).tolist() == [[1.5, 1.0, 0.0], [2.5, 0.0, 1.0]]
+
+    @pytest.mark.parametrize("preset", sorted(BENCHMARKS))
+    def test_presets_take_numpys_reader(self, tmp_path, monkeypatch, preset):
+        ds = synth_generate(benchmark_spec(preset, n=14_000, seed=3))
+        path = str(tmp_path / "data.csv")
+        write_csv(path, ds)
+        assert len(dataset._cuts(path)) - 1 >= 3
+        report_cpus(monkeypatch, 1)  # every range in this process, where calls are counted
+        blocks = counted(monkeypatch, "_parse_rows")
+        assert same_dataset(load_csv(path, kinds_of(ds)), ds)
+        assert blocks == []

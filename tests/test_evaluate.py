@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_left, report_cpus
+from conftest import assert_no_child_left, auc_pair_count, report_cpus
 from rarepred.dataset import _BLOCK_ROWS, DatasetError, write_table
 from rarepred.evaluate import (
     ConfusionMatrix,
     auc,
-    auc_pair_count,
     confusion,
     evaluate_scores,
     metrics,

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import invert_scaler
 from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.preprocess import (
     apply_scaler,
     conditional_summary,
     fit_scaler,
-    invert_scaler,
     write_conditional_summary,
 )
 
@@ -54,6 +54,12 @@ class TestScaler:
             assert params.constant[0] and not params.constant[1]
             out = apply_scaler(ds, params)
             np.testing.assert_array_equal(out.values[:, 0], 0.0)
+
+    @pytest.mark.parametrize("method", ["standardize", "minmax", "meannorm"])
+    def test_constant_column_is_zero_on_new_data(self, method):
+        params = fit_scaler(make_ds([[5.0, 1.0], [5.0, 3.0]]), method)
+        out = apply_scaler(make_ds([[7.0, 2.0], [-1.0, 5.0]]), params)
+        assert out.values[:, 0].tolist() == [0.0, 0.0]
 
     def test_constant_column_inverts_to_center(self):
         ds = make_ds([[5.0], [5.0], [5.0]])
