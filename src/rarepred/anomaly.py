@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .benchmarks import patent_marginals
 from .dataset import Dataset, DatasetError, _write_blocks
 from .evaluate import _as_binary, _band_counts
 from .neural import Network, fit_network, forward, glorot_init
@@ -32,19 +33,7 @@ __all__ = [
 
 # Default input schema: the 11 numeric patent metrics produced by the
 # bundled benchmark generators, giving the stock 11-9-4-4-11 architecture.
-DEFAULT_AUTOENCODER_FEATURES = (
-    "sim.past",
-    "sim.present",
-    "patent_scope",
-    "family_size",
-    "bwd_cits",
-    "npl_cits",
-    "claims_bwd",
-    "originality",
-    "radicalness",
-    "nb_applicants",
-    "nb_inventors",
-)
+DEFAULT_AUTOENCODER_FEATURES = tuple(m.name for m in patent_marginals() if m.kind == "continuous")
 
 DEFAULT_HIDDEN = (9, 4, 4)
 DEFAULT_ACTIVATIONS = ("tanh", "relu", "tanh", "relu")

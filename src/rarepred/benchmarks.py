@@ -15,7 +15,7 @@ for, over a shared schema of patent-style numeric metrics:
 
 from __future__ import annotations
 
-from .dataset import MarginalTarget, Signal, SynthSpec
+from .dataset import DatasetError, MarginalTarget, Signal, SynthSpec
 
 __all__ = [
     "patent_marginals",
@@ -122,8 +122,6 @@ BENCHMARKS = {
 
 def benchmark_spec(name: str, n: int | None = None, seed: int = 0) -> SynthSpec:
     """Look up a preset by name, optionally overriding its row count."""
-    from .dataset import DatasetError
-
     if name not in BENCHMARKS:
         raise DatasetError(
             f"unknown benchmark {name!r} (have {', '.join(sorted(BENCHMARKS))})"

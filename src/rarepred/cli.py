@@ -19,9 +19,10 @@ Every command reads its workspace inputs through one check: a file that is
 missing, not recorded, or whose sha256 no longer matches the manifest is
 refused with exit 1, and so is one made from an input that has since been
 rewritten; ``report`` checks every artifact it lists. A split file that
-passes is parsed once per command run. ``split`` keeps the train and test
-sets it writes where parsing would give them back bit for bit, and copies
-their lines out of the checked data.csv of a synthetic source.
+passes is parsed once per command run. ``split`` keeps each set it writes
+whose categorical levels are all used and first seen in level order and
+whose feature cells hold no -0.0, as parsing would give it back bit for bit;
+it copies their lines out of the checked data.csv of a synthetic source.
 
 The test split is written once by ``split`` and first read by ``evaluate``
 (then ``detect``); the manifest's per-artifact input lists make that
@@ -176,12 +177,6 @@ class Workspace:
             self.datasets[key] = load_csv(full, load_schema(schema))
         return self.datasets[key]
 
-    def keep_dataset(self, rel: str, ds: Dataset) -> None:
-        """Keep ``ds`` as the parse of ``rel``, just written from it and recorded,
-        where parsing ``rel`` would give ``ds`` again (``dataset.reads_back``)."""
-        if reads_back(ds, load_schema(os.path.join(self.out_dir, "schema.txt"))):
-            self.datasets[self._dataset_key(rel)] = ds
-
     def artifacts(self) -> list[str]:
         prefix, suffix = "artifact.", ".sha256"
         return sorted(
@@ -274,7 +269,8 @@ def cmd_split(cfg: RunConfig, ws: Workspace) -> None:
         else:  # generate writes data.csv with write_csv, whose lines format back as they are
             gather_csv(ws.path(rel), data, rows)
         ws.record_artifact(rel, "split", inputs)
-        ws.keep_dataset(rel, part)
+        if reads_back(part):  # the parse of rel would give part again
+            ws.datasets[ws._dataset_key(rel)] = part
     ws.set("seed.split", seed)
     ws.set("split.train_rows", pair.train.rows)
     ws.set("split.test_rows", pair.test.rows)

@@ -339,7 +339,7 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh, source=path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

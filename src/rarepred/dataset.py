@@ -148,7 +148,7 @@ def load_schema(path: str) -> dict[str, str]:
     column name may hold one (such as ``feature=level``).
     """
     schema: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -169,9 +169,9 @@ def load_schema(path: str) -> dict[str, str]:
 def write_schema(path: str, ds: Dataset) -> None:
     """Write the schema ``load_schema`` reads back; refuse a name it could not."""
     rows = [(f.name, f.kind) for f in ds.features] + [(name, "label") for name in ds.labels]
-    for name, _ in rows:
-        if any(c in name for c in "#\r\n"):
-            raise DatasetError(f"column {name!r} holds '#' or a newline; a schema file cannot")
+    for name, _ in rows:  # load_schema drops a leading byte-order mark (BOM)
+        if any(c in name for c in "#\r\n") or name[:1] == "\ufeff":
+            raise DatasetError(f"column {name!r}: a schema file cannot hold it")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{name} = {kind}\n" for name, kind in rows)
 
@@ -294,12 +294,9 @@ def _numeric_table(text: str, kinds: list[str], impute: bool):
     # a categorical column needs levels, and on blank lines only the reader warns
     if "categorical" in kinds or not text.strip("\n"):
         return None
-    if impute:  # an empty cell: a comma beside a comma or a line's end
-        line = np.frombuffer(f"\n{text}\n".encode(), np.uint8)
-        comma = line == ord(",")
-        sep = comma | (line == ord("\n"))
-        if (comma[1:] & sep[:-1] | sep[1:] & comma[:-1]).any():
-            return None
+    # an empty cell: a comma beside a comma or a line's end
+    if impute and any(gap in f"\n{text}\n" for gap in (",,", "\n,", ",\n")):
+        return None
     # a line past the limit holds a whole window of half the limit with no newline
     half = max(csv.field_size_limit() // 2, 1)
     if any(text.find("\n", i, i + half) < 0 for i in range(0, len(text) - half + 1, half)):
@@ -365,7 +362,8 @@ def _parse_ranges(path: str, cuts: list[int], header: list[str], kinds: list[str
 
 
 def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -> Dataset:
-    """Load a comma-separated UTF-8 file against a column-kind schema.
+    """Load a comma-separated UTF-8 file, less a leading byte-order mark,
+    against a column-kind schema.
 
     The header must contain exactly the schema's columns, once each (file
     order is preserved). Empty cells are missing; under ``impute`` continuous
@@ -389,7 +387,7 @@ def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -
     impute = missing_policy == "impute"
     try:
         cuts = _cuts(path)
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -447,30 +445,17 @@ def load_csv(path: str, schema: dict[str, str], missing_policy: str = "error") -
     return Dataset(features=tuple(features), values=values, labels=labels)
 
 
-def reads_back(ds: Dataset, schema: dict[str, str]) -> bool:
-    """True only if ``load_csv(write_csv(ds), schema)`` gives ``ds`` again bit
-    for bit: ``ds`` has rows and columns, whose distinct names have the kinds
-    of ``schema``; names and levels are nonempty, printable and unpadded; no
-    value is -0.0; binary cells are 0 or 1; and each categorical's distinct
-    levels are all used, by integral codes first seen in the order 0, 1, 2, ...
-    """
-    header = [*ds.feature_names, *ds.labels]
-    kinds = [f.kind for f in ds.features] + ["label"] * len(ds.labels)
-    texts = header + [level for f in ds.features for level in f.levels]
-    if not ds.rows or not header or len(set(header)) < len(header) or schema != dict(
-        zip(header, kinds)
-    ) or not all(t and t.isprintable() and t == t.strip() for t in texts):
-        return False
+def reads_back(ds: Dataset) -> bool:
+    """For rows of a Dataset that :func:`load_csv` returned, with names that
+    :func:`write_schema` accepts: True only if parsing ``write_csv(ds)`` gives ``ds``
+    again bit for bit. Such rows keep all else a parse checks, so two rules remain:
+    each categorical's codes are first seen in the order 0, 1, 2, ... with every level
+    used, and no feature cell is -0.0 (written as ``0``)."""
     for f, col in zip(ds.features, ds.values.T):
-        codes, first = np.unique(col, return_index=True) if f.kind != "continuous" else ((), ())
-        if f.kind == "categorical":
-            ok = len(set(f.levels)) == len(f.levels) == len(codes) and (np.diff(first) > 0).all()
-            ok = ok and (codes == np.arange(len(codes))).all()
-        else:
-            ok = not f.levels and (f.kind != "binary" or np.isin(codes, (0, 1)).all())
-        if not ok or (np.signbit(col) & (col == 0)).any():  # -0.0 is written as 0
+        first = np.unique(col, return_index=True)[1] if f.kind == "categorical" else ()
+        if len(first) < len(f.levels) or (np.diff(first) < 0).any():
             return False
-    return True
+    return not np.signbit(ds.values[ds.values == 0]).any()
 
 
 def _float_cells(col: np.ndarray) -> list[str]:

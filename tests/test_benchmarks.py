@@ -43,6 +43,13 @@ class TestPresets:
         assert set(DEFAULT_AUTOENCODER_FEATURES) <= names
         assert "many_field" in names
 
+    def test_default_autoencoder_features_are_the_continuous_metrics(self):
+        # the stock 11-9-4-4-11 architecture reads these, in this order
+        assert DEFAULT_AUTOENCODER_FEATURES == (
+            "sim.past", "sim.present", "patent_scope", "family_size", "bwd_cits", "npl_cits",
+            "claims_bwd", "originality", "radicalness", "nb_applicants", "nb_inventors",
+        )
+
     def test_anomaly_shift_targets_continuous_features(self):
         spec = anomaly_spec()
         kinds = {m.name: m.kind for m in spec.feature_marginals}

@@ -102,6 +102,13 @@ def write_cfg(tmp_path, text=None, name="run.ini", out=None):
 
 
 class TestLoadConfig:
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = Path(DEMO_CONFIG).read_text(encoding="utf-8")
+        (tmp_path / "plain.ini").write_text(text, encoding="utf-8")
+        (tmp_path / "marked.ini").write_text(text, encoding="utf-8-sig")
+        plain, marked = (load_config(str(tmp_path / name)) for name in ("plain.ini", "marked.ini"))
+        assert marked == plain and marked.raw == plain.raw and marked.seed == 7
+
     def test_full_parse(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
         assert cfg.seed == 5
@@ -1077,6 +1084,51 @@ class TestDatasetMemo:
         for key, vec in fresh.labels.items():
             assert memo[0].labels[key].tobytes() == vec.tobytes()
 
+    @pytest.mark.parametrize("source", ["synth", "csv"])
+    def test_split_loads_one_schema(self, tmp_path, monkeypatch, source):
+        # data.csv's, or the source's; keeping a set needs none
+        text = BASE
+        if source == "csv":
+            ds = synth_generate(benchmark_spec("interaction", n=600, seed=5))
+            write_csv(str(tmp_path / "d.csv"), ds)
+            write_schema(str(tmp_path / "s.txt"), ds)
+            text = BASE.replace("synth = interaction\nn = 600",
+                                f"csv = {tmp_path / 'd.csv'}\nschema = {tmp_path / 's.txt'}")
+        cfg = write_cfg(tmp_path, text)
+        if source == "synth":
+            assert main(["generate", "--config", cfg]) == 0
+        loaded = []
+
+        def spying(path):
+            loaded.append(os.path.basename(path))
+            return load_schema(path)
+
+        monkeypatch.setattr(cli, "load_schema", spying)
+        assert main(["split", "--config", cfg]) == 0
+        assert loaded == ["schema.txt" if source == "synth" else "s.txt"]
+
+    def runs_with_and_without_keeping(self, tmp_path, monkeypatch, seed):
+        """The files load_csv parses in `rarepred all` on d.csv and s.txt at ``seed``, once
+        the same run with reads_back forced to False, parsing every split file as before
+        split kept them, has written the same manifest."""
+        text = CSV_MEMO_CFG.format(seed=seed, out="{out}", csv=tmp_path / "d.csv",
+                                   schema=tmp_path / "s.txt")
+        parsed = []
+
+        def counting(path, *args, **kwargs):
+            parsed.append(os.path.basename(path))
+            return load_csv(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv", counting)
+        assert main(["all", "--config", write_cfg(tmp_path, text, out=str(tmp_path / "a"))]) == 0
+        kept = parsed[:]
+        monkeypatch.setattr(cli, "reads_back", lambda ds: False)
+        assert main(["all", "--config", write_cfg(tmp_path, text, out=str(tmp_path / "b"))]) == 0
+        assert parsed[len(kept):] == ["d.csv", "train.csv", "test.csv"]
+        manifest = (tmp_path / "a" / "manifest.txt").read_text()
+        assert manifest == (tmp_path / "b" / "manifest.txt").read_text()
+        return kept
+
     def test_split_out_of_first_seen_order_is_parsed(self, tmp_path, monkeypatch):
         # data.csv sees level a (row 0) before b (row 1); a seed that sends row 0
         # to test and row 1 to train numbers train's levels out of first-seen order
@@ -1090,25 +1142,24 @@ class TestDatasetMemo:
         write_schema(str(tmp_path / "s.txt"), ds)
         seed = next(s for s in range(100) if list(stratified_split(
             ds, 0.8, "y", child_seed(s, "split")).train.column("c")[:1]) == [1.0])
-        text = CSV_MEMO_CFG.format(seed=seed, out="{out}", csv=tmp_path / "d.csv",
-                                   schema=tmp_path / "s.txt")
-        parsed = []
-
-        def counting(path, *args, **kwargs):
-            parsed.append(os.path.basename(path))
-            return load_csv(path, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "load_csv", counting)
-        assert main(["all", "--config", write_cfg(tmp_path, text, out=str(tmp_path / "a"))]) == 0
-        assert parsed == ["d.csv", "train.csv"]
+        assert self.runs_with_and_without_keeping(tmp_path, monkeypatch, seed) == [
+            "d.csv", "train.csv"]
         train = load_csv(str(tmp_path / "a" / "train.csv"), load_schema(str(tmp_path / "s.txt")))
         assert train.features[1].levels == ("b", "a")
-        # the same run parsing every split file, as before split kept them
-        monkeypatch.setattr(cli, "reads_back", lambda ds, schema: False)
-        assert main(["all", "--config", write_cfg(tmp_path, text, out=str(tmp_path / "b"))]) == 0
-        assert parsed[2:] == ["d.csv", "train.csv", "test.csv"]
-        manifest = (tmp_path / "a" / "manifest.txt").read_text()
-        assert manifest == (tmp_path / "b" / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize("side", ["train.csv", "test.csv"])
+    def test_negative_zero_cell_is_parsed(self, tmp_path, monkeypatch, side):
+        # write_csv writes row 0's -0 as 0, so the split set that holds row 0 is parsed
+        rng = np.random.default_rng(4)
+        lines = [f"{rng.normal()!r},{rng.normal()!r},{int(i % 10 == 3)}" for i in range(300)]
+        lines[0] = "-0,1.5,0"
+        (tmp_path / "d.csv").write_text("x,z,y\n" + "\n".join(lines) + "\n")
+        (tmp_path / "s.txt").write_text("x = continuous\nz = continuous\ny = label\n")
+        ds = load_csv(str(tmp_path / "d.csv"), load_schema(str(tmp_path / "s.txt")))
+        assert np.signbit(ds.values[0, 0]) and ds.values[0, 0] == 0
+        seed = next(s for s in range(100) if side == ("train.csv" if 0 in stratified_split(
+            ds, 0.8, "y", child_seed(s, "split")).train_rows else "test.csv"))
+        assert self.runs_with_and_without_keeping(tmp_path, monkeypatch, seed) == ["d.csv", side]
 
 
 def spy_write_csv(monkeypatch):
@@ -1200,7 +1251,7 @@ class TestSplitGather:
         values = ds.values.copy()
         values[:5, 0] = -0.0
         ds = Dataset(ds.features, values, ds.labels)
-        assert not reads_back(ds, cfg.source_columns())
+        assert not reads_back(ds)
         monkeypatch.setattr(cli, "synth_generate", lambda spec: ds)
         ws = cli.Workspace(cfg.out_dir)
         cli.cmd_generate(cfg, ws)
