@@ -2,9 +2,10 @@
 
 The autoencoder (11-9-4-4-11 by default) trains only on negative rows, so
 it never sees a positive example. Positives reconstruct badly, and the
-squared reconstruction error becomes an anomaly score. A closed threshold
-band [lo, hi] is then calibrated on training scores; the holdout stays
-untouched until the final read.
+reconstruction error, the Euclidean distance between a row and its
+reconstruction, becomes an anomaly score. A closed threshold band [lo, hi]
+is then calibrated on training scores; the holdout stays untouched until
+the final read.
 """
 
 import numpy as np

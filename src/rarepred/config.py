@@ -8,11 +8,12 @@ stage knobs; each ``[model:<kind>]`` section lists a hyperparameter grid
 (comma-separated candidates, space-separated tuple entries); an optional
 ``[autoencoder]`` section configures anomaly detection.
 
-Each key of the fixed sections is declared once, in ``_SECTIONS``: its
-field, default, and the parser that types and bounds it. One reader applies
-the table, so an unknown key, an empty or a bad value fails with a
+Each key of the fixed sections is declared once, as a field of ``RunConfig``
+or ``AutoencoderConfig`` that carries its section, default, and the parser
+that types and bounds it; ``_SECTIONS`` is derived from those fields. One
+reader applies it, so an unknown key, an empty or a bad value fails with a
 ``ConfigError`` that starts ``[section] key:``; ``load_config`` spells out
-only the rules that tie keys together. README's config reference lists it.
+only the rules that tie keys together. README's config reference lists them.
 ``_MODELS`` types and bounds each model kind's grid candidates the same way.
 
 Values are typed by shape: integers, floats, ``true``/``false``, bare
@@ -26,7 +27,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .anomaly import (
     DEFAULT_ACTIVATIONS, DEFAULT_AUTOENCODER_FEATURES, DEFAULT_HIDDEN, ERROR_KINDS, OBJECTIVES,
@@ -192,51 +193,6 @@ _MODELS = {
 }
 _REQUIRED_PARAMS = {"elastic_net": ("lam", "alpha")}  # the others take the fit's default
 
-# section -> {key: (field, default, parse)}; the fields of every section but
-# [autoencoder] are RunConfig's, those of [autoencoder] AutoencoderConfig's
-_SECTIONS = {
-    "run": {
-        "seed": ("seed", 0, _number(int)),
-        "out_dir": ("out_dir", _REQUIRED, str),
-        "label": ("label", _REQUIRED, str),
-    },
-    "data": {
-        "synth": ("synth", None, _choice(tuple(BENCHMARKS))),
-        "n": ("synth_n", None, _COUNT),
-        "csv": ("csv", None, str),
-        "schema": ("schema", None, str),
-        "missing": ("missing", "error", _choice(("error", "impute"))),
-    },
-    "split": {
-        "fraction": ("fraction", 0.8, _number(float, "in (0, 1)", lambda v: 0 < v < 1)),
-    },
-    "preprocess": {
-        "scaler": ("scaler", "standardize", _choice(SCALER_METHODS)),
-        "features": ("scale_features", None, _names()),
-    },
-    "tuning": {
-        "k": ("k", 5, _number(int, ">= 2", lambda v: v >= 2)),
-        "repeats": ("repeats", 1, _COUNT),
-        "subset_frac": ("subset_frac", 1.0, _number(float, "in (0, 1]", lambda v: 0 < v <= 1)),
-        "metric": ("metric", "auc", _choice(METRICS)),
-    },
-    "autoencoder": {
-        "features": ("features", DEFAULT_AUTOENCODER_FEATURES, _names()),
-        "hidden": ("hidden", DEFAULT_HIDDEN, _widths),
-        "activations": ("activations", DEFAULT_ACTIVATIONS, _names(ACTIVATIONS)),
-        "loss": ("loss", "cosine_proximity", _choice(LOSSES)),
-        "activity_l2": ("activity_l2", 1e-4, _number(float, ">= 0", lambda v: 0 <= v < math.inf)),
-        "epochs": ("epochs", 10, _COUNT),
-        "batch_size": ("batch_size", 512, _COUNT),
-        "learning_rate": ("learning_rate", 0.001, _number(float, "> 0", lambda v: 0 < v < math.inf)),
-        "scaler": ("scaler", "minmax", _choice(SCALER_METHODS)),
-        "objective": ("objective", "youden", _choice(OBJECTIVES)),
-        "band_lo": ("band_lo", None, _edge),
-        "band_hi": ("band_hi", math.inf, _edge),
-        "error": ("error", "l2", _choice(ERROR_KINDS)),
-    },
-}
-
 
 def _section(parser, name: str, given: dict | None = None) -> dict:
     """Field values of section ``name``: ``given`` (when not None), else the
@@ -279,42 +235,52 @@ class ModelGrid:
         return {key: values[0] for key, values in self.grid.items()}
 
 
+def _key(section: str, default, parse, key: str | None = None):
+    """A field read from ``[section] key`` by ``parse``, or ``default`` when the
+    key is absent; ``key`` is the field's name unless given."""
+    return field(metadata={"section": section, "key": key, "default": default, "parse": parse})
+
+
 @dataclass(frozen=True)
 class AutoencoderConfig:
-    """The ``[autoencoder]`` section; its defaults live in ``_SECTIONS``."""
+    """The ``[autoencoder]`` section."""
 
-    features: tuple[str, ...]
-    hidden: tuple[int, ...]
-    activations: tuple[str, ...]
-    loss: str
-    activity_l2: float
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    scaler: str
-    objective: str | None
-    band_lo: float | None
-    band_hi: float
-    error: str
+    features: tuple[str, ...] = _key("autoencoder", DEFAULT_AUTOENCODER_FEATURES, _names())
+    hidden: tuple[int, ...] = _key("autoencoder", DEFAULT_HIDDEN, _widths)
+    activations: tuple[str, ...] = _key("autoencoder", DEFAULT_ACTIVATIONS, _names(ACTIVATIONS))
+    loss: str = _key("autoencoder", "cosine_proximity", _choice(LOSSES))
+    activity_l2: float = _key(
+        "autoencoder", 1e-4, _number(float, ">= 0", lambda v: 0 <= v < math.inf))
+    epochs: int = _key("autoencoder", 10, _COUNT)
+    batch_size: int = _key("autoencoder", 512, _COUNT)
+    learning_rate: float = _key(
+        "autoencoder", 0.001, _number(float, "> 0", lambda v: 0 < v < math.inf))
+    scaler: str = _key("autoencoder", "minmax", _choice(SCALER_METHODS))
+    objective: str | None = _key("autoencoder", "youden", _choice(OBJECTIVES))
+    band_lo: float | None = _key("autoencoder", None, _edge)
+    band_hi: float = _key("autoencoder", math.inf, _edge)
+    error: str = _key("autoencoder", "l2", _choice(ERROR_KINDS))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int
-    out_dir: str
-    label: str
-    synth: str | None
-    synth_n: int | None
-    csv: str | None
-    schema: str | None
-    missing: str
-    fraction: float
-    scaler: str
-    scale_features: tuple[str, ...] | None
-    k: int
-    repeats: int
-    subset_frac: float
-    metric: str
+    """A loaded run; each field but the last three is read from its ``[section] key``."""
+
+    seed: int = _key("run", 0, _number(int))
+    out_dir: str = _key("run", _REQUIRED, str)
+    label: str = _key("run", _REQUIRED, str)
+    synth: str | None = _key("data", None, _choice(tuple(BENCHMARKS)))
+    synth_n: int | None = _key("data", None, _COUNT, key="n")
+    csv: str | None = _key("data", None, str)
+    schema: str | None = _key("data", None, str)
+    missing: str = _key("data", "error", _choice(("error", "impute")))
+    fraction: float = _key("split", 0.8, _number(float, "in (0, 1)", lambda v: 0 < v < 1))
+    scaler: str = _key("preprocess", "standardize", _choice(SCALER_METHODS))
+    scale_features: tuple[str, ...] | None = _key("preprocess", None, _names(), key="features")
+    k: int = _key("tuning", 5, _number(int, ">= 2", lambda v: v >= 2))
+    repeats: int = _key("tuning", 1, _COUNT)
+    subset_frac: float = _key("tuning", 1.0, _number(float, "in (0, 1]", lambda v: 0 < v <= 1))
+    metric: str = _key("tuning", "auc", _choice(METRICS))
     models: tuple[ModelGrid, ...]
     autoencoder: AutoencoderConfig | None
     raw: dict[str, dict[str, str]] = field(default_factory=dict, compare=False)
@@ -327,6 +293,15 @@ class RunConfig:
             columns[spec.label_name] = "label"
             return columns
         return load_schema(self.schema)
+
+
+# section -> {key: (field, default, parse)}, in field order: the fields of
+# [autoencoder] are AutoencoderConfig's, those of every other section RunConfig's
+_SECTIONS: dict[str, dict[str, tuple]] = {}
+for _f in fields(RunConfig) + fields(AutoencoderConfig):
+    if _f.metadata:
+        _SECTIONS.setdefault(_f.metadata["section"], {})[_f.metadata["key"] or _f.name] = (
+            _f.name, _f.metadata["default"], _f.metadata["parse"])
 
 
 def load_config(path: str, out_dir: str | None = None, seed: int | None = None) -> RunConfig:
@@ -381,15 +356,15 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
         if not parser.has_section(required):
             raise ConfigError(f"missing section [{required}]")
 
-    fields: dict = {}
+    values: dict = {}
     for name in _SECTIONS:
         if name != "autoencoder":
-            fields.update(_section(parser, name, {"seed": seed, "out_dir": out_dir}))
-    if (fields["synth"] is None) == (fields["csv"] is None):
+            values.update(_section(parser, name, {"seed": seed, "out_dir": out_dir}))
+    if (values["synth"] is None) == (values["csv"] is None):
         raise ConfigError("[data] exactly one of synth or csv must be set")
-    if fields["csv"] is not None and fields["schema"] is None:
+    if values["csv"] is not None and values["schema"] is None:
         raise ConfigError("[data] schema is required with csv")
-    source = "synth" if fields["synth"] is not None else "csv"
+    source = "synth" if values["synth"] is not None else "csv"
     for key, only in (("schema", "csv"), ("n", "synth"), ("missing", "csv")):
         if parser.has_option("data", key) and source != only:
             raise ConfigError(f"[data] {key} only applies to {only} sources")
@@ -413,7 +388,7 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
         raise ConfigError("configure at least one [model:<kind>] or [autoencoder] section")
 
     cfg = RunConfig(
-        **fields,
+        **values,
         models=tuple(models),
         autoencoder=autoencoder,
         raw={s: dict(parser.items(s)) for s in parser.sections()},

@@ -95,10 +95,6 @@ class Network:
     def n_in(self) -> int:
         return self.layers[0].n_in
 
-    @property
-    def n_out(self) -> int:
-        return self.layers[-1].n_out
-
 
 def param_count(net: Network) -> int:
     """Trainable parameter count: sum of (n_in + 1) * n_out over layers."""

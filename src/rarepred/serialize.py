@@ -243,10 +243,11 @@ def model_from_text(text: str):
             v = _block(blocks, f"layer {i}", _LAYER)
             try:
                 weights = v["weights"].reshape(v["n_out"], v["n_in"])
+                layers.append(DenseLayer(weights, v["bias"], v["activation"]))
+            except DatasetError as exc:  # the layer's own checks
+                raise DatasetError(f"layer {i}: {exc}") from None
             except ValueError as exc:
                 raise DatasetError(f"layer {i}: weights are not n_out x n_in: {exc}") from None
-            layers.append(DenseLayer(weights, v["bias"], v["activation"]))
-        values["net"] = Network(layers=layers, dropout=values.pop("dropout"))
     if kind == "cart":
         model = _tree(values, names, where)
     elif kind == "forest":
@@ -257,9 +258,11 @@ def model_from_text(text: str):
         ]
         model = Forest(feature_names=names, trees=trees, hyper=hyper)
     else:
-        try:
+        try:  # a scaler's or a network's own checks
+            if net:
+                values["net"] = Network(layers=layers, dropout=values.pop("dropout"))
             model = cls(feature_names=names, **values)
-        except DatasetError as exc:  # a scaler's own checks
+        except DatasetError as exc:
             raise DatasetError(f"{where}: {exc}") from None
     if blocks:
         raise DatasetError(f"{where}: unexpected block [{next(iter(blocks))}]")

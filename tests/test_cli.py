@@ -32,6 +32,7 @@ from rarepred.dataset import (
     Dataset, Feature, gather_csv, load_csv, load_schema, reads_back, stratified_split,
     synth_generate, write_csv, write_schema,
 )
+from rarepred.evaluate import confusion, metrics
 from rarepred.preprocess import SCALER_METHODS, fit_scaler
 from rarepred.rng import child_seed
 from rarepred.serialize import load_model, model_from_text, model_to_text
@@ -92,6 +93,9 @@ epochs = 1
 batch_size = 128
 scaler = minmax
 """
+
+# BASE without its [model:<kind>] sections
+AE_ONLY = BASE[: BASE.index("[model:logit]")] + BASE[BASE.index("[autoencoder]"):]
 
 
 def write_cfg(tmp_path, text=None, name="run.ini", out=None):
@@ -460,6 +464,60 @@ class TestSectionTable:
         ):
             if isinstance(default, (int, float, str)):
                 assert rows[(section, key)] == format_value(default), (section, key)
+
+
+# (config text, message) of a config that load_config refuses by a rule
+# that ties keys together, each made in the test's own directory
+REFUSALS = {
+    "schema_required_with_csv": lambda tmp: (
+        csv_base(tmp).replace(f"schema = {tmp / 's.txt'}\n", ""),
+        "[data] schema is required with csv"),
+    "n_with_csv": lambda tmp: (
+        set_key(csv_base(tmp), "data", "n", "600"), "[data] n only applies to synth sources"),
+    "schema_with_synth": lambda tmp: (
+        set_key(BASE, "data", "schema", "s.txt"), "[data] schema only applies to csv sources"),
+    "missing_with_synth": lambda tmp: (
+        set_key(BASE, "data", "missing", "impute"),
+        "[data] missing only applies to csv sources"),
+    "band_and_objective": lambda tmp: (
+        BASE.replace("epochs = 1", "epochs = 1\nobjective = f1\nband_lo = 0.5"),
+        "[autoencoder] band_lo and objective are mutually exclusive"),
+    "band_lo_above_band_hi": lambda tmp: (
+        BASE.replace("epochs = 1", "epochs = 1\nband_lo = 2\nband_hi = 1"),
+        "[autoencoder] band_lo must not exceed band_hi"),
+    "csv_absent": lambda tmp: (
+        csv_base(tmp).replace(str(tmp / "d.csv"), str(tmp / "absent.csv")),
+        f"[data] csv: no such file {str(tmp / 'absent.csv')!r}"),
+    "unknown_scale_feature": lambda tmp: (
+        set_key(BASE, "preprocess", "features", "sim.past, bogus"),
+        "[preprocess] features: unknown feature 'bogus'"),
+    "malformed_name_list": lambda tmp: (
+        set_key(BASE, "preprocess", "features", "sim.past,,many_field"),
+        "[preprocess] features: malformed name list 'sim.past,,many_field'"),
+    "no_run_section": lambda tmp: (
+        BASE.replace("[run]\nseed = 5\nout_dir = {out}\nlabel = outcome\n", ""),
+        "missing section [run]"),
+    "no_data_section": lambda tmp: (
+        BASE.replace("[data]\nsynth = interaction\nn = 600\n", ""), "missing section [data]"),
+}
+
+
+class TestRefusedAtLoad:
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refused_before_any_step(self, tmp_path, capsys, case):
+        text, message = REFUSALS[case](tmp_path)
+        assert main(["all", "--config", write_cfg(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_config_refused(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.ini")
+        assert main(["all", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config {path}:"
+            f" [Errno 2] No such file or directory: {path!r}\n"
+        )
+        assert os.listdir(tmp_path) == []
 
 
 N_FEATURES = len(benchmark_spec("interaction").feature_marginals)  # BASE's source
@@ -895,6 +953,45 @@ class TestPipeline:
         assert "[report/metrics.csv]" in summary
         assert "Sensitivity" in summary
         assert "sha256=" in summary
+
+    def test_fixed_band_classifies_with_its_edges(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["all", "--config", write_cfg(tmp_path, AE_ONLY)]) == 0
+        scores_csv = out / "detect/test_scores.csv"
+        scores, labels = np.loadtxt(scores_csv, delimiter=",", skiprows=1, usecols=(1, 2)).T
+        lo, hi = (float(q) for q in np.quantile(scores, [0.3, 0.8]))
+        text = AE_ONLY.replace("epochs = 1", f"epochs = 1\nband_lo = {lo!r}\nband_hi = {hi!r}")
+        assert run_cli(["detect", "--config", write_cfg(tmp_path, text, name="fixed.ini")]) == 0
+        # the same seed trains the same autoencoder, so the scores do not move
+        assert np.array_equal(
+            np.loadtxt(scores_csv, delimiter=",", skiprows=1, usecols=1), scores)
+        band = (out / "detect/band.txt").read_text().splitlines()
+        assert band == [f"lo = {lo!r}", f"hi = {hi!r}", "objective = (fixed)"]
+        inside = ((lo <= scores) & (scores <= hi)).astype(np.int64)
+        assert 0 < inside.sum() < len(inside)
+        want = metrics(confusion(labels.astype(np.int64), inside))
+        table = (out / "detect/detect_metrics.csv").read_text().splitlines()[1:]
+        got = dict(line.split(",") for line in table)
+        for name in ("accuracy", "kappa", "sensitivity", "specificity"):
+            assert float(got[name]) == getattr(want, name), name
+
+    @pytest.mark.parametrize("command", ["tune", "train", "evaluate"])
+    def test_model_step_without_model_section(self, tmp_path, capsys, command):
+        assert run_cli([command, "--config", write_cfg(tmp_path, AE_ONLY)]) == 1
+        assert capsys.readouterr().err == f"error: no [model:<kind>] sections to {command}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_detect_without_autoencoder_section(self, tmp_path, capsys):
+        text = BASE[: BASE.index("[autoencoder]")]
+        assert run_cli(["detect", "--config", write_cfg(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == "error: no [autoencoder] section to run detection with\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_report_on_empty_directory(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        assert run_cli(["report", "--config", write_cfg(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: nothing to report; run the pipeline first\n"
+        assert os.listdir(tmp_path / "out") == []
 
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "demo.ini")

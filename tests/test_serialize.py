@@ -428,12 +428,16 @@ class TestMalformedFields:
             (6, "layer 1", {"n_in": "1.5"}, "layer 1: bad value for field 'n_in'"),
             (6, "layer 1", {"weights": None}, "layer 1: missing field 'weights'"),
             (6, "layer 0", {"n_out": "2"}, "layer 0: weights are not n_out x n_in"),
+            (5, "layer 0", {"bias": "-1.0 0.0"}, "^layer 0: bias length must match output width$"),
+            (5, "layer 1", {"activation": "swish"}, "^layer 1: unknown activation 'swish'$"),
+            (5, "", {"dropout": "0.1"}, "^ffn model: dropout must give one rate per layer$"),
         ],
         ids=[
             "bool_not_true_false", "unparsable_float", "missing_tree_field",
             "missing_forest_field", "unparsable_mtry", "forest_child_past_int32",
             "unparsable_n_layers", "unparsable_layer_width", "missing_layer_field",
-            "weights_not_layer_shape",
+            "weights_not_layer_shape", "bias_not_layer_width", "unknown_activation",
+            "dropout_not_one_per_layer",
         ],
     )
     def test_rejected_on_load(self, tmp_path, index, section, fields, match):
