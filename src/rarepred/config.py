@@ -10,16 +10,17 @@ stage knobs; each ``[model:<kind>]`` section lists a hyperparameter grid
 
 Each key of the fixed sections is declared once, as a field of ``RunConfig``
 or ``AutoencoderConfig`` that carries its section, default, and the parser
-that types and bounds it; ``_SECTIONS`` is derived from those fields. One
-reader applies it, so an unknown key, an empty or a bad value fails with a
-``ConfigError`` that starts ``[section] key:``; ``load_config`` spells out
-only the rules that tie keys together. README's config reference lists them.
-``_MODELS`` types and bounds each model kind's grid candidates the same way.
+that types and bounds it; ``_SECTIONS`` is derived from those fields, and
+``_MODELS`` types and bounds each model kind's grid candidates. One reader,
+``_section``, applies either table: an unknown key fails with the section's
+valid keys, an empty or a bad value with a ``ConfigError`` that starts
+``[section] key:``. ``load_config`` spells out only the rules that tie keys
+together. README's config reference lists them.
 
 Values are typed by shape: integers, floats, ``true``/``false``, bare
 strings, and space-separated tuples. ``format_value`` is the exact inverse
-of ``parse_value``, so artifacts that echo configuration (chosen grid
-points, manifests) round-trip losslessly.
+of ``parse_value``, so artifacts that echo configuration (grid points in
+the tuning reports, chosen ones, manifests) round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -28,16 +29,17 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from .anomaly import (
     DEFAULT_ACTIVATIONS, DEFAULT_AUTOENCODER_FEATURES, DEFAULT_HIDDEN, ERROR_KINDS, OBJECTIVES,
 )
 from .benchmarks import BENCHMARKS, benchmark_spec
 from .dataset import load_schema
+from .evaluate import METRICS
 from .neural import ACTIVATIONS, DEFAULT_HIDDEN as FFN_HIDDEN, LOSSES
 from .preprocess import SCALER_METHODS
 from .trees import SPLIT_RULES
-from .tune import METRICS
 
 __all__ = [
     "ConfigError", "ModelGrid", "AutoencoderConfig", "RunConfig", "parse_scalar",
@@ -173,6 +175,7 @@ def _edge(text: str) -> float:
 
 
 _REQUIRED = object()  # default of a key that must be given
+_ABSENT = object()  # default of a key left out of the values when not given
 
 _COUNT = _number(int, ">= 1", lambda v: v >= 1)
 _NONNEGATIVE = _number(float, ">= 0", lambda v: 0 <= v < math.inf, cast=False)
@@ -194,14 +197,14 @@ _MODELS = {
 _REQUIRED_PARAMS = {"elastic_net": ("lam", "alpha")}  # the others take the fit's default
 
 
-def _section(parser, name: str, given: dict | None = None) -> dict:
-    """Field values of section ``name``: ``given`` (when not None), else the
-    file's value, else the default. A key ``given`` fills is never parsed."""
-    table = _SECTIONS[name]
+def _section(parser, name: str, table: dict, given: dict | None = None) -> dict:
+    """Field values of section ``name`` by ``table``, ``{key: (field, default,
+    parse)}``: ``given`` (when not None), else the file's value, else the
+    default. A key ``given`` fills is never parsed."""
     present = parser.options(name) if parser.has_section(name) else []
     for key in present:
         if key not in table:
-            raise ConfigError(f"[{name}] unknown key {key!r}")
+            raise ConfigError(f"[{name}] unknown key {key!r} (have {', '.join(table)})")
     values = {}
     for key, (fld, default, parse) in table.items():
         if given and given.get(fld) is not None:
@@ -216,7 +219,7 @@ def _section(parser, name: str, given: dict | None = None) -> dict:
                 raise ConfigError(f"[{name}] {key}: {exc}") from None
         elif default is _REQUIRED:
             raise ConfigError(f"[{name}] {key}: required key is missing")
-        else:
+        elif default is not _ABSENT:
             values[fld] = default
     return values
 
@@ -332,20 +335,10 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
             raise ConfigError(
                 f"[{section}] unknown model kind {kind!r} (have {', '.join(_MODELS)})"
             )
-        params = _MODELS[kind]
-        grid: dict[str, list] = {}
-        for key in parser.options(section):
-            if key not in params:
-                raise ConfigError(
-                    f"[{section}] unknown hyperparameter {key!r} (have {', '.join(params)})"
-                )
-            try:
-                grid[key] = parse_values(parser.get(section, key), params[key])
-            except ConfigError as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from None
-        for key in _REQUIRED_PARAMS.get(kind, ()):
-            if key not in grid:
-                raise ConfigError(f"[{section}] {key}: required key is missing")
+        grid = _section(parser, section, {
+            key: (key, _REQUIRED if key in _REQUIRED_PARAMS.get(kind, ()) else _ABSENT,
+                  partial(parse_values, parse=parse))
+            for key, parse in _MODELS[kind].items()})
         if kind == "ffn":  # every (hidden, dropout) pair of the grid must fit
             rates = max((len(r) for r in grid.get("dropout", ()) if r is not None), default=0)
             if rates > min(map(len, grid.get("hidden", [FFN_HIDDEN]))):
@@ -357,9 +350,9 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
             raise ConfigError(f"missing section [{required}]")
 
     values: dict = {}
-    for name in _SECTIONS:
+    for name, table in _SECTIONS.items():
         if name != "autoencoder":
-            values.update(_section(parser, name, {"seed": seed, "out_dir": out_dir}))
+            values.update(_section(parser, name, table, {"seed": seed, "out_dir": out_dir}))
     if (values["synth"] is None) == (values["csv"] is None):
         raise ConfigError("[data] exactly one of synth or csv must be set")
     if values["csv"] is not None and values["schema"] is None:
@@ -371,7 +364,7 @@ def load_config(path: str, out_dir: str | None = None, seed: int | None = None) 
 
     autoencoder = None
     if parser.has_section("autoencoder"):
-        ae = _section(parser, "autoencoder")
+        ae = _section(parser, "autoencoder", _SECTIONS["autoencoder"])
         if len(ae["activations"]) != len(ae["hidden"]) + 1:
             raise ConfigError(
                 f"[autoencoder] activations: need {len(ae['hidden']) + 1} entries,"

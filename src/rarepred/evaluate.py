@@ -27,6 +27,8 @@ __all__ = [
     "write_report",
 ]
 
+METRICS = ("auc", "accuracy", "kappa", "sensitivity", "specificity")  # what grid search ranks by
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:

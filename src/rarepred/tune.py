@@ -21,8 +21,9 @@ from typing import Callable
 
 import numpy as np
 
+from .config import format_value
 from .dataset import Dataset, DatasetError, stratified_split, write_table
-from .evaluate import auc, confusion, metrics
+from .evaluate import METRICS, auc, confusion, metrics
 from .linear import fit_elastic_net, fit_logit, predict_proba
 from .neural import predict_ffn, train_ffn
 from .preprocess import apply_scaler, fit_scaler
@@ -42,8 +43,6 @@ __all__ = [
     "grid_search",
     "write_tuning_report",
 ]
-
-METRICS = ("auc", "accuracy", "kappa", "sensitivity", "specificity")
 
 
 @dataclass(frozen=True)
@@ -306,18 +305,7 @@ def grid_search(
 
 
 def _params_text(params: dict) -> str:
-    if not params:
-        return "(default)"
-    parts = []
-    for key in sorted(params):
-        value = params[key]
-        if isinstance(value, float):
-            parts.append(f"{key}={value!r}")
-        elif isinstance(value, (list, tuple)):
-            parts.append(f"{key}=({'x'.join(str(v) for v in value)})")
-        else:
-            parts.append(f"{key}={value}")
-    return "; ".join(parts)
+    return "; ".join(f"{key}={format_value(params[key])}" for key in sorted(params)) or "(default)"
 
 
 def write_tuning_report(dir_path: str, result: GridSearchResult) -> list[str]:

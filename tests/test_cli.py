@@ -58,6 +58,11 @@ class TestValueGrammar:
         with pytest.raises(ConfigError):
             parse_values("1,,2")
 
+    @pytest.mark.parametrize("parse,text", [(parse_scalar, "  "), (parse_value, "")])
+    def test_empty_value_refused(self, parse, text):
+        with pytest.raises(ConfigError, match="^empty value$"):
+            parse(text)
+
     def test_format_round_trip(self):
         for value in (3, 0.125, 1e-7, True, False, None, "extratrees", (22, 20, 15)):
             assert parse_value(format_value(value)) == value
@@ -156,7 +161,7 @@ class TestLoadConfig:
 
     def test_unknown_key_names_field(self, tmp_path):
         text = BASE.replace("fraction = 0.8", "fraction = 0.8\nratio = 2")
-        with pytest.raises(ConfigError, match=r"\[split\].*ratio"):
+        with pytest.raises(ConfigError, match=r"^\[split\] unknown key 'ratio' \(have fraction\)$"):
             load_config(write_cfg(tmp_path, text))
 
     def test_unknown_model_kind(self, tmp_path):
@@ -167,7 +172,7 @@ class TestLoadConfig:
     def test_unknown_hyperparameter(self, tmp_path):
         text = BASE.replace("cp = 0.005, 0.05", "depth = 3")
         have = r"\(have cp, min_split_obs\)"
-        with pytest.raises(ConfigError, match=f"unknown hyperparameter 'depth' {have}"):
+        with pytest.raises(ConfigError, match=rf"^\[model:cart\] unknown key 'depth' {have}$"):
             load_config(write_cfg(tmp_path, text))
 
     def test_unknown_label_names_field(self, tmp_path):
@@ -466,6 +471,12 @@ class TestSectionTable:
                 assert rows[(section, key)] == format_value(default), (section, key)
 
 
+def csv_bad_schema(tmp_path):
+    """csv_base reading ``bad.txt``, a schema whose one line has no ``=``."""
+    (tmp_path / "bad.txt").write_text("outcome label\n")
+    return csv_base(tmp_path).replace(str(tmp_path / "s.txt"), str(tmp_path / "bad.txt"))
+
+
 # (config text, message) of a config that load_config refuses by a rule
 # that ties keys together, each made in the test's own directory
 REFUSALS = {
@@ -494,6 +505,16 @@ REFUSALS = {
     "malformed_name_list": lambda tmp: (
         set_key(BASE, "preprocess", "features", "sim.past,,many_field"),
         "[preprocess] features: malformed name list 'sim.past,,many_field'"),
+    "activations_count": lambda tmp: (
+        BASE.replace("epochs = 1", "epochs = 1\nhidden = 9 4"),
+        "[autoencoder] activations: need 3 entries, got 4"),
+    "schema_absent": lambda tmp: (
+        csv_base(tmp).replace(str(tmp / "s.txt"), str(tmp / "absent.txt")),
+        "[data] cannot inspect source columns:"
+        f" [Errno 2] No such file or directory: {str(tmp / 'absent.txt')!r}"),
+    "schema_line_without_equals": lambda tmp: (
+        csv_bad_schema(tmp),
+        f"[data] cannot inspect source columns: {tmp / 'bad.txt'}:1: expected 'column = kind'"),
     "no_run_section": lambda tmp: (
         BASE.replace("[run]\nseed = 5\nout_dir = {out}\nlabel = outcome\n", ""),
         "missing section [run]"),
@@ -985,6 +1006,12 @@ class TestPipeline:
         text = BASE[: BASE.index("[autoencoder]")]
         assert run_cli(["detect", "--config", write_cfg(tmp_path, text)]) == 1
         assert capsys.readouterr().err == "error: no [autoencoder] section to run detection with\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_command_refused_before_any_directory(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path))
+        with pytest.raises(PipelineError, match="^unknown command 'bogus'$"):
+            run(cfg, "bogus")
         assert not (tmp_path / "out").exists()
 
     def test_report_on_empty_directory(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_no_child_left, open_fds, report_cpus
-from rarepred.config import _MODELS, _REQUIRED_PARAMS, format_value
+from rarepred.config import _MODELS, _REQUIRED_PARAMS, format_value, parse_param, parse_values
 from rarepred.dataset import Dataset, DatasetError, Feature
 from rarepred.evaluate import auc
 from rarepred.linear import fit_elastic_net, fit_logit, predict_proba
@@ -440,6 +440,17 @@ class TestGridSearch:
             grid_search(ds, "y", "logit", {}, repeats=0)
 
 
+# kind -> {key: candidates as a [model:<kind>] section writes them}
+REPORT_GRIDS = {
+    "logit": {},
+    "elastic_net": {"lam": "0.01, 1e-3", "alpha": "0.5, 1"},
+    "cart": {"cp": "0, 0.01", "min_split_obs": "5"},
+    "forest": {"n_trees": "2", "mtry": "none, 2", "split_rule": "gini, extratrees",
+               "bootstrap": "true, false"},
+    "ffn": {"hidden": "8, 16 8", "dropout": "none, 0.1", "epochs": "1"},
+}
+
+
 class TestTuningReport:
     def test_layout_and_determinism(self, tmp_path):
         ds = sample(17, n=120)
@@ -475,3 +486,24 @@ class TestTuningReport:
         with open(tmp_path / "tuning_report.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert all(len(row) == len(header) for row in rows)
+
+    @pytest.mark.parametrize("kind", REPORT_GRIDS)
+    def test_params_cells_are_config_syntax(self, tmp_path, kind):
+        # every cell parses back, key by key, to its grid point with its types
+        grid = {key: parse_values(text, _MODELS[kind][key])
+                for key, text in REPORT_GRIDS[kind].items()}
+        result = grid_search(sample(17, n=120), "y", kind, grid, k=2, seed=6, refit=False)
+        write_tuning_report(str(tmp_path), result)
+
+        def typed(point):
+            return {key: (type(value), value) for key, value in point.items()}
+
+        for name in ("tuning_report.csv", "tuning_summary.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert {row["point"] for row in rows} == {str(i) for i in range(len(result.points))}
+            for row in rows:
+                cell = row["params"]
+                pairs = [] if cell == "(default)" else [p.split("=", 1) for p in cell.split("; ")]
+                point = {key: parse_param(kind, key, text) for key, text in pairs}
+                assert typed(point) == typed(result.points[int(row["point"])]), (name, cell)
